@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import time
+import warnings
 
 from . import __version__
 from .bounds import bound_reports, closing_chain_check
@@ -83,14 +84,29 @@ def _load_system(path: str) -> UniformHypergraph:
 # --- construct ---
 
 
+# Options each construction needs; argparse cannot require an option for
+# one positional choice only.
+_CONSTRUCT_REQUIRED = {
+    "prefix": ("n", "s", "r"),
+    "coloring": ("n", "s", "r", "ell", "seed"),
+    "blowup": ("input", "m"),
+    "recursive": ("n", "r", "big_r", "k", "c", "seed"),
+}
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
+    missing = [
+        "--" + name.replace("_", "-")
+        for name in _CONSTRUCT_REQUIRED[args.kind]
+        if getattr(args, name) is None
+    ]
+    if missing:
+        print(f"construct {args.kind} requires {', '.join(missing)}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.kind == "prefix":
             system = trivial_prefix_system(args.n, args.s, args.r)
         elif args.kind == "coloring":
-            if args.seed is None:
-                print("coloring requires --seed", file=sys.stderr)
-                return EXIT_USAGE
             outcome = moser_tardos_color(
                 args.n, args.s, args.r, args.ell, args.seed, args.max_rounds
             )
@@ -105,9 +121,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
             A = _load_system(args.input)
             system, _report = blowup(A, args.m)
         elif args.kind == "recursive":
-            if args.seed is None:
-                print("recursive requires --seed", file=sys.stderr)
-                return EXIT_USAGE
             system, _sample = recursive_system(
                 args.n, args.r, args.big_r, args.k, args.c, args.seed
             )
@@ -158,11 +171,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        result = solve_with_cache(args.n, args.s, args.r, cache=ValueCache())
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    # Cache warnings (unreadable or unwritable file, dropped entries) do not
+    # change the result; each becomes one line on stderr.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = solve_with_cache(args.n, args.s, args.r, cache=ValueCache())
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_USAGE
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     sys.stdout.write(_dump(result.to_json_dict()))
     return EXIT_OK if result.proven_optimal else EXIT_BUDGET
 

@@ -731,9 +731,8 @@ def recursive_system(
             best = (edges, sampled)
         if len(edges) <= expected + 1e-9:
             d = k - R
-            size_s_star = sum(
-                1 for e in edges if e[:d] in set(sampled)
-            )
+            sampled_set = set(sampled)
+            size_s_star = sum(1 for e in edges if e[:d] in sampled_set)
             G = UniformHypergraph.from_edges(n, r, edges)
             sample = RecursionSample(
                 n=n, r=r, R=R, k=k, c=c,
@@ -742,7 +741,7 @@ def recursive_system(
                 retries=attempt,
                 sampled=sampled,
                 size_sampled_star=size_s_star,
-                size_uncovered=_count_uncovered(n, k, d, set(sampled)),
+                size_uncovered=_count_uncovered(n, k, d, sampled_set),
                 size_extension_star=len(edges) - size_s_star,
                 size_total=len(edges),
                 expected_size=expected,

@@ -2,21 +2,24 @@
 
 A Turán (n,s,r)-system is an r-graph on n vertices in which every s-subset
 of the vertices contains at least one edge.  The verifier here decides that
-property exhaustively (colex order, deterministic first witness) or by
-seeded uniform sampling for large n.
+property exhaustively, by one depth-first search for the colex-least s-set
+that contains no edge (a deterministic first witness), or by seeded uniform
+sampling for large n.  The search indexes the edge masks by least vertex
+once per call; sampling looks r-subsets up in the sorted masks.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from .combinatorics import (
     binomial,
     check_subset,
-    enumerate_subsets,
     rank_colex,
     unrank_colex,
 )
@@ -28,16 +31,13 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exhaustive pass would exceed the configured budget."""
 
 
-def _colex_key(edge: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(reversed(edge))
-
-
 @dataclass(frozen=True)
 class UniformHypergraph:
     """An r-graph on vertex set {0, ..., n-1}; edges kept in colex order.
 
-    Immutable after construction; edge bitmasks are precomputed because
-    mask inclusion is the hot path of exhaustive verification.
+    Immutable after construction; edge bitmasks are precomputed, in
+    ascending order (the colex order of the edges), because mask inclusion
+    and lookup are the hot paths of verification.
     """
 
     n: int
@@ -54,9 +54,12 @@ class UniformHypergraph:
         normalized = {tuple(sorted(e)) for e in edges}
         for e in normalized:
             check_subset(e, n, r)
-        ordered = tuple(sorted(normalized, key=_colex_key))
-        masks = tuple(_mask(e) for e in ordered)
-        return UniformHypergraph(n=n, r=r, edges=ordered, masks=masks)
+        # Among sets of one size, colex order is the numeric order of masks.
+        by_mask = {_mask(e): e for e in normalized}
+        masks = tuple(sorted(by_mask))
+        return UniformHypergraph(
+            n=n, r=r, edges=tuple(by_mask[m] for m in masks), masks=masks
+        )
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -137,13 +140,27 @@ def contains_edge(H: UniformHypergraph, S: tuple[int, ...]) -> bool:
     return False
 
 
+def _edges_by_least_vertex(H: UniformHypergraph) -> list[list[int]]:
+    """Edge masks grouped by their least vertex."""
+    by_least: list[list[int]] = [[] for _ in range(H.n)]
+    for em in H.masks:
+        by_least[(em & -em).bit_length() - 1].append(em)
+    return by_least
+
+
 def is_turan_system(
     H: UniformHypergraph, s: int, budget: int = DEFAULT_EXHAUSTIVE_BUDGET
 ) -> VerifyReport:
     """Exhaustively decide whether H is a Turán (n,s,r)-system.
 
-    Iterates s-sets in colex order; the witness, if any, is the colex-least
-    uncovered s-set, so failure reports are reproducible.
+    Searches depth first for an s-set that contains no edge, choosing the
+    largest vertex first and trying each vertex in ascending order, so the
+    first set found, the witness, is the colex-least uncovered s-set and
+    failure reports are reproducible.  A vertex v added below every vertex
+    chosen so far can only complete an edge whose least vertex is v, so a
+    partial set is pruned as soon as one of those edges lies inside it.
+    ``sets_checked`` is the number of s-sets up to and including the
+    witness in colex order, or C(n,s) when there is none.
     """
     if not (H.r < s <= H.n):
         raise ValueError(f"need r < s <= n, got r={H.r}, s={s}, n={H.n}")
@@ -153,39 +170,38 @@ def is_turan_system(
             f"C({H.n},{s}) = {total} exceeds exhaustive budget {budget}; "
             "use sample_verify instead"
         )
-    # Two strategies with identical reports: scanning s-sets against the
-    # edge list, or marking the supersets of every edge.  Marking wins for
-    # dense systems with small s - r (e.g. blowups).
-    cost_scan = total * max(len(H.edges), 1)
-    cost_mark = len(H.edges) * binomial(H.n - H.r, s - H.r) * s
-    if H.edges and cost_mark * 4 < cost_scan:
-        return _verify_by_marking(H, s, total)
-    masks = H.masks
-    checked = 0
-    for S in enumerate_subsets(H.n, s):
-        checked += 1
-        smask = _mask(S)
-        for em in masks:
-            if em & smask == em:
+    by_least = _edges_by_least_vertex(H)
+    # Depth d holds the d largest vertices chosen so far: chosen[d-1] is the
+    # smallest of them and union[d] their mask.  candidate[d] is the next
+    # vertex to try at depth d; it leaves room for s-1-d vertices below it.
+    chosen = [0] * s
+    union = [0] * (s + 1)
+    candidate = [0] * s
+    candidate[0] = s - 1
+    d = 0
+    while True:
+        v = candidate[d]
+        if v >= (chosen[d - 1] if d else H.n):
+            if d == 0:
+                return VerifyReport(True, None, total, "exhaustive", s)
+            d -= 1
+            candidate[d] += 1
+            continue
+        m = union[d] | (1 << v)
+        for em in by_least[v]:
+            if em & m == em:
+                candidate[d] = v + 1
                 break
         else:
-            return VerifyReport(False, S, checked, "exhaustive", s)
-    return VerifyReport(True, None, checked, "exhaustive", s)
-
-
-def _verify_by_marking(H: UniformHypergraph, s: int, total: int) -> VerifyReport:
-    """Mark the colex rank of every s-superset of every edge."""
-    covered = bytearray(total)
-    for e in H.edges:
-        others = [v for v in range(H.n) if v not in e]
-        for extra in enumerate_subsets(len(others), s - H.r):
-            S = tuple(sorted(e + tuple(others[i] for i in extra)))
-            covered[rank_colex(S)] = 1
-    try:
-        least = covered.index(0)
-    except ValueError:
-        return VerifyReport(True, None, total, "exhaustive", s)
-    return VerifyReport(False, unrank_colex(least, s, H.n), least + 1, "exhaustive", s)
+            chosen[d] = v
+            if d == s - 1:
+                witness = tuple(reversed(chosen))
+                return VerifyReport(
+                    False, witness, rank_colex(witness) + 1, "exhaustive", s
+                )
+            d += 1
+            union[d] = m
+            candidate[d] = s - 1 - d
 
 
 def sample_verify(
@@ -197,10 +213,31 @@ def sample_verify(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     total = binomial(H.n, s)
+    # Look up the C(s,r) r-subsets of each sampled set by bisection in the
+    # sorted masks where there are no more of them than edges; otherwise
+    # test only the edges whose least vertex is in the set.
+    masks = H.masks
+    if binomial(s, H.r) <= len(masks):
+
+        def covered(S: tuple[int, ...]) -> bool:
+            for sub in combinations([1 << v for v in S], H.r):
+                m = sum(sub)
+                i = bisect_left(masks, m)
+                if i < len(masks) and masks[i] == m:
+                    return True
+            return False
+
+    else:
+        by_least = _edges_by_least_vertex(H)
+
+        def covered(S: tuple[int, ...]) -> bool:
+            m = _mask(S)
+            return any(em & m == em for v in S for em in by_least[v])
+
     rng = random.Random(seed)
     for t in range(trials):
         S = unrank_colex(rng.randrange(total), s, H.n)
-        if not contains_edge(H, S):
+        if not covered(S):
             return VerifyReport(False, S, t + 1, "sampled", s, trials=trials, seed=seed)
     return VerifyReport(True, None, trials, "sampled", s, trials=trials, seed=seed)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass
@@ -211,8 +212,20 @@ class ValueCache:
             "edges": [list(e) for e in result.witness.edges],
             "verified_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        with open(self.path, "w") as fh:
-            json.dump(self._data, fh, sort_keys=True, indent=1)
+        # Write a temporary file beside the cache and rename it over the
+        # cache, so a crash or a concurrent writer never leaves it partial.
+        fd, tmp_path = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(self.path)), suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(self._data, fh, sort_keys=True, indent=1)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp_path, self.path)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
 
 
 def solve_with_cache(
@@ -222,12 +235,18 @@ def solve_with_cache(
     cache: ValueCache | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
-    """Cache-aware solve; proven results are persisted."""
+    """Cache-aware solve; proven results are persisted.
+
+    A cache that cannot be written only warns: the result is still returned.
+    """
     cache = cache if cache is not None else ValueCache()
     hit = cache.get(n, s, r)
     if hit is not None:
         return hit
     result = solve_min_turan(n, s, r, node_budget=node_budget)
     if result.proven_optimal:
-        cache.store(result)
+        try:
+            cache.store(result)
+        except OSError as exc:
+            warnings.warn(f"cannot write cache {cache.path}: {exc}")
     return result

@@ -57,6 +57,21 @@ class TestConstruct:
         )
         assert code == 2 and "seed" in err
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["prefix", "--n", "6", "--s", "4"], "--r"),
+            (["coloring", "--n", "6", "--s", "4", "--r", "3", "--seed", "7"], "--ell"),
+            (["blowup", "--m", "2"], "--input"),
+            (["recursive", "--n", "8", "--r", "3", "--seed", "1"], "--big-r, --k, --c"),
+        ],
+        ids=["prefix", "coloring", "blowup", "recursive"],
+    )
+    def test_missing_required_option_exit2(self, argv, flags, capsys):
+        code, out, err = run(["construct", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err == f"construct {argv[0]} requires {flags}\n"
+
     def test_coloring_success(self, capsys):
         code, out, _ = run(
             [
@@ -198,6 +213,12 @@ class TestSolve:
     def test_bad_parameters_exit2(self, capsys):
         code, _, _ = run(["solve", "--n", "4", "--s", "5", "--r", "2"], capsys)
         assert code == 2
+
+    def test_unwritable_cache_warns_and_exits0(self, capsys, monkeypatch):
+        monkeypatch.setenv("TURAN_CACHE", "/no/such/dir/c.json")
+        code, out, err = run(["solve", "--n", "5", "--s", "4", "--r", "3"], capsys)
+        assert code == 0 and json.loads(out)["optimum"] == 3
+        assert len(err.splitlines()) == 1 and err.startswith("warning: ")
 
 
 class TestBounds:

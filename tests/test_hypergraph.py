@@ -1,3 +1,7 @@
+import itertools
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,9 +73,9 @@ class TestExhaustiveVerify:
                 break
             assert contains_edge(H, S)
 
-    def test_strategies_agree(self):
-        # Dense system routes through superset marking; reports must be
-        # identical to the scanning strategy's.
+    def test_dense_system_witness_matches_scan(self):
+        # A dense system with small s - r prunes almost every partial set;
+        # the witness must still be the first uncovered s-set of a scan.
         edges = [e for e in enumerate_subsets(8, 2) if e != (5, 7)]
         H = UniformHypergraph.from_edges(8, 2, edges)
         report = is_turan_system(H, 3)
@@ -81,6 +85,75 @@ class TestExhaustiveVerify:
                 scan = S
                 break
         assert report.witness == scan
+
+    def test_deep_search_needs_no_recursion(self):
+        # s = 2999 is deeper than the default recursion limit.
+        n, s = 3000, 2999
+        empty = UniformHypergraph.from_edges(n, 1, [])
+        assert is_turan_system(empty, s).to_json_dict()["witness"] == list(range(s))
+        ends = UniformHypergraph.from_edges(n, 1, [(0,), (n - 1,)])
+        report = is_turan_system(ends, s)
+        assert report.is_turan and report.sets_checked == n
+
+
+def colex_s_sets(n, s):
+    return sorted(itertools.combinations(range(n), s), key=lambda S: S[::-1])
+
+
+def uncovered(S, edges):
+    members = set(S)
+    return not any(members.issuperset(e) for e in edges)
+
+
+@st.composite
+def random_systems(draw):
+    """(n, s, r, edges) with n <= 11 and r < s, from empty to complete.
+
+    Up to two random s-sets lose all their r-subsets, so that dense systems
+    are uncovered too.
+    """
+    n = draw(st.integers(2, 11))
+    r = draw(st.integers(1, n - 1))
+    s = draw(st.integers(r + 1, n))
+    p = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = {e for e in itertools.combinations(range(n), r) if rng.random() < p}
+    for _ in range(draw(st.integers(0, 2))):
+        hole = sorted(rng.sample(range(n), s))
+        edges -= set(itertools.combinations(hole, r))
+    return n, s, r, sorted(edges)
+
+
+class TestVerifierAgainstBruteForce:
+    @given(random_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_exhaustive_matches_colex_scan(self, system):
+        n, s, r, edges = system
+        H = UniformHypergraph.from_edges(n, r, edges)
+        expected = {"is_turan": True, "witness": None, "sets_checked": math.comb(n, s)}
+        for checked, S in enumerate(colex_s_sets(n, s), 1):
+            if uncovered(S, edges):
+                expected = {"is_turan": False, "witness": list(S), "sets_checked": checked}
+                break
+        expected.update(mode="exhaustive", s=s, trials=None, seed=None)
+        assert is_turan_system(H, s).to_json_dict() == expected
+
+    @given(random_systems(), st.integers(1, 60), st.integers(0, 1000))
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_matches_per_trial_check(self, system, trials, seed):
+        n, s, r, edges = system
+        H = UniformHypergraph.from_edges(n, r, edges)
+        # sample_verify draws a uniform colex rank per trial from Random(seed).
+        ranked = colex_s_sets(n, s)
+        rng = random.Random(seed)
+        expected = {"is_turan": True, "witness": None, "sets_checked": trials}
+        for t in range(1, trials + 1):
+            S = ranked[rng.randrange(len(ranked))]
+            if uncovered(S, edges):
+                expected = {"is_turan": False, "witness": list(S), "sets_checked": t}
+                break
+        expected.update(mode="sampled", s=s, trials=trials, seed=seed)
+        assert sample_verify(H, s, trials, seed).to_json_dict() == expected
 
 
 class TestSampleVerify:

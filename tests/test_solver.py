@@ -101,6 +101,36 @@ class TestValueCache:
         hit = solve_with_cache(5, 4, 3, cache=ValueCache(path))
         assert hit.nodes_explored == 0  # served from cache
 
+    def test_crash_during_store_keeps_earlier_entries(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = ValueCache(str(path))
+        real_dump = json.dump
+        calls = []
+
+        def dump_failing_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("simulated crash mid-write")
+            real_dump(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_failing_third)
+        cache.store(solve_min_turan(4, 3, 2))
+        cache.store(solve_min_turan(5, 4, 3))
+        with pytest.raises(RuntimeError):
+            cache.store(solve_min_turan(5, 3, 2))
+        monkeypatch.undo()
+        reloaded = ValueCache(str(path))
+        assert sorted(json.loads(path.read_text())) == ["4,3,2", "5,4,3"]
+        assert reloaded.get(4, 3, 2) is not None and reloaded.get(5, 4, 3) is not None
+        assert reloaded.get(5, 3, 2) is None
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+    def test_unwritable_cache_only_warns(self, tmp_path):
+        cache = ValueCache(str(tmp_path / "no" / "such" / "cache.json"))
+        with pytest.warns(UserWarning, match="cannot write cache"):
+            res = solve_with_cache(5, 4, 3, cache=cache)
+        assert res.optimum == 3 and res.proven_optimal
+
     def test_unproven_results_not_cacheable(self, tmp_path):
         cache = ValueCache(str(tmp_path / "cache.json"))
         res = solve_min_turan(7, 3, 2, node_budget=10)

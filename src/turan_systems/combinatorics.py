@@ -152,21 +152,19 @@ def unrank_colex(index: int, k: int, n: int) -> tuple[int, ...]:
     """Inverse of rank_colex on [0, C(n,k))."""
     if index < 0 or index >= binomial(n, k):
         raise ValueError(f"rank {index} out of range for C({n},{k})")
-    result: list[int] = []
+    result = [0] * k
     remaining = index
+    v = n
     for i in range(k, 0, -1):
-        # Largest v with C(v, i) <= remaining.
-        v = i - 1
-        c = 0  # C(v, i) at v = i-1
-        while True:
-            nxt = binomial(v + 1, i)
-            if nxt > remaining:
-                break
-            v += 1
-            c = nxt
-        result.append(v)
+        # Largest v with C(v, i) <= remaining: it lies below the previous v,
+        # so walk down from there.
+        v -= 1
+        c = math.comb(v, i)
+        while c > remaining:
+            v -= 1
+            c = math.comb(v, i)
+        result[i - 1] = v
         remaining -= c
-    result.reverse()
     return tuple(result)
 
 
@@ -187,7 +185,7 @@ def enumerate_subsets(
         raise ValueError(f"bad rank slice [{start}, {stop}) for C({n},{k})={total}")
     if start == stop:
         return
-    current = list(unrank_colex(start, k, n))
+    current = list(range(k)) if start == 0 else list(unrank_colex(start, k, n))
     for _ in range(stop - start):
         yield tuple(current)
         # Colex successor: bump the first position that has headroom.

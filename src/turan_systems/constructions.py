@@ -11,7 +11,7 @@ Three families live here:
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -25,7 +25,6 @@ from .combinatorics import (
     binomial,
     enumerate_subsets,
     log_binomial,
-    rank_colex,
 )
 from .hypergraph import BudgetExceededError, UniformHypergraph
 
@@ -407,8 +406,13 @@ def moser_tardos_color(
 
     Colours every r-set uniformly at random, then repeatedly picks the
     colex-least s-set missing some colour and redraws the colours of all
-    its r-subsets.  On success every colour class is a Turán (N,s,r)-system
-    by definition of "no bad event".
+    its r-subsets, in colex order.  On success every colour class is a
+    Turán (N,s,r)-system by definition of "no bad event".
+
+    After a redraw the search for the next bad s-set restarts at the
+    colex-least s-set that contains a redrawn r-set: every s-set before it
+    held all colours and kept them, so the result is the same as a rescan
+    from the first s-set.
     """
     if not (r < s <= N):
         raise ValueError(f"need r < s <= N, got r={r}, s={s}, N={N}")
@@ -422,25 +426,30 @@ def moser_tardos_color(
     coloring = [rng.randrange(ell) for _ in range(num_r)]
 
     s_sets = list(enumerate_subsets(N, s))
+    r_index = {e: j for j, e in enumerate(enumerate_subsets(N, r))}
+    # Colex rank is monotone in colex order, so sorting the ranks of an
+    # s-set's r-subsets puts them in the colex order of their positions.
     member_ranks = [
-        [rank_colex(tuple(S[p] for p in pos)) for pos in enumerate_subsets(s, r)]
-        for S in s_sets
+        sorted(map(r_index.__getitem__, itertools.combinations(S, r))) for S in s_sets
     ]
+    # first_hit[j]: index of the colex-least s-set containing r-set j.
+    first_hit: dict[int, int] = {}
+    for i in range(len(s_sets) - 1, -1, -1):
+        first_hit.update(dict.fromkeys(member_ranks[i], i))
 
-    def violated() -> int | None:
-        for i in range(len(s_sets)):
-            present = {coloring[j] for j in member_ranks[i]}
-            if len(present) < ell:
+    def violated(start: int) -> int | None:
+        for i in range(start, len(s_sets)):
+            if len(set(map(coloring.__getitem__, member_ranks[i]))) < ell:
                 return i
         return None
 
     rounds = 0
-    bad = violated()
+    bad = violated(0)
     while bad is not None and rounds < max_rounds:
         for j in member_ranks[bad]:
             coloring[j] = rng.randrange(ell)
         rounds += 1
-        bad = violated()
+        bad = violated(min(map(first_hit.__getitem__, member_ranks[bad])))
 
     sizes = [0] * ell
     for c in coloring:
@@ -667,35 +676,55 @@ def sample_recursive_system(
 ) -> tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
     """One raw draw of the recursion: returns (edges of G, sampled S).
 
-    No retry filtering; used directly by the Monte Carlo comparison against
+    The draw makes one pass over the k-sets, extending each unhit one by
+    its tail system.  No retry filtering; used directly by the Monte Carlo comparison against
     expected_recursive_size.
     """
     _validate_recursion_params(n, r, R, k, c)
-    d = k - R  # size of the sampled initial segments
-    p = c / binomial(k, R)
     if tails is None:
         tails = _tail_systems(n, r, R, k, base_supplier)
+    edges, sampled, _ = _draw(n, r, R, k, c, rng, tails)
+    return edges, sampled
 
+
+def _draw(
+    n: int,
+    r: int,
+    R: int,
+    k: int,
+    c: float,
+    rng: random.Random,
+    tails: dict[int, UniformHypergraph],
+) -> tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...], int]:
+    """One draw in a single pass over the k-sets: (edges, sampled, |T|).
+
+    T is the set of k-sets that contain no sampled (k-R)-set.
+    """
+    d = k - R  # size of the sampled initial segments
+    p = c / binomial(k, R)
     sampled = tuple(D for D in enumerate_subsets(n, d) if rng.random() < p)
     sampled_set = set(sampled)
 
     edges: set[tuple[int, ...]] = set()
     # S*: r-sets whose d smallest elements form a sampled set.
+    extensions: dict[int, list[tuple[int, ...]]] = {}
     for D in sampled:
         lo = D[-1] if D else -1
-        if n - 1 - lo < r - d:
-            continue  # no room to the right; D extends to no r-set
-        for ext in enumerate_subsets(n - 1 - lo, r - d):
-            edges.add(D + tuple(lo + 1 + x for x in ext))
+        if lo not in extensions:
+            extensions[lo] = list(itertools.combinations(range(lo + 1, n), r - d))
+        edges.update(D + x for x in extensions[lo])
     # T*: k-sets not hit by S, extended by the tail system past their max.
-    for Y in enumerate_subsets(n, k):
-        if any(tuple(Y[p_] for p_ in pos) in sampled_set
-               for pos in enumerate_subsets(k, d)):
+    shifted: dict[int, list[tuple[int, ...]]] = {}
+    uncovered = 0
+    for Y in itertools.combinations(range(n), k):
+        if not sampled_set.isdisjoint(itertools.combinations(Y, d)):
             continue
+        uncovered += 1
         v = Y[-1]
-        for Z in tails[v].edges:
-            edges.add(Y + tuple(v + 1 + z for z in Z))
-    return edges, sampled
+        if v not in shifted:
+            shifted[v] = [tuple(v + 1 + z for z in Z) for Z in tails[v].edges]
+        edges.update(Y + Z for Z in shifted[v])
+    return edges, sampled, uncovered
 
 
 def recursive_system(
@@ -715,6 +744,8 @@ def recursive_system(
     by a tail Turán (n', r-k+R, r-k)-system to its right.  Resamples until
     |G| is at most its expected value (the expectation uses the actual tail
     sizes the supplier produced, so the threshold matches the object built).
+    Each draw makes one pass over the k-sets, which both builds the
+    extensions and counts the unhit k-sets.
     """
     _validate_recursion_params(n, r, R, k, c)
     tails = _tail_systems(n, r, R, k, base_supplier)
@@ -724,9 +755,7 @@ def recursive_system(
     rng = random.Random(seed)
     best: tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...]] | None = None
     for attempt in range(max_retries):
-        edges, sampled = sample_recursive_system(
-            n, r, R, k, c, rng, base_supplier, tails=tails
-        )
+        edges, sampled, uncovered = _draw(n, r, R, k, c, rng, tails)
         if best is None or len(edges) < len(best[0]):
             best = (edges, sampled)
         if len(edges) <= expected + 1e-9:
@@ -741,7 +770,7 @@ def recursive_system(
                 retries=attempt,
                 sampled=sampled,
                 size_sampled_star=size_s_star,
-                size_uncovered=_count_uncovered(n, k, d, sampled_set),
+                size_uncovered=uncovered,
                 size_extension_star=len(edges) - size_s_star,
                 size_total=len(edges),
                 expected_size=expected,
@@ -752,19 +781,3 @@ def recursive_system(
         f"no sample with |G| <= {expected:.3f} within {max_retries} retries "
         f"(best seen {len(best[0])})"
     )
-
-
-def _count_uncovered(n: int, k: int, d: int, sampled: set[tuple[int, ...]]) -> int:
-    count = 0
-    for Y in enumerate_subsets(n, k):
-        if not any(
-            tuple(Y[p] for p in pos) in sampled for pos in enumerate_subsets(k, d)
-        ):
-            count += 1
-    return count
-
-
-def write_json(obj: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")

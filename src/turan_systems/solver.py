@@ -74,6 +74,8 @@ def solve_min_turan(
     of it; prunes with current + ceil(uncovered / C(n-r, s-r)).  At the
     root, the branch is fixed to the single edge {0,...,r-1}, which is safe
     because the root subproblem is invariant under all vertex relabelings.
+    The search keeps its own stack, so a deep search ends at the node
+    budget, not at the interpreter's recursion limit.
     """
     if not (r < s <= n):
         raise ValueError(f"need r < s <= n, got r={r}, s={s}, n={n}")
@@ -107,33 +109,42 @@ def solve_min_turan(
     nodes = 0
     exhausted = False
 
-    chosen: list[int] = []
-
-    def recurse(covered: int, depth: int) -> None:
-        nonlocal best, incumbent_idx, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            exhausted = True
-            return
-        if covered == all_covered:
-            if depth < best:
-                best = depth
-                incumbent_idx = list(chosen)
-            return
-        uncovered = all_covered & ~covered
-        if depth + -(-(uncovered.bit_count()) // per_edge) >= best:
-            return
-        # colex-least uncovered s-set
-        i = (uncovered & -uncovered).bit_length() - 1
-        branch = children[i] if depth > 0 else [r_rank[tuple(range(r))]]
-        for j in branch:
-            chosen.append(j)
-            recurse(covered | cover_mask[j], depth + 1)
-            chosen.pop()
-
-    recurse(0, 0)
+    # Depth-first search with an explicit stack, so depth is not limited by
+    # the interpreter's recursion limit.  stack[d] holds the covered set of
+    # an open node and the iterator over its remaining children, which sit
+    # at depth d; a child that needs no branching is finished inside the
+    # loop over its siblings.  The bottom frame's one child is the root, via
+    # the r-set `none`, whose mask is empty.  path[d] is the r-set added at
+    # depth d on the current path.
+    none = len(r_sets)
+    cover_mask.append(0)
+    root_branch = [r_rank[tuple(range(r))]]
+    path = [none] * (best + 1)
+    stack = [(0, iter([none]))]
+    while stack and not exhausted:
+        base, rest = stack[-1]
+        depth = len(stack) - 1
+        for j in rest:
+            nodes += 1
+            if nodes > node_budget:
+                exhausted = True
+                break
+            path[depth] = j
+            covered = base | cover_mask[j]
+            if covered == all_covered:
+                if depth < best:
+                    best = depth
+                    incumbent_idx = path[1:depth + 1]
+                continue
+            uncovered = all_covered & ~covered
+            if depth + -(-(uncovered.bit_count()) // per_edge) >= best:
+                continue
+            # colex-least uncovered s-set
+            i = (uncovered & -uncovered).bit_length() - 1
+            stack.append((covered, iter(children[i] if depth > 0 else root_branch)))
+            break
+        else:
+            stack.pop()
 
     witness = UniformHypergraph.from_edges(n, r, [r_sets[j] for j in incumbent_idx])
     return SolveResult(

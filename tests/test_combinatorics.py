@@ -79,6 +79,25 @@ class TestColex:
         with pytest.raises(ValueError):
             unrank_colex(binomial(6, 3), 3, 6)
 
+    def test_unrank_matches_upward_walk(self):
+        # Reference: the earlier unrank, which walks each v up from i - 1.
+        def unrank_upward(index, k, n):
+            result = []
+            remaining = index
+            for i in range(k, 0, -1):
+                v, c = i - 1, 0
+                while binomial(v + 1, i) <= remaining:
+                    v += 1
+                    c = binomial(v, i)
+                result.append(v)
+                remaining -= c
+            return tuple(reversed(result))
+
+        for n in range(0, 13):
+            for k in range(0, n + 1):
+                for i in range(binomial(n, k)):
+                    assert unrank_colex(i, k, n) == unrank_upward(i, k, n)
+
     @given(st.integers(1, 14), st.data())
     @settings(max_examples=100, deadline=None)
     def test_rank_monotone_in_colex(self, n, data):

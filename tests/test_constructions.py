@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turan_systems.combinatorics import binomial, enumerate_subsets
+from turan_systems.combinatorics import binomial, enumerate_subsets, rank_colex
 from turan_systems.constructions import (
     blowup,
     construction_parameters,
@@ -138,6 +139,54 @@ class TestMoserTardos:
         out = moser_tardos_color(6, 4, 3, 2, seed=3)
         assert sum(out.class_sizes) == binomial(6, 3)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_rescan_reference(self, data):
+        N = data.draw(st.integers(2, 10))
+        s = data.draw(st.integers(2, N))
+        r = data.draw(st.integers(1, s - 1))
+        ell = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**32))
+        max_rounds = data.draw(st.integers(0, 60))
+        out = moser_tardos_color(N, s, r, ell, seed, max_rounds=max_rounds)
+        assert out.to_json_dict() == _moser_tardos_reference(N, s, r, ell, seed, max_rounds)
+
+
+def _moser_tardos_reference(N, s, r, ell, seed, max_rounds):
+    """Resampling with one rank_colex per r-subset and a rescan from the
+    first s-set after every round, as a JSON dict of the outcome."""
+    rng = random.Random(seed)
+    coloring = [rng.randrange(ell) for _ in range(binomial(N, r))]
+    s_sets = list(enumerate_subsets(N, s))
+    members = [
+        [rank_colex(tuple(S[p] for p in pos)) for pos in enumerate_subsets(s, r)]
+        for S in s_sets
+    ]
+
+    def violated():
+        for i, ranks in enumerate(members):
+            if len({coloring[j] for j in ranks}) < ell:
+                return i
+        return None
+
+    rounds = 0
+    bad = violated()
+    while bad is not None and rounds < max_rounds:
+        for j in members[bad]:
+            coloring[j] = rng.randrange(ell)
+        rounds += 1
+        bad = violated()
+    sizes = [coloring.count(c) for c in range(ell)]
+    return {
+        "success": bad is None,
+        "N": N, "s": s, "r": r, "ell": ell, "seed": seed,
+        "rounds_used": rounds,
+        "least_color": None if bad is not None else min(range(ell), key=lambda c: (sizes[c], c)),
+        "class_sizes": sizes,
+        "coloring": coloring,
+        "failed_s_set": None if bad is None else list(s_sets[bad]),
+    }
+
 
 class TestBlowup:
     def test_identity_blowup(self):
@@ -199,6 +248,17 @@ class TestRecursiveSystem:
         G2, s2 = recursive_system(8, 3, 1, 2, c=1.0, seed=11)
         assert G1.to_json() == G2.to_json()
         assert s1.to_json_dict() == s2.to_json_dict()
+
+    def test_uncovered_count_matches_brute_force(self):
+        for n, r, R, k, c, seed in [(8, 3, 1, 2, 1.0, 11), (10, 4, 2, 3, 1.5, 3),
+                                    (9, 4, 1, 2, 0.5, 7), (11, 5, 2, 4, 2.0, 1)]:
+            _, sample = recursive_system(n, r, R, k, c, seed)
+            sampled = set(sample.sampled)
+            unhit = sum(
+                1 for Y in itertools.combinations(range(n), k)
+                if not any(D in sampled for D in itertools.combinations(Y, k - R))
+            )
+            assert sample.size_uncovered == unhit
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

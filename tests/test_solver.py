@@ -47,6 +47,27 @@ class TestSolveMinTuran:
         assert res.budget_exhausted and not res.proven_optimal
         assert is_turan_system(res.witness, 3).is_turan
 
+    def test_search_order_pinned(self):
+        # The branching order fixes node counts and witnesses; these are the
+        # figures of the recursive form of the same search.
+        for (n, s, r, budget), (optimum, nodes) in {
+            (6, 4, 3, None): (6, 166),
+            (7, 4, 3, None): (12, 114374),
+            (7, 3, 2, 10): (15, 11),
+            (6, 4, 2, 37): (3, 38),
+        }.items():
+            kwargs = {} if budget is None else {"node_budget": budget}
+            res = solve_min_turan(n, s, r, **kwargs)
+            assert (res.optimum, res.nodes_explored) == (optimum, nodes)
+
+    def test_deep_search_does_not_overflow(self):
+        # The first dive for (30,4,3) goes past depth 1000 within this budget,
+        # deeper than the interpreter's default recursion limit.
+        res = solve_min_turan(30, 4, 3, node_budget=2000)
+        assert res.budget_exhausted and not res.proven_optimal
+        assert res.nodes_explored == 2001
+        assert res.optimum == binomial(29, 3)  # still the prefix incumbent
+
 
 class TestTuranGraphCrossCheck:
     def test_r2_formula_values(self):

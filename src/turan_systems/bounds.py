@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .combinatorics import binomial, log_binomial
+from .combinatorics import EXACT_LOG_N_MAX, binomial, log_binomial
 from .constructions import ConstructionParameters, construction_parameters
 
 
@@ -127,14 +127,15 @@ def recursion_rhs_log(r: int, R: int, k: int, c: float, log_mu_inner: float) -> 
     """ln of C(r+R,R) (c/C(k,R) + mu_inner / (e^c C(r-k+R,R)))."""
     if not (R <= k <= r - 1):
         raise ValueError(f"k must lie in [R, r-1] = [{R}, {r - 1}], got {k}")
-    if c < 0 or math.log(c if c > 0 else 1) > log_binomial(k, R) + 1e-12:
+    lk = log_binomial(k, R)
+    if c < 0 or math.log(c if c > 0 else 1) > lk + 1e-12:
         raise ValueError(f"c must lie in [0, C({k},{R})], got {c}")
     if log_mu_inner < 0:
         raise ValueError("mu_inner must be >= 1")
     lB = log_binomial(r + R, R)
     terms = []
     if c > 0:
-        terms.append(math.log(c) + lB - log_binomial(k, R))
+        terms.append(math.log(c) + lB - lk)
     terms.append(log_mu_inner + lB - c - log_binomial(r - k + R, R))
     m = max(terms)
     return m + math.log(sum(math.exp(t - m) for t in terms))
@@ -488,7 +489,7 @@ def bound_reports(r: int, R: int, eps1: float = 0.05) -> list[BoundReport]:
             "asymptotic-upper",
             gap_log_binomial_mu_bound(r, R),
             ("leading term only; o(1) factor dropped",),
-            exact_path=s <= 4096,
+            exact_path=s <= EXACT_LOG_N_MAX,
         )
     )
     try:

@@ -19,6 +19,10 @@ from typing import Iterator
 # to natural-log floats.
 EXACT_N_BUDGET = 512
 
+# log_binomial takes the log of the exact integer C(n, k) up to this n and
+# Stirling's series beyond it.  This is the one exact-or-log cutoff for ln C.
+EXACT_LOG_N_MAX = 4096
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k > n."""
@@ -30,18 +34,43 @@ def binomial(n: int, k: int) -> int:
 
 
 def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k), exact-path log for small n, lgamma summation for huge n."""
+    """ln C(n, k) for integers n >= k >= 0, n of any size.
+
+    Up to EXACT_LOG_N_MAX this is the log of the exact integer, one
+    floating rounding.  Beyond it, see log_binomial_series.
+    """
     if n < 0 or k < 0:
         raise ValueError(f"log_binomial arguments must be nonnegative, got ({n}, {k})")
     if k > n:
         raise ValueError(f"log_binomial requires k <= n, got ({n}, {k})")
-    if k == 0 or k == n:
+    k = min(k, n - k)
+    if k == 0:
         return 0.0
-    if n <= 4096:
-        # math.log accepts arbitrarily large ints, so this path is exact
-        # up to one floating rounding.
+    if n <= EXACT_LOG_N_MAX:
         return math.log(math.comb(n, k))
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    # Integer true division stays correct when n is beyond float range.
+    return log_binomial_series(math.log(n), k / n, k)
+
+
+def log_binomial_series(log_n: float, t: float, k: int) -> float:
+    """ln C(n, k) from ln n and t = k/n, for real n >= 2k and integer k >= 1.
+
+    Stirling's series for ln n! - ln m! (m = n - k) with its 1/(12x) term,
+    and the exact lgamma(k + 1):
+
+        k (ln n - 1) - (m + 1/2) ln(1 - t) - ln k! - (1/m - 1/n)/12,
+
+    written through g = -ln(1 - t)/t, which tends to 1, so no term grows
+    with n and nothing cancels; at t = 0 it is k ln n - ln k!.  The error
+    is below (1/m^3 - 1/n^3)/360, under 1e-15 relative for n > 4096.
+    """
+    g = -math.log1p(-t) / t if t else 1.0
+    return (
+        k * (log_n - 1.0)
+        + (k - t * (k - 0.5)) * g
+        - math.lgamma(k + 1)
+        - t * t / (12.0 * k * (1.0 - t))
+    )
 
 
 @total_ordering
@@ -61,14 +90,6 @@ class LogValue:
         return LogValue(float("-inf"), True)
 
     @staticmethod
-    def one() -> "LogValue":
-        return LogValue(0.0)
-
-    @staticmethod
-    def from_log(x: float) -> "LogValue":
-        return LogValue(x)
-
-    @staticmethod
     def from_int(value: int) -> "LogValue":
         if value < 0:
             raise ValueError("LogValue represents nonnegative reals only")
@@ -76,32 +97,10 @@ class LogValue:
             return LogValue.zero()
         return LogValue(float(math.log(value)))
 
-    @staticmethod
-    def from_float(value: float) -> "LogValue":
-        if value < 0:
-            raise ValueError("LogValue represents nonnegative reals only")
-        if value == 0:
-            return LogValue.zero()
-        return LogValue(math.log(value))
-
     def __mul__(self, other: "LogValue") -> "LogValue":
         if self.is_zero or other.is_zero:
             return LogValue.zero()
         return LogValue(self.log_magnitude + other.log_magnitude)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogValue zero")
-        if self.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log_magnitude - other.log_magnitude)
-
-    def __pow__(self, exponent: float) -> "LogValue":
-        if self.is_zero:
-            if exponent <= 0:
-                raise ZeroDivisionError("0 ** nonpositive exponent")
-            return LogValue.zero()
-        return LogValue(self.log_magnitude * exponent)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogValue):
@@ -119,12 +118,6 @@ class LogValue:
 
     def __hash__(self) -> int:
         return hash((self.is_zero, None if self.is_zero else self.log_magnitude))
-
-    def to_float(self) -> float:
-        """Plain float value; inf when out of floating range."""
-        if self.is_zero:
-            return 0.0
-        return math.exp(self.log_magnitude) if self.log_magnitude < 709 else float("inf")
 
 
 def check_subset(elements: tuple[int, ...], n: int, k: int | None = None) -> None:

@@ -15,7 +15,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 import mpmath
 
@@ -25,6 +24,7 @@ from .combinatorics import (
     binomial,
     enumerate_subsets,
     log_binomial,
+    log_binomial_series,
 )
 from .hypergraph import BudgetExceededError, UniformHypergraph
 
@@ -69,8 +69,9 @@ class ConstructionParameters:
 
     When magnitudes allow (N <= EXACT_N_BUDGET) both values are exact
     integers with interval-certified floors; otherwise they are carried in
-    log-space and the floors are ignored (relative effect is below any
-    representable precision at those magnitudes).
+    log-space.  There the floor in ell is dropped, and the floor in N is
+    kept in ln C(N-s,R) until N reaches 2^53, beyond which its relative
+    effect is below float resolution.
     """
 
     r: int
@@ -160,18 +161,13 @@ def construction_parameters(r: int, R: int) -> ConstructionParameters:
             False, None,
         )
 
-    # Log-space path.  The floor in N is dropped: at these magnitudes its
-    # relative effect is e^{-log_N}, far below float resolution.
+    # Log-space path.  log_N is unfloored; C(N-s, R) takes the floored N
+    # while the floor moves it by more than float resolution.
     log_N = log_N_est
-    if log_N <= 500:
-        # N still fits an exact integer; use it for the C(N-s, R) term.
-        C = binomial(s, R)
-        N = r * (r - 1) * C // (2 * R)
-        log_C_Ns = log_binomial(N - s, R)
-    else:
-        # N - s - i == N up to relative error e^{-log_N + log s}.
-        log_C_Ns = R * log_N - math.lgamma(R + 1)
-    denom_log = 2.0 * log_C + log_C_Ns
+    N_or_log: int | LogValue = LogValue(log_N)
+    if log_N < 53 * math.log(2):
+        N_or_log = r * (r - 1) * binomial(s, R) // (2 * R)
+    denom_log = 2.0 * log_C + log_binomial_outside(N_or_log, s, R)
     if denom_log <= 0:
         return ConstructionParameters(
             r, R, s, False, None, None, log_N, None, log_C, denom_log, True,
@@ -236,6 +232,19 @@ class LllCertificate:
         }
 
 
+def log_binomial_outside(N: int | LogValue, s: int, R: int) -> float:
+    """ln C(N-s, R), the number of R-sets of [N] that miss a fixed s-set.
+
+    An exact N goes to log_binomial.  An N carried as ln N goes to the same
+    Stirling series with ln(N-s) = ln N + ln(1 - s/N); once N is beyond
+    float range that is R ln N - ln R!.
+    """
+    if isinstance(N, int):
+        return log_binomial(N - s, R)
+    log_M = N.log_magnitude + math.log1p(-s * math.exp(-N.log_magnitude))
+    return log_binomial_series(log_M, R * math.exp(-log_M), R)
+
+
 def dependency_degree(N: int, s: int, r: int) -> int:
     """Exact Delta = sum_{i=r}^{s} C(s,i) C(N-s,s-i)."""
     return sum(binomial(s, i) * binomial(N - s, s - i) for i in range(r, s + 1))
@@ -268,58 +277,44 @@ def lll_condition(
     R = s - r
     if not (0 < r < s):
         raise ValueError(f"need 0 < r < s, got r={r}, s={s}")
-    N_int = N if isinstance(N, int) else None
     N_val = LogValue.from_int(N) if isinstance(N, int) else N
-    ell_int = ell if isinstance(ell, int) else None
     ell_val = LogValue.from_int(ell) if isinstance(ell, int) else ell
     if ell_val.is_zero or ell_val.log_magnitude < 0:
         raise ValueError("ell must be >= 1")
+    log_ell = ell_val.log_magnitude
 
     log_C = log_binomial(s, R)
 
     # Delta, exact when materializable.
     delta_exact: int | None = None
-    if N_int is not None:
-        delta_exact = dependency_degree(N_int, s, r)
+    if isinstance(N, int):
+        delta_exact = dependency_degree(N, s, r)
         log_delta = LogValue.from_int(delta_exact)
-        delta_is_upper = False
     else:
-        log_C_Ns = (
-            R * N_val.log_magnitude - math.lgamma(R + 1)
-            if N_val.log_magnitude > 500
-            else log_binomial(int(round(math.exp(N_val.log_magnitude))) - s, R)
-        )
-        log_delta = LogValue(math.log(2.0) + log_C + log_C_Ns)
-        delta_is_upper = True
+        log_delta = LogValue(math.log(2.0) + log_C + log_binomial_outside(N, s, R))
     delta_upper_valid = 3 <= R <= s / 2 and (
         N_val.log_magnitude >= log_binomial(s, min(3, s)) - 1e-12
     )
 
-    # x = C(s,R)/ell (lower bound when the certified denominator is used).
-    if ratio_C_over_ell is not None:
-        x = ratio_C_over_ell
-    elif ell_int is not None and s <= 4096:
-        x = binomial(s, R) / ell_int
-    else:
-        x = math.exp(log_C - ell_val.log_magnitude)
+    # C(s,R)/ell from logs; inf once it leaves float range (e^709.78).
+    C_over_ell = math.exp(log_C - log_ell) if log_C - log_ell < 709 else math.inf
+    # x: the certified lower bound on C(s,R)/ell when one is given.
+    x = C_over_ell if ratio_C_over_ell is None else ratio_C_over_ell
 
-    # Sharp bad-event probability bound: ell * (1 - 1/ell)^{C(s,r)}.
-    if ell_int == 1:
+    # Sharp bad-event probability bound ell (1 - 1/ell)^{C(s,R)}, whose log
+    # is ln ell - (C/ell) g with g = -ell ln(1 - 1/ell); zero for one colour.
+    if log_ell == 0.0:
         log_p = LogValue.zero()
     else:
-        if ell_int is not None and ell_int < 10**15 and s <= 4096:
-            log_one_minus = math.log1p(-1.0 / ell_int)
-            log_p = LogValue(ell_val.log_magnitude + binomial(s, R) * log_one_minus)
-        else:
-            # ell astronomically large: ln(1 - 1/ell) = -1/ell to all
-            # representable precision, so the sharp and e^{-C/ell} forms agree.
-            log_p = LogValue(ell_val.log_magnitude - x)
+        u = math.exp(-log_ell)
+        g = -math.log1p(-u) / u if u else 1.0
+        log_p = LogValue(log_ell - C_over_ell * g)
 
     if log_p.is_zero:
         condition_holds = True
     else:
         condition_holds = 1.0 + log_p.log_magnitude + log_delta.log_magnitude < 0
-    exponential_condition_holds = x > 1.0 + ell_val.log_magnitude + log_delta.log_magnitude
+    exponential_condition_holds = x > 1.0 + log_ell + log_delta.log_magnitude
 
     return LllCertificate(
         N=N_val,
@@ -330,7 +325,7 @@ def lll_condition(
         log_p_bound=log_p,
         log_delta=log_delta,
         delta_exact=delta_exact,
-        delta_is_upper_bound=delta_is_upper,
+        delta_is_upper_bound=delta_exact is None,
         delta_upper_valid=delta_upper_valid,
         condition_holds=condition_holds,
         exponential_condition_holds=exponential_condition_holds,
@@ -560,16 +555,6 @@ def blowup(
 # Initial-segment recursion
 # ---------------------------------------------------------------------------
 
-BaseSupplier = Callable[[int, int, int], UniformHypergraph]
-
-
-def prefix_base_supplier(n: int, s: int, r: int) -> UniformHypergraph:
-    """Default tail supplier: prefix system, empty when n < s (vacuous)."""
-    if n < s:
-        return UniformHypergraph.from_edges(max(n, 0), r, [])
-    return trivial_prefix_system(n, s, r)
-
-
 @dataclass
 class RecursionSample:
     n: int
@@ -617,49 +602,26 @@ def _validate_recursion_params(n: int, r: int, R: int, k: int, c: float) -> None
         raise ValueError(f"need n >= r + R = {r + R}, got {n}")
 
 
-def _tail_systems(
-    n: int, r: int, R: int, k: int, base_supplier: BaseSupplier
-) -> dict[int, UniformHypergraph]:
-    """Tail system per possible max vertex v of a k-set; labels are local."""
-    s_inner, r_inner = r - k + R, r - k
-    tails = {}
-    for v in range(k - 1, n):
-        tails[v] = base_supplier(n - 1 - v, s_inner, r_inner)
-    return tails
-
-
 def expected_recursive_size(
-    n: int,
-    r: int,
-    R: int,
-    k: int,
-    c: float,
-    tail_size_oracle: Callable[[int], int] | None = None,
-    mu_inner: float | None = None,
+    n: int, r: int, R: int, k: int, c: float
 ) -> tuple[float, float]:
     """Expected |G| of the recursion, plus the closed-form cap.
 
     The exact expectation is p C(n,r) plus, grouping uncovered k-sets by
-    their maximum vertex v (0-based: C(v, k-1) of them, tail length n-1-v),
-    (1-p)^{C(k,R)} C(v,k-1) * tail_size(n-1-v) summed over v.  The oracle
-    defaults to the prefix-system size C(n'-s'+r', r'), matching
-    prefix_base_supplier.  The cap is
-    (c/C(k,R) + e^{-c} mu_inner / C(r-k+R,R)) C(n,r).
+    their maximum vertex v (0-based: C(v, k-1) of them, tail length
+    n' = n-1-v), (1-p)^{C(k,R)} C(v,k-1) times the prefix tail size
+    C(n'-s'+r', r') summed over v, with s' = r-k+R, r' = r-k (no tail when
+    n' < s').  The cap is (c/C(k,R) + e^{-c} C(s',r') / C(s',R)) C(n,r).
     """
     _validate_recursion_params(n, r, R, k, c)
     s_inner, r_inner = r - k + R, r - k
-    if tail_size_oracle is None:
-        def tail_size_oracle(n2: int) -> int:
-            return binomial(n2 - s_inner + r_inner, r_inner) if n2 >= s_inner else 0
-
     p = c / binomial(k, R)
     q = (1.0 - p) ** binomial(k, R)
     expected = p * binomial(n, r)
-    for v in range(k - 1, n):
-        expected += q * binomial(v, k - 1) * tail_size_oracle(n - 1 - v)
+    for v in range(k - 1, n - s_inner):
+        expected += q * binomial(v, k - 1) * binomial(n - 1 - v - R, r_inner)
 
-    if mu_inner is None:
-        mu_inner = float(binomial(s_inner, r_inner))
+    mu_inner = float(binomial(s_inner, r_inner))
     cap = (p + math.exp(-c) * mu_inner / binomial(s_inner, R)) * binomial(n, r)
     return expected, cap
 
@@ -671,8 +633,6 @@ def sample_recursive_system(
     k: int,
     c: float,
     rng: random.Random,
-    base_supplier: BaseSupplier = prefix_base_supplier,
-    tails: dict[int, UniformHypergraph] | None = None,
 ) -> tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
     """One raw draw of the recursion: returns (edges of G, sampled S).
 
@@ -681,9 +641,7 @@ def sample_recursive_system(
     expected_recursive_size.
     """
     _validate_recursion_params(n, r, R, k, c)
-    if tails is None:
-        tails = _tail_systems(n, r, R, k, base_supplier)
-    edges, sampled, _ = _draw(n, r, R, k, c, rng, tails)
+    edges, sampled, _ = _draw(n, r, R, k, c, rng)
     return edges, sampled
 
 
@@ -694,11 +652,13 @@ def _draw(
     k: int,
     c: float,
     rng: random.Random,
-    tails: dict[int, UniformHypergraph],
 ) -> tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...], int]:
     """One draw in a single pass over the k-sets: (edges, sampled, |T|).
 
-    T is the set of k-sets that contain no sampled (k-R)-set.
+    T is the set of k-sets that contain no sampled (k-R)-set.  The tail past
+    a k-set with maximum v is the prefix (n-1-v, r-k+R, r-k)-system on the
+    vertices after v: every (r-k)-subset of range(v+1, n-R), none when the
+    tail is shorter than r-k+R.
     """
     d = k - R  # size of the sampled initial segments
     p = c / binomial(k, R)
@@ -714,16 +674,16 @@ def _draw(
             extensions[lo] = list(itertools.combinations(range(lo + 1, n), r - d))
         edges.update(D + x for x in extensions[lo])
     # T*: k-sets not hit by S, extended by the tail system past their max.
-    shifted: dict[int, list[tuple[int, ...]]] = {}
+    tails: dict[int, list[tuple[int, ...]]] = {}
     uncovered = 0
     for Y in itertools.combinations(range(n), k):
         if not sampled_set.isdisjoint(itertools.combinations(Y, d)):
             continue
         uncovered += 1
         v = Y[-1]
-        if v not in shifted:
-            shifted[v] = [tuple(v + 1 + z for z in Z) for Z in tails[v].edges]
-        edges.update(Y + Z for Z in shifted[v])
+        if v not in tails:
+            tails[v] = list(itertools.combinations(range(v + 1, n - R), r - k))
+        edges.update(Y + Z for Z in tails[v])
     return edges, sampled, uncovered
 
 
@@ -734,28 +694,23 @@ def recursive_system(
     k: int,
     c: float,
     seed: int,
-    base_supplier: BaseSupplier = prefix_base_supplier,
     max_retries: int = 1000,
 ) -> tuple[UniformHypergraph, RecursionSample]:
     """Initial-segment recursion for a Turán (n, r+R, r)-system.
 
     Samples each (k-R)-set into S with probability c/C(k,R), keeps r-sets
     whose initial (k-R)-segment is sampled, and extends every unhit k-set
-    by a tail Turán (n', r-k+R, r-k)-system to its right.  Resamples until
-    |G| is at most its expected value (the expectation uses the actual tail
-    sizes the supplier produced, so the threshold matches the object built).
-    Each draw makes one pass over the k-sets, which both builds the
-    extensions and counts the unhit k-sets.
+    by the prefix Turán (n', r-k+R, r-k)-system to its right.  Resamples
+    until |G| is at most its expected value.  Each draw makes one pass over
+    the k-sets, which both builds the extensions and counts the unhit
+    k-sets.
     """
     _validate_recursion_params(n, r, R, k, c)
-    tails = _tail_systems(n, r, R, k, base_supplier)
-    expected, _ = expected_recursive_size(
-        n, r, R, k, c, tail_size_oracle=lambda n2: len(tails[n - 1 - n2])
-    )
+    expected, _ = expected_recursive_size(n, r, R, k, c)
     rng = random.Random(seed)
     best: tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...]] | None = None
     for attempt in range(max_retries):
-        edges, sampled, uncovered = _draw(n, r, R, k, c, rng, tails)
+        edges, sampled, uncovered = _draw(n, r, R, k, c, rng)
         if best is None or len(edges) < len(best[0]):
             best = (edges, sampled)
         if len(edges) <= expected + 1e-9:

@@ -248,11 +248,6 @@ def density(H: UniformHypergraph) -> tuple[int, int, float]:
     return len(H.edges), denom, len(H.edges) / denom
 
 
-def counting_lower_bound(n: int, s: int, r: int) -> int:
-    """ceil(C(n,r)/C(s,r)): each r-set covers C(n-r,s-r) of the C(n,s) s-sets."""
-    return -(-binomial(n, r) // binomial(s, r))
-
-
 def verify_report_sound(H: UniformHypergraph, report: VerifyReport) -> bool:
     """Soundness gate: a present witness must really be uncovered."""
     if report.witness is None:
@@ -265,7 +260,6 @@ __all__ = [
     "UniformHypergraph",
     "VerifyReport",
     "contains_edge",
-    "counting_lower_bound",
     "density",
     "is_turan_system",
     "sample_verify",

@@ -272,6 +272,16 @@ class TestCertifyLll:
         obj = json.loads(out)
         assert code == 1 and not obj["certificate"]["condition_holds"]
 
+    def test_C_over_ell_beyond_float_range(self, capsys):
+        # C(3000,1000)/3 exceeds float range; the certificate still prints.
+        code, out, err = run(
+            ["certify-lll", "--r", "2000", "--big-r", "1000", "--n", "5000", "--ell", "3"],
+            capsys,
+        )
+        cert = json.loads(out)["certificate"]
+        assert code == (0 if cert["condition_holds"] else 1) and not err
+        assert cert["ratio_C_over_ell"] == float("inf")
+
     def test_degenerate_cell_exit3(self, capsys):
         code, _, err = run(["certify-lll", "--r", "2", "--big-r", "1"], capsys)
         assert code == 3 and "degenerate" in err

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turan_systems.combinatorics import (
+    EXACT_LOG_N_MAX,
     LogValue,
     binomial,
     enumerate_subsets,
@@ -52,16 +54,38 @@ class TestLogBinomial:
                 ratio = math.exp(log_binomial(n, k)) / binomial(n, k)
                 assert abs(ratio - 1) <= 1e-9
 
-    def test_lgamma_path_agrees_with_exact(self):
-        # (200,100) fits the exact path; force the huge-n summation and compare.
-        exact = math.log(binomial(200, 100))
-        lgamma = (
-            math.lgamma(201) - math.lgamma(101) - math.lgamma(101)
+    @given(st.integers(0, 300), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_mpmath(self, exponent, data):
+        # n in [10^e, 10^(e+1)] for a uniform e, so both sides of the exact
+        # cutoff and every magnitude up to 10^301 get drawn.
+        n = data.draw(st.integers(10**exponent, 10 ** (exponent + 1)))
+        k = data.draw(st.integers(0, min(n, 10**4)))
+        assert log_binomial(n, k) == pytest.approx(_ln_binomial_mpmath(n, k), rel=1e-12)
+
+    @pytest.mark.parametrize("exponent", [400, 5000])
+    def test_beyond_float_range(self, exponent):
+        n = 10**exponent + 12345
+        for k in (1, 3, 10**4):
+            assert log_binomial(n, k) == pytest.approx(_ln_binomial_mpmath(n, k), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [EXACT_LOG_N_MAX - 1, EXACT_LOG_N_MAX, EXACT_LOG_N_MAX + 1])
+    def test_continuous_across_the_cutoff(self, n):
+        for k in range(0, n + 1, 97):
+            with mpmath.workdps(40):
+                want = mpmath.log(mpmath.mpf(math.comb(n, k)))
+            assert log_binomial(n, k) == pytest.approx(float(want), rel=1e-14)
+
+    def test_symmetric(self):
+        for n, k in [(5000, 1), (10**30, 7), (4097, 2000)]:
+            assert log_binomial(n, k) == log_binomial(n, n - k)
+
+
+def _ln_binomial_mpmath(n, k):
+    with mpmath.workdps(n.bit_length() // 3 + 25):
+        return float(
+            mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
         )
-        assert lgamma == pytest.approx(exact, rel=1e-12)
-        # And the huge case is finite and sane: ln C(10^6, 10^3) ~ 10^3 ln 10^3.
-        huge = log_binomial(10**6, 10**3)
-        assert 6000 < huge < 8000
 
 
 class TestColex:

@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turan_systems.combinatorics import binomial, enumerate_subsets, rank_colex
+from turan_systems.combinatorics import LogValue, binomial, enumerate_subsets, rank_colex
 from turan_systems.constructions import (
+    ConstructionError,
     blowup,
     construction_parameters,
     dependency_degree,
@@ -15,6 +17,7 @@ from turan_systems.constructions import (
     expected_recursive_size,
     lll_certificate_for,
     lll_condition,
+    log_binomial_outside,
     moser_tardos_color,
     recursive_system,
     sample_recursive_system,
@@ -63,6 +66,19 @@ class TestConstructionParameters:
         assert p.exact_path
         assert p.log_N == pytest.approx(math.log(p.N), rel=1e-12)
 
+    @pytest.mark.parametrize("r, R, value", [(10**4, 3, 177.294), (3000, 3, 152.017)])
+    def test_log_path_denominator_matches_mpmath(self, r, R, value):
+        # ln(C(s,R)^2 C(N-s,R)) at the floored N, from exact integers.
+        p = construction_parameters(r, R)
+        assert not p.exact_path
+        s = r + R
+        C = binomial(s, R)
+        N = r * (r - 1) * C // (2 * R)
+        with mpmath.workdps(50):
+            want = float(mpmath.log(mpmath.mpf(C**2 * binomial(N - s, R))))
+        assert p.denominator_log == pytest.approx(want, rel=1e-12)
+        assert p.denominator_log == pytest.approx(value, abs=1e-3)
+
     def test_true_scale_is_well_defined(self):
         p = construction_parameters(10**6, 10**3)
         assert not p.exact_path and not p.degenerate
@@ -86,10 +102,42 @@ class TestDependencyDegree:
         assert delta <= 2 * binomial(s, R) * binomial(N - s, R)
 
 
+class TestLogBinomialOutside:
+    @pytest.mark.parametrize("N, s, R", [(600, 14, 10), (10**6, 20, 5), (10**15, 1003, 3)])
+    def test_log_N_agrees_with_exact_N(self, N, s, R):
+        from_log = log_binomial_outside(LogValue.from_int(N), s, R)
+        assert from_log == pytest.approx(log_binomial_outside(N, s, R), rel=1e-12)
+
+    def test_beyond_float_range(self):
+        # N = e^1000: N - s - i equals N to float resolution.
+        got = log_binomial_outside(LogValue(1000.0), 50, 7)
+        assert got == pytest.approx(7 * 1000.0 - math.lgamma(8), rel=1e-15)
+
+
 class TestLllCondition:
     def test_single_color_always_holds(self):
         cert = lll_condition(20, 4, 3, 1)
         assert cert.log_p_bound.is_zero and cert.condition_holds
+
+    @pytest.mark.parametrize(
+        "N, r, R, ell", [(8, 3, 1, 2), (300, 10, 3, 7), (5000, 20, 5, 40), (10**5, 50, 3, 10**20)]
+    )
+    def test_sharp_bound_matches_mpmath(self, N, r, R, ell):
+        # ln(ell (1 - 1/ell)^C(s,R)) and C(s,R)/ell, from the exact integers.
+        cert = lll_condition(N, r + R, r, ell)
+        C = binomial(r + R, R)
+        with mpmath.workdps(60):
+            log_p = mpmath.log(ell) + C * mpmath.log1p(-mpmath.mpf(1) / ell)
+            ratio = mpmath.mpf(C) / ell
+        assert cert.log_p_bound.log_magnitude == pytest.approx(float(log_p), rel=1e-12)
+        assert cert.ratio_C_over_ell == pytest.approx(float(ratio), rel=1e-12)
+
+    def test_C_over_ell_beyond_float_range(self):
+        # C(3000,1000)/3 is about e^1900: p underflows to 0 and the lemma holds.
+        cert = lll_condition(5000, 3000, 2000, 3)
+        assert cert.ratio_C_over_ell == math.inf
+        assert cert.log_p_bound.log_magnitude == -math.inf
+        assert cert.condition_holds and cert.exponential_condition_holds
 
     def test_exact_delta_at_toy_scale(self):
         cert = lll_condition(8, 4, 3, 2)
@@ -282,8 +330,18 @@ class TestRecursiveSystem:
         k = data.draw(st.integers(R, r - 1))
         c = data.draw(st.floats(0, binomial(k, R)))
         seed = data.draw(st.integers(0, 2**16))
-        G, _ = recursive_system(n, r, R, k, c, seed)
+        try:
+            G, _ = recursive_system(n, r, R, k, c, seed)
+        except ConstructionError:
+            # The retry cap can be out of reach, as in the test below.
+            return
         assert is_turan_system(G, r + R).is_turan
+
+    def test_retry_cap_out_of_reach(self):
+        # k = R and c just below C(k,R): all but about one draw in 10^5 has
+        # |G| = 3 > E|G| = 2.99998, so 1000 retries fail.
+        with pytest.raises(ConstructionError):
+            recursive_system(3, 2, 1, 1, 0.99999, 0)
 
 
 class TestExpectedSize:

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turan_systems.bounds import counting_lower_T
 from turan_systems.combinatorics import enumerate_subsets
 from turan_systems.hypergraph import (
     BudgetExceededError,
     UniformHypergraph,
     contains_edge,
-    counting_lower_bound,
     density,
     is_turan_system,
     sample_verify,
@@ -198,7 +198,7 @@ class TestCountingBound:
 
         H = trivial_prefix_system(n, s, r)
         assert is_turan_system(H, s).is_turan
-        assert len(H) >= counting_lower_bound(n, s, r)
+        assert len(H) >= counting_lower_T(n, s, r)
 
 
 class TestSerialization:

@@ -492,7 +492,8 @@ def bound_reports(r: int, R: int, eps1: float = 0.05) -> list[BoundReport]:
             exact_path=s <= EXACT_LOG_N_MAX,
         )
     )
-    try:
+    # The colouring construction needs r >= 2.
+    if r >= 2:
         chain = closing_chain_check(r, R)
         if not chain.degenerate:
             reports.append(
@@ -507,6 +508,4 @@ def bound_reports(r: int, R: int, eps1: float = 0.05) -> list[BoundReport]:
                     exact_path=chain.params.exact_path,
                 )
             )
-    except ValueError:
-        pass
     return reports

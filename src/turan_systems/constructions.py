@@ -164,9 +164,19 @@ def construction_parameters(r: int, R: int) -> ConstructionParameters:
     # Log-space path.  log_N is unfloored; C(N-s, R) takes the floored N
     # while the floor moves it by more than float resolution.
     log_N = log_N_est
-    N_or_log: int | LogValue = LogValue(log_N)
+    N_or_log: int | LogValue
     if log_N < 53 * math.log(2):
         N_or_log = r * (r - 1) * binomial(s, R) // (2 * R)
+        too_small = N_or_log <= s
+    else:
+        N_or_log = LogValue(log_N)
+        too_small = log_N <= math.log(s)
+    if too_small:
+        N_text = f"exp({log_N})" if isinstance(N_or_log, LogValue) else N_or_log
+        return ConstructionParameters(
+            r, R, s, False, None, None, log_N, None, log_C, None, True,
+            f"N = {N_text} <= s = {s}",
+        )
     denom_log = 2.0 * log_C + log_binomial_outside(N_or_log, s, R)
     if denom_log <= 0:
         return ConstructionParameters(

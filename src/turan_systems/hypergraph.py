@@ -174,10 +174,15 @@ def is_turan_system(
     # Depth d holds the d largest vertices chosen so far: chosen[d-1] is the
     # smallest of them and union[d] their mask.  candidate[d] is the next
     # vertex to try at depth d; it leaves room for s-1-d vertices below it.
+    # Vertex s-1-d leaves exactly that room, so it forces the tail
+    # {0,...,s-1-d}, which contains the colex-least edge once it reaches
+    # that edge's top vertex: depth d then starts one vertex higher.
+    top = H.masks[0].bit_length() - 1 if H.masks else H.n
+    first = [s - 1 - d + (s - 1 - d >= top) for d in range(s)]
     chosen = [0] * s
     union = [0] * (s + 1)
     candidate = [0] * s
-    candidate[0] = s - 1
+    candidate[0] = first[0]
     d = 0
     while True:
         v = candidate[d]
@@ -201,7 +206,7 @@ def is_turan_system(
                 )
             d += 1
             union[d] = m
-            candidate[d] = s - 1 - d
+            candidate[d] = first[d]
 
 
 def sample_verify(

@@ -71,11 +71,15 @@ def solve_min_turan(
 
     Intended for desk scale (roughly n <= 9 for r = 2, n <= 8 for r >= 3).
     Branches on the colex-least uncovered s-set with one child per r-subset
-    of it; prunes with current + ceil(uncovered / C(n-r, s-r)).  At the
-    root, the branch is fixed to the single edge {0,...,r-1}, which is safe
-    because the root subproblem is invariant under all vertex relabelings.
-    The search keeps its own stack, so a deep search ends at the node
-    budget, not at the interpreter's recursion limit.
+    of it; prunes a node with d edges when d + ceil(uncovered / C(n-r, s-r))
+    reaches the incumbent.  That bound is kept as one threshold per depth:
+    a child of a node with d - 1 edges survives only if it covers at least
+    C(n,s) - (best - d - 1) * C(n-r, s-r) s-sets, so each node costs one OR
+    and one popcount.  At the root, the branch is fixed to the single edge
+    {0,...,r-1}, which is safe because the root subproblem is invariant
+    under all vertex relabelings.  The search keeps its own stack, so a
+    deep search ends at the node budget, not at the interpreter's
+    recursion limit.
     """
     if not (r < s <= n):
         raise ValueError(f"need r < s <= n, got r={r}, s={s}, n={n}")
@@ -87,20 +91,23 @@ def solve_min_turan(
         r_rank[e] = len(r_sets)
         r_sets.append(e)
 
-    # cover_mask[j]: bitmap over s-set indices covered by r-set j.
-    cover_mask = [0] * len(r_sets)
+    num_s = len(s_sets)
+    positions = list(enumerate_subsets(s, r))
+    # cover_mask[j]: bitmap over s-set indices covered by r-set j.  Each is
+    # filled a byte at a time, so setup is linear in its output, and turned
+    # into an int in place, so the bytes and the ints never all coexist.
+    cover_mask: list = [bytearray(num_s // 8 + 1) for _ in r_sets]
     # children[i]: r-set indices inside s-set i, in colex order.
     children: list[list[int]] = []
     for i, S in enumerate(s_sets):
-        # enumerate_subsets(s, r) gives positions into S; translate.
-        subs = [
-            r_rank[tuple(S[p] for p in pos)] for pos in enumerate_subsets(s, r)
-        ]
+        # positions index into S; translate them to r-sets.
+        subs = [r_rank[tuple(map(S.__getitem__, pos))] for pos in positions]
         children.append(subs)
+        byte, bit = i >> 3, 1 << (i & 7)
         for j in subs:
-            cover_mask[j] |= 1 << i
-    num_s = len(s_sets)
-    all_covered = (1 << num_s) - 1
+            cover_mask[j][byte] |= bit
+    for j, bits in enumerate(cover_mask):
+        cover_mask[j] = int.from_bytes(bits, "little")
     per_edge = binomial(n - r, s - r)
 
     incumbent = _prefix_edges(n, s, r)
@@ -110,41 +117,49 @@ def solve_min_turan(
     exhausted = False
 
     # Depth-first search with an explicit stack, so depth is not limited by
-    # the interpreter's recursion limit.  stack[d] holds the covered set of
-    # an open node and the iterator over its remaining children, which sit
-    # at depth d; a child that needs no branching is finished inside the
-    # loop over its siblings.  The bottom frame's one child is the root, via
-    # the r-set `none`, whose mask is empty.  path[d] is the r-set added at
-    # depth d on the current path.
+    # the interpreter's recursion limit.  stack[d] is an open node with d - 1
+    # edges: its covered set, the iterator over its remaining children, which
+    # have d edges, and the r-set that opened it.  A child that needs no
+    # branching is finished inside the loop over its siblings.  The bottom
+    # frame's one child is the root, via the r-set `none`, whose mask is
+    # empty; the edges on the current path open stack[2:].
+    #
+    # A child at depth d survives only if it covers at least
+    # need = num_s - (best - d - 1) * per_edge s-sets, the same test as
+    # d + ceil(uncovered / per_edge) < best.  need moves by per_edge with
+    # each push and pop and is reset when best falls; a child that covers
+    # everything then only passes it if d < best.
     none = len(r_sets)
     cover_mask.append(0)
     root_branch = [r_rank[tuple(range(r))]]
-    path = [none] * (best + 1)
-    stack = [(0, iter([none]))]
-    while stack and not exhausted:
-        base, rest = stack[-1]
-        depth = len(stack) - 1
+    stack = [(0, iter([none]), none)]
+    need = num_s - (best - 1) * per_edge
+    while stack:
+        base, rest, _ = stack[-1]
         for j in rest:
             nodes += 1
             if nodes > node_budget:
                 exhausted = True
+                stack.clear()
                 break
-            path[depth] = j
             covered = base | cover_mask[j]
-            if covered == all_covered:
-                if depth < best:
-                    best = depth
-                    incumbent_idx = path[1:depth + 1]
+            count = covered.bit_count()
+            if count < need:
                 continue
-            uncovered = all_covered & ~covered
-            if depth + -(-(uncovered.bit_count()) // per_edge) >= best:
+            if count == num_s:
+                best = len(stack) - 1
+                incumbent_idx = [frame[2] for frame in stack[2:]] + [j]
+                need = num_s + per_edge
                 continue
-            # colex-least uncovered s-set
-            i = (uncovered & -uncovered).bit_length() - 1
-            stack.append((covered, iter(children[i] if depth > 0 else root_branch)))
+            # colex-least uncovered s-set: the lowest zero bit of covered.
+            # Only the root's covered set is empty.
+            i = (covered ^ (covered + 1)).bit_length() - 1
+            stack.append((covered, iter(children[i] if covered else root_branch), j))
+            need += per_edge
             break
         else:
             stack.pop()
+            need -= per_edge
 
     witness = UniformHypergraph.from_edges(n, r, [r_sets[j] for j in incumbent_idx])
     return SolveResult(

@@ -245,6 +245,14 @@ class TestBounds:
         argv = ["bounds", "--r", "1000", "--big-r", "5", "--format", "json"]
         assert run(argv, capsys) == run(argv, capsys)
 
+    def test_degenerate_chain_row_omitted(self, capsys):
+        code, out, err = run(
+            ["bounds", "--r", "2", "--big-r", "2000", "--format", "json"], capsys
+        )
+        names = {row["bound_name"] for row in json.loads(out)["rows"]}
+        assert code == 0 and not err
+        assert "R_log_binom" in names and "chain_lhs_over_RlnC" not in names
+
 
 class TestCertifyLll:
     def test_schedule_cell_passes(self, capsys):
@@ -285,6 +293,14 @@ class TestCertifyLll:
     def test_degenerate_cell_exit3(self, capsys):
         code, _, err = run(["certify-lll", "--r", "2", "--big-r", "1"], capsys)
         assert code == 3 and "degenerate" in err
+
+    @pytest.mark.parametrize("big_r", ["2000", str(10**17)])
+    def test_degenerate_log_path_cell_exit3(self, capsys, big_r):
+        # N <= s on the log-space path, with N floored (R = 2000, N = 1001)
+        # or carried as ln N (R = 10^17, N about R/2).
+        code, out, err = run(["certify-lll", "--r", "2", "--big-r", big_r], capsys)
+        assert code == 3 and not out
+        assert err.startswith("degenerate parameters: N = ") and "<= s = " in err
 
 
 class TestTable:

@@ -59,6 +59,17 @@ class TestConstructionParameters:
         p = construction_parameters(2, 1)
         assert p.degenerate and p.N == 3  # N = s
 
+    def test_degenerate_on_log_path(self):
+        # N = floor(2 C(2002,2) / 4000) = 1001 <= s = 2002, with N floored.
+        p = construction_parameters(2, 2000)
+        assert not p.exact_path and p.degenerate
+        assert p.degenerate_reason == "N = 1001 <= s = 2002"
+        # N is about R/2 beyond 2^53, so it is carried as ln N.
+        p = construction_parameters(2, 10**17)
+        assert not p.exact_path and p.degenerate
+        assert p.log_N == pytest.approx(math.log(10**17 / 2 + 1.5), rel=1e-12)
+        assert p.degenerate_reason.endswith(f"<= s = {10**17 + 2}")
+
     def test_log_path_consistency_with_exact(self):
         # r=7, R=2 still fits the exact path; its log fields must agree
         # with the exact integers to float precision.

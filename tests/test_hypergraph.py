@@ -95,6 +95,15 @@ class TestExhaustiveVerify:
         report = is_turan_system(ends, s)
         assert report.is_turan and report.sets_checked == n
 
+    def test_forced_tails_stop_at_least_edge(self):
+        # Every s-set misses at most one vertex, so each branch ends in a
+        # forced tail {0,...,v}; it is covered once v reaches 0, the top of
+        # the colex-least edge, and needs no walk down to vertex 0.
+        n, s = 6000, 5999
+        H = UniformHypergraph.from_edges(n, 1, [(0,), (1,)])
+        report = is_turan_system(H, s)
+        assert report.is_turan and report.sets_checked == n
+
 
 def colex_s_sets(n, s):
     return sorted(itertools.combinations(range(n), s), key=lambda S: S[::-1])

@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from turan_systems.combinatorics import binomial
+from turan_systems.combinatorics import binomial, enumerate_subsets
 from turan_systems.constructions import trivial_prefix_system
-from turan_systems.hypergraph import is_turan_system
+from turan_systems.hypergraph import UniformHypergraph, is_turan_system
 from turan_systems.solver import (
+    SolveResult,
     ValueCache,
     solve_min_turan,
     solve_with_cache,
@@ -55,6 +58,10 @@ class TestSolveMinTuran:
             (7, 4, 3, None): (12, 114374),
             (7, 3, 2, 10): (15, 11),
             (6, 4, 2, 37): (3, 38),
+            (8, 5, 4, None): (14, 201527),
+            (8, 6, 4, None): (6, 27182),
+            (9, 5, 2, None): (6, 10422),
+            (7, 5, 3, None): (5, 472),
         }.items():
             kwargs = {} if budget is None else {"node_budget": budget}
             res = solve_min_turan(n, s, r, **kwargs)
@@ -67,6 +74,112 @@ class TestSolveMinTuran:
         assert res.budget_exhausted and not res.proven_optimal
         assert res.nodes_explored == 2001
         assert res.optimum == binomial(29, 3)  # still the prefix incumbent
+
+
+def reference_solve(n, s, r, node_budget):
+    """The search as it was written before the per-depth threshold.
+
+    Every node stores its r-set in a path array and takes the ceiling bound
+    from the complement of its covered set.  Returns the result and the
+    node numbers at which the incumbent improved.
+    """
+    s_sets = list(enumerate_subsets(n, s))
+    r_rank = {}
+    r_sets = []
+    for e in enumerate_subsets(n, r):
+        r_rank[e] = len(r_sets)
+        r_sets.append(e)
+    cover_mask = [0] * len(r_sets)
+    children = []
+    for i, S in enumerate(s_sets):
+        subs = [r_rank[tuple(S[p] for p in pos)] for pos in enumerate_subsets(s, r)]
+        children.append(subs)
+        for j in subs:
+            cover_mask[j] |= 1 << i
+    num_s = len(s_sets)
+    all_covered = (1 << num_s) - 1
+    per_edge = binomial(n - r, s - r)
+
+    incumbent = list(enumerate_subsets(n - (s - r), r))
+    incumbent_idx = [r_rank[e] for e in incumbent]
+    best = len(incumbent)
+    nodes = 0
+    exhausted = False
+    improved_at = []
+
+    none = len(r_sets)
+    cover_mask.append(0)
+    root_branch = [r_rank[tuple(range(r))]]
+    path = [none] * (best + 1)
+    stack = [(0, iter([none]))]
+    while stack and not exhausted:
+        base, rest = stack[-1]
+        depth = len(stack) - 1
+        for j in rest:
+            nodes += 1
+            if nodes > node_budget:
+                exhausted = True
+                break
+            path[depth] = j
+            covered = base | cover_mask[j]
+            if covered == all_covered:
+                if depth < best:
+                    best = depth
+                    incumbent_idx = path[1:depth + 1]
+                    improved_at.append(nodes)
+                continue
+            uncovered = all_covered & ~covered
+            if depth + -(-(uncovered.bit_count()) // per_edge) >= best:
+                continue
+            i = (uncovered & -uncovered).bit_length() - 1
+            stack.append((covered, iter(children[i] if depth > 0 else root_branch)))
+            break
+        else:
+            stack.pop()
+
+    witness = UniformHypergraph.from_edges(n, r, [r_sets[j] for j in incumbent_idx])
+    result = SolveResult(n, s, r, best, witness, nodes, not exhausted, exhausted)
+    return result, improved_at
+
+
+# Reference budget: enough for every (n <= 8) instance to improve its
+# incumbent several times, small enough for the reference loop.
+REFERENCE_CAP = 20_000
+
+
+@st.composite
+def budgeted_instances(draw):
+    """(n, s, r, budget): budgets cut mid-frame, at and around improvements."""
+    n = draw(st.integers(2, 8))
+    s = draw(st.integers(2, n))
+    r = draw(st.integers(1, s - 1))
+    _, improved_at = reference_solve(n, s, r, REFERENCE_CAP)
+    around = [k + d for k in improved_at for d in (-1, 0, 1)]
+    budget = draw(
+        st.one_of(
+            st.integers(0, REFERENCE_CAP),
+            st.sampled_from(around or [0]),
+        )
+    )
+    return n, s, r, budget
+
+
+class TestSearchEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(budgeted_instances())
+    def test_matches_reference_loop(self, case):
+        n, s, r, budget = case
+        want, _ = reference_solve(n, s, r, budget)
+        got = solve_min_turan(n, s, r, node_budget=budget)
+        assert got.to_json_dict() == want.to_json_dict()
+
+    def test_every_small_instance_to_the_cap(self):
+        for n in range(2, 9):
+            for s in range(2, n + 1):
+                for r in range(1, s):
+                    want, _ = reference_solve(n, s, r, REFERENCE_CAP)
+                    got = solve_min_turan(n, s, r, node_budget=REFERENCE_CAP)
+                    assert got.to_json_dict() == want.to_json_dict()
 
 
 class TestTuranGraphCrossCheck:

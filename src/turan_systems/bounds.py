@@ -63,6 +63,16 @@ class RootResult:
     residual: float
 
 
+# Relative half-width of the window around the Newton estimate x of c0
+# outside which the bisection's signs are taken as certain.  Near c0 the
+# float g errs by under 1.5 * 2^-52 x (log1p to 1 ulp, one product) and
+# g' > 0.4, so the estimate is within 2^-49.8 x of c0 (that error over g',
+# plus the square of a last step under 2^-26 x).  At the window's ends |g|
+# is then above 2^-49.7 x, three times the rounding error, and g increases
+# beyond R, so every float g outside the window has the sign of g.
+_ROOT_WINDOW = 2.0**-48
+
+
 def limit_alpha_root(R: int) -> RootResult:
     """Solve x = (R+1) ln(1+x) for its unique root beyond R.
 
@@ -70,31 +80,76 @@ def limit_alpha_root(R: int) -> RootResult:
     increases after, so there is exactly one positive root > R; it is the
     largest real root of the original equation.  alpha =
     (c0+1)^{R+1}/c0^R is evaluated in log-space without cancellation.
+
+    c0 is the float that the bisection of [R, hi] ends on, hi being the
+    first of max(2R, 2) * 2^m with g(hi) > 0.  Newton steps from hi fall
+    monotonically toward the root (g is convex) and find it to a few
+    ulps, which settles the sign of every midpoint outside a window of
+    relative half-width 2^-48 around the estimate.  The bisection's first
+    k steps, whose midpoints are exact floats outside the window, are
+    taken in one jump to the dyadic cell that holds it; the rest run as a
+    plain bisection that calls g only inside the window.  So c0 is the
+    bisection's float, bit for bit, for about a quarter of its calls of g.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
-
-    def g(x: float) -> float:
-        return x - (R + 1) * math.log1p(x)
+    # (R+1) * y converts the integer R+1 to its nearest float, k1, at every
+    # call; converting once gives the same products.
+    k1 = float(R + 1)
+    log1p = math.log1p
 
     lo = float(R)
-    hi = max(2.0 * R, 2.0)
-    while g(hi) <= 0:
+    # g(max(2R, 2)) < -0.19 for every R >= 1, far beyond rounding, so the
+    # bisection's hi starts one doubling further.
+    hi = max(4.0 * R, 4.0)
+    g_hi = hi - k1 * log1p(hi)
+    while g_hi <= 0:
         hi *= 2.0
-    for _ in range(200):
+        g_hi = hi - k1 * log1p(hi)
+    x, g_x = hi, g_hi
+    # After a relative step below 2^-26 the error is at rounding level.
+    for _ in range(100):
+        step = g_x / ((x - lo) / (1.0 + x))
+        x -= step
+        if step <= x * 2.0**-26:
+            break
+        g_x = x - k1 * log1p(x)
+    a = x * (1.0 - _ROOT_WINDOW)
+    b = x * (1.0 + _ROOT_WINDOW)
+    if hi < 2.0**53:
+        # lo and hi are integers, so the level-k points lo + j (hi-lo)/2^k
+        # are exact floats while hi 2^k <= 2^53, and so are the bisection's
+        # first k midpoints.  At the level whose cells are 2 to 4 windows
+        # wide, at most one of them, p, lies in the window; the bisection
+        # ends its k-th step on the cell beside p that g(p) points to, or on
+        # the cell around the window if there is no p.
+        width = hi - lo
+        k = max(0, min(53 - (int(hi) - 1).bit_length(),
+                       int(width / (2.0 * (b - a))).bit_length() - 1))
+        if k:
+            cell = math.ldexp(width, -k)
+            p = lo + (b - lo) // cell * cell  # the last level-k point <= b
+            if p < a or p - k1 * log1p(p) < 0:
+                lo, hi = p, p + cell
+            else:
+                lo, hi = p - cell, p
+    # The rest of the bisection: each step halves the bracket, until its
+    # ends are adjacent floats.
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if g(mid) < 0:
+        if mid < a or (mid <= b and mid - k1 * log1p(mid) < 0):
             lo = mid
         else:
             hi = mid
     c0 = 0.5 * (lo + hi)
+    log1p_c0 = log1p(c0)
     # Relative residual of e^{c0} vs (c0+1)^{R+1} equals |exp(g(c0)) - 1|.
-    residual = abs(math.expm1(g(c0)))
+    residual = abs(math.expm1(c0 - k1 * log1p_c0))
     # ln alpha = c0 - R ln c0 = R ln(1 + 1/c0) + ln(1 + c0), cancellation-free.
-    log_alpha = R * math.log1p(1.0 / c0) + math.log1p(c0)
-    return RootResult(R=R, c0=c0, alpha=math.exp(log_alpha), residual=residual)
+    log_alpha = R * log1p(1.0 / c0) + log1p_c0
+    return RootResult(R, c0, math.exp(log_alpha), residual)
 
 
 def large_gap_mu_bound(R: int) -> float:

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 import warnings
@@ -44,8 +45,24 @@ EXIT_CONSTRUCTION = 3
 EXIT_BUDGET = 4
 
 
+def _finite_or_null(obj):
+    """obj with every infinite or NaN float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a float outside the finite range is written as null."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a float out of range; the rare case walks obj
+        return _dump(_finite_or_null(obj))
+    return text + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -68,7 +68,7 @@ class ConstructionParameters:
     ell = floor(C(s,R) / ln(C(s,R)^2 C(N-s,R))), with s = r + R.
 
     When magnitudes allow (N <= EXACT_N_BUDGET) both values are exact
-    integers with interval-certified floors; otherwise they are carried in
+    integers with certified floors; otherwise they are carried in
     log-space.  There the floor in ell is dropped, and the floor in N is
     kept in ln C(N-s,R) until N reaches 2^53, beyond which its relative
     effect is below float resolution.
@@ -128,8 +128,40 @@ def _guarded_floor(numerator: int, denominator: mpmath.mpf) -> int:
         return int(fl)
 
 
+# Bound on the relative error of the float quotient C / ln(X) that
+# _floor_of_quotient takes, for ln X above 2: rounding X to a float moves
+# its log by 2^-53 (2^-54 of the log), math.log adds 1 ulp (2^-52) and the
+# division 2^-53, under 2^-51 in all; 2^-48 leaves a factor 8.
+_QUOTIENT_REL_ERR = 2.0**-48
+
+
+def _floor_of_quotient(C: int, X: int) -> tuple[int, float]:
+    """floor(C / ln X) and ln X, for integers C < 2^53 and X > e^2.
+
+    Both come from floats unless the quotient lies within 1e-10 plus its
+    error bound of an integer; then mpmath recomputes ln X and the floor,
+    and _guarded_floor raises FloorAmbiguousError if the quotient is within
+    1e-10 above one.
+    """
+    denom_log = math.log(X)
+    q = C / denom_log
+    ell = math.floor(q)
+    slack = q * _QUOTIENT_REL_ERR
+    if 1e-10 + slack <= q - ell <= 1.0 - slack:
+        return ell, denom_log
+    with mpmath.workdps(len(str(C)) + 30):
+        denom = mpmath.log(mpmath.mpf(X))
+        return _guarded_floor(C, denom), float(denom)
+
+
 def construction_parameters(r: int, R: int) -> ConstructionParameters:
-    """Evaluate the (N, ell) schedule of the coloring construction."""
+    """Evaluate the (N, ell) schedule of the coloring construction.
+
+    On the exact path ell = floor(C / ln(C^2 C(N-s,R))) is taken in floats
+    from the log of the exact integer; mpmath recomputes it only when the
+    quotient lies within its float error margin of an integer (see
+    _floor_of_quotient).
+    """
     if r < 2 or R < 1:
         raise ValueError(f"need r >= 2 and R >= 1, got r={r}, R={R}")
     s = r + R
@@ -145,12 +177,7 @@ def construction_parameters(r: int, R: int) -> ConstructionParameters:
                 r, R, s, True, N, None, log_N, None, log_C, None, True,
                 f"N = {N} <= s = {s}",
             )
-        with mpmath.workdps(len(str(C)) + 30):
-            denom = mpmath.log(
-                mpmath.mpf(C) ** 2 * mpmath.mpf(binomial(N - s, R))
-            )
-            denom_log = float(denom)
-            ell = _guarded_floor(C, denom)
+        ell, denom_log = _floor_of_quotient(C, C * C * binomial(N - s, R))
         if ell < 1:
             return ConstructionParameters(
                 r, R, s, True, N, ell, log_N, None, log_C, denom_log, True,

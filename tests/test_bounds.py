@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from turan_systems.bounds import (
     segment_split_plan,
     fixed_gap_mu_bound,
     recursion_rhs,
+    RootResult,
     limit_alpha_root,
     gap_log_binomial_mu_bound,
     closing_chain_check,
@@ -57,6 +59,64 @@ class TestRootFinding:
     def test_defining_equation(self):
         res = limit_alpha_root(3)
         assert math.exp(res.c0) == pytest.approx((res.c0 + 1) ** 4, rel=1e-9)
+
+    def test_same_float_as_the_bisection(self):
+        far = [10**k + j for k in range(4, 16) for j in (0, 1, 7)]
+        far += [10**k for k in (20, 50, 100, 200, 300, 305)]
+        for R in list(range(1, 2001)) + far:
+            assert limit_alpha_root(R) == _bisection_root(R), R
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=8.0))
+    def test_agrees_with_mpmath(self, exponent):
+        R = round(10**exponent)
+        res = limit_alpha_root(R)
+        with mpmath.workdps(50):
+            c0 = mpmath.findroot(lambda x: x - (R + 1) * mpmath.log1p(x), res.c0)
+            alpha = mpmath.exp(R * mpmath.log1p(1 / c0) + mpmath.log1p(c0))
+        assert res.c0 == pytest.approx(float(c0), rel=1e-14)
+        assert res.alpha == pytest.approx(float(alpha), rel=1e-14)
+        assert res.residual <= _bisection_root(R).residual
+
+    def test_calls_g_a_quarter_as_often(self, monkeypatch):
+        # The bisection takes about 60 logs, the Newton window path under 25.
+        calls = []
+        log1p = math.log1p
+        monkeypatch.setattr(math, "log1p", lambda x: calls.append(x) or log1p(x))
+        for R in (1, 10, 100, 10**6, 10**12):
+            calls.clear()
+            limit_alpha_root(R)
+            assert len(calls) <= 25, (R, len(calls))
+
+    def test_terminates_far_out(self):
+        res = limit_alpha_root(10**12)
+        assert res == _bisection_root(10**12)
+        assert res.c0 > 10**12 and res.residual < 1e-2
+
+
+def _bisection_root(R: int) -> RootResult:
+    """The plain 200-step bisection of [R, hi]: the reference whose float
+    limit_alpha_root returns."""
+
+    def g(x: float) -> float:
+        return x - (R + 1) * math.log1p(x)
+
+    lo = float(R)
+    hi = max(2.0 * R, 2.0)
+    while g(hi) <= 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    c0 = 0.5 * (lo + hi)
+    residual = abs(math.expm1(g(c0)))
+    log_alpha = R * math.log1p(1.0 / c0) + math.log1p(c0)
+    return RootResult(R=R, c0=c0, alpha=math.exp(log_alpha), residual=residual)
 
 
 class TestAsymptoticBounds:

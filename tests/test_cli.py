@@ -280,15 +280,26 @@ class TestCertifyLll:
         obj = json.loads(out)
         assert code == 1 and not obj["certificate"]["condition_holds"]
 
+    BEYOND_FLOAT_RANGE = [
+        "certify-lll", "--r", "2000", "--big-r", "1000", "--n", "5000", "--ell", "3",
+    ]
+
     def test_C_over_ell_beyond_float_range(self, capsys):
-        # C(3000,1000)/3 exceeds float range; the certificate still prints.
-        code, out, err = run(
-            ["certify-lll", "--r", "2000", "--big-r", "1000", "--n", "5000", "--ell", "3"],
-            capsys,
-        )
+        # C(3000,1000)/3 exceeds float range; the certificate still prints,
+        # with C/ell and ln p (-inf, p = 0) as null.
+        code, out, err = run(self.BEYOND_FLOAT_RANGE, capsys)
         cert = json.loads(out)["certificate"]
-        assert code == (0 if cert["condition_holds"] else 1) and not err
-        assert cert["ratio_C_over_ell"] == float("inf")
+        assert code == 0 and not err and cert["condition_holds"]
+        assert cert["ratio_C_over_ell"] is None
+        assert cert["log_p_bound"] is None
+
+    def test_output_is_strict_json(self, capsys):
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        code, out, _ = run(self.BEYOND_FLOAT_RANGE, capsys)
+        assert code == 0
+        json.loads(out, parse_constant=reject)
 
     def test_degenerate_cell_exit3(self, capsys):
         code, _, err = run(["certify-lll", "--r", "2", "--big-r", "1"], capsys)

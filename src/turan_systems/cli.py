@@ -58,11 +58,7 @@ def _finite_or_null(obj):
 
 def _dump(obj: dict) -> str:
     """Strict JSON: a float outside the finite range is written as null."""
-    try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:  # a float out of range; the rare case walks obj
-        return _dump(_finite_or_null(obj))
-    return text + "\n"
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -14,7 +14,6 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 from .combinatorics import binomial, enumerate_subsets
 from .hypergraph import UniformHypergraph, is_turan_system
@@ -93,11 +92,7 @@ def solve_min_turan(
         r_sets.append(e)
 
     num_s = len(s_sets)
-    # combinations(S, r) yields the r-subsets of S in lex order of their
-    # positions in S; to_colex lists those lex indices in colex order of
-    # positions, which is the colex order of the r-subsets, for every S.
-    lex_index = {pos: i for i, pos in enumerate(combinations(range(s), r))}
-    to_colex = [lex_index[pos] for pos in enumerate_subsets(s, r)]
+    positions = list(enumerate_subsets(s, r))
     # cover_mask[j]: bitmap over s-set indices covered by r-set j.  Each is
     # filled a byte at a time, so setup is linear in its output, and turned
     # into an int in place, so the bytes and the ints never all coexist.
@@ -105,8 +100,8 @@ def solve_min_turan(
     # children[i]: r-set indices inside s-set i, in colex order.
     children: list[list[int]] = []
     for i, S in enumerate(s_sets):
-        lex = list(map(r_rank.__getitem__, combinations(S, r)))
-        subs = [lex[p] for p in to_colex]
+        # positions index into S; translate them to r-sets.
+        subs = [r_rank[tuple(map(S.__getitem__, pos))] for pos in positions]
         children.append(subs)
         byte, bit = i >> 3, 1 << (i & 7)
         for j in subs:

@@ -72,6 +72,10 @@ class RootResult:
 # beyond R, so every float g outside the window has the sign of g.
 _ROOT_WINDOW = 2.0**-48
 
+# Beyond about R = 1.17e305 the bisection's bracket, and then c0 itself,
+# leave float range.
+ALPHA_ROOT_R_MAX = 10**305
+
 
 def limit_alpha_root(R: int) -> RootResult:
     """Solve x = (R+1) ln(1+x) for its unique root beyond R.
@@ -90,9 +94,12 @@ def limit_alpha_root(R: int) -> RootResult:
     taken in one jump to the dyadic cell that holds it; the rest run as a
     plain bisection that calls g only inside the window.  So c0 is the
     bisection's float, bit for bit, for about a quarter of its calls of g.
+    R must lie in [1, ALPHA_ROOT_R_MAX]; ValueError otherwise.
     """
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    if not 1 <= R <= ALPHA_ROOT_R_MAX:
+        raise ValueError(
+            "limit_alpha_root supports 1 <= R <= 10**305; c0 leaves float range beyond"
+        )
     # (R+1) * y converts the integer R+1 to its nearest float, k1, at every
     # call; converting once gives the same products.
     k1 = float(R + 1)
@@ -160,10 +167,13 @@ def large_gap_mu_bound(R: int) -> float:
 
 
 def fixed_gap_mu_bound(r: int, R: int) -> float:
-    """Leading term R (R+4) ln r of the fixed-R bound."""
+    """Leading term R (R+4) ln r of the fixed-R bound; inf beyond float range."""
     if r < 3:
         raise ValueError("need r >= 3")
-    return R * (R + 4) * math.log(r)
+    try:
+        return float(R * (R + 4)) * math.log(r)
+    except OverflowError:
+        return math.inf
 
 
 def gap_log_binomial_mu_bound(r: int, R: int) -> float:
@@ -507,11 +517,13 @@ def closing_chain_check(r: int, R: int) -> ChainCheckResult:
 def bound_reports(r: int, R: int, eps1: float = 0.05) -> list[BoundReport]:
     """All applicable mu-scale bounds at (r, R)."""
     s = r + R
+    # First, so that an R beyond the root's range is refused before any
+    # other bound meets a float overflow.
+    root = limit_alpha_root(R)
     reports = [
         BoundReport("trivial_lower", "lower", 1.0, ("mu >= 1 by definition",)),
         BoundReport("decaen_lower", "lower", decaen_lower_mu(s, r)),
     ]
-    root = limit_alpha_root(R)
     reports.append(
         BoundReport(
             "limit_alpha",

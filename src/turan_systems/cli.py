@@ -90,8 +90,13 @@ def _write_manifest(subcommand: str, args: argparse.Namespace, out: str | None) 
 
 
 def _load_system(path: str) -> UniformHypergraph:
-    with open(path) as fh:
-        return UniformHypergraph.from_json(fh.read())
+    """The system in a JSON file; an unreadable or malformed file is one
+    ValueError whose message starts with "cannot parse"."""
+    try:
+        with open(path) as fh:
+            return UniformHypergraph.from_json(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot parse {path}: {exc}") from None
 
 
 # --- construct ---
@@ -159,8 +164,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         H = _load_system(args.input)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot parse {args.input}: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.mode == "exhaustive":

@@ -4,8 +4,10 @@ A Turán (n,s,r)-system is an r-graph on n vertices in which every s-subset
 of the vertices contains at least one edge.  The verifier here decides that
 property exhaustively, by one depth-first search for the colex-least s-set
 that contains no edge (a deterministic first witness), or by seeded uniform
-sampling for large n.  The search indexes the edge masks by least vertex
-once per call; sampling looks r-subsets up in the sorted masks.
+sampling for large n.  The search reads an index of the edge masks by
+least vertex, built once per system on first use; sampling looks r-subsets
+up in the sorted masks, or reads the same index when a set has more
+r-subsets than the system has edges.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property, partial
+from itertools import chain, combinations
 from typing import Iterable
 
 from .combinatorics import (
@@ -49,20 +52,71 @@ class UniformHypergraph:
     def from_edges(
         n: int, r: int, edges: Iterable[Iterable[int]]
     ) -> "UniformHypergraph":
+        """The r-graph on {0, ..., n-1} with the given edges.
+
+        n and r are ints with n >= 0 and r >= 1.  Each edge is an iterable
+        of r distinct int vertices in range(n), in any order; bools and
+        other non-int vertices are rejected.  Repeated edges collapse into
+        one.  Any violation raises ValueError.
+
+        This is the one loader, behind from_json, from_text and every
+        construction.  Each check is one pass over all edges or all
+        vertices in C-level maps and sets; the only Python loop runs over
+        the distinct vertices, to build their bits.
+        """
+        if type(n) is not int or type(r) is not int:
+            raise ValueError(f"n and r must be integers, got n={n!r}, r={r!r}")
         if n < 0 or r < 1:
             raise ValueError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
-        normalized = {tuple(sorted(e)) for e in edges}
-        for e in normalized:
-            check_subset(e, n, r)
+        try:
+            tuples = list(map(tuple, map(sorted, edges)))
+        except TypeError as exc:
+            raise ValueError(f"edges must be iterables of vertices: {exc}") from None
+        sizes = set(map(len, tuples))
+        if sizes - {r}:
+            raise ValueError(f"every edge needs {r} vertices, got sizes {sorted(sizes)}")
+        vertices = list(chain.from_iterable(tuples))
+        types = set(map(type, vertices)) - {int}
+        if types:
+            names = sorted(t.__name__ for t in types)
+            raise ValueError(f"vertices must be integers, got {', '.join(names)}")
+        present = set(vertices)
+        if present and not 0 <= min(present) <= max(present) < n:
+            raise ValueError(
+                f"vertices must lie in range({n}), got {min(present)} to {max(present)}"
+            )
+        # Bits only for the vertices that occur: a table over range(n) would
+        # take O(n^2) bits even for a handful of edges.  zip over r
+        # references to one iterator groups consecutive bits into edges.
+        bit = {v: 1 << v for v in present}
+        masks = list(map(sum, zip(*[map(bit.__getitem__, vertices)] * r)))
+        if set(map(int.bit_count, masks)) - {r}:
+            bad = next(e for e, m in zip(tuples, masks) if m.bit_count() != r)
+            raise ValueError(f"edge {bad} repeats a vertex")
+        by_mask = dict(zip(masks, tuples))
         # Among sets of one size, colex order is the numeric order of masks.
-        by_mask = {_mask(e): e for e in normalized}
-        masks = tuple(sorted(by_mask))
+        ordered = sorted(by_mask)
         return UniformHypergraph(
-            n=n, r=r, edges=tuple(by_mask[m] for m in masks), masks=masks
+            n=n,
+            r=r,
+            edges=tuple(map(by_mask.__getitem__, ordered)),
+            masks=tuple(ordered),
         )
 
     def __len__(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _masks_by_least_vertex(self) -> tuple[tuple[int, ...], ...]:
+        """Edge masks grouped by least vertex, in ascending order.
+
+        Built on first use and kept, so the loader never pays for it; the
+        exhaustive search, contains_edge and sampling all read it.
+        """
+        by_least: list[list[int]] = [[] for _ in range(self.n)]
+        for em in self.masks:
+            by_least[(em & -em).bit_length() - 1].append(em)
+        return tuple(map(tuple, by_least))
 
     def edge_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.edges)
@@ -76,12 +130,21 @@ class UniformHypergraph:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @staticmethod
-    def from_json_dict(obj: dict) -> "UniformHypergraph":
-        return UniformHypergraph.from_edges(int(obj["n"]), int(obj["r"]), obj["edges"])
+    def from_json_dict(obj: object) -> "UniformHypergraph":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a system must be a JSON object, got {type(obj).__name__}")
+        missing = {"n", "r", "edges"} - obj.keys()
+        if missing:
+            raise ValueError(f"a system needs the keys {sorted(missing)}")
+        return UniformHypergraph.from_edges(obj["n"], obj["r"], obj["edges"])
 
     @staticmethod
     def from_json(text: str) -> "UniformHypergraph":
-        return UniformHypergraph.from_json_dict(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+        return UniformHypergraph.from_json_dict(obj)
 
     def to_text(self) -> str:
         """Plain-text format: one edge per line, ascending vertices."""
@@ -129,23 +192,21 @@ class VerifyReport:
 
 
 def contains_edge(H: UniformHypergraph, S: tuple[int, ...]) -> bool:
-    """True iff some edge of H is a subset of S (bitmask inclusion)."""
-    check_subset(tuple(S), H.n)
+    """True iff some edge of H is a subset of S (bitmask inclusion).
+
+    Only edges whose least vertex lies in S can be inside it.
+    """
+    S = tuple(S)
+    check_subset(S, H.n)
     if len(S) < H.r:
         raise ValueError(f"set of size {len(S)} cannot contain an {H.r}-edge")
-    smask = _mask(tuple(S))
-    for em in H.masks:
-        if em & smask == em:
-            return True
-    return False
+    return _covered(H._masks_by_least_vertex, S)
 
 
-def _edges_by_least_vertex(H: UniformHypergraph) -> list[list[int]]:
-    """Edge masks grouped by their least vertex."""
-    by_least: list[list[int]] = [[] for _ in range(H.n)]
-    for em in H.masks:
-        by_least[(em & -em).bit_length() - 1].append(em)
-    return by_least
+def _covered(by_least: tuple[tuple[int, ...], ...], S: tuple[int, ...]) -> bool:
+    """True iff an indexed edge lies inside the increasing vertex tuple S."""
+    m = _mask(S)
+    return any(em & m == em for v in S for em in by_least[v])
 
 
 def is_turan_system(
@@ -170,7 +231,7 @@ def is_turan_system(
             f"C({H.n},{s}) = {total} exceeds exhaustive budget {budget}; "
             "use sample_verify instead"
         )
-    by_least = _edges_by_least_vertex(H)
+    by_least = H._masks_by_least_vertex
     # Depth d holds the d largest vertices chosen so far: chosen[d-1] is the
     # smallest of them and union[d] their mask.  candidate[d] is the next
     # vertex to try at depth d; it leaves room for s-1-d vertices below it.
@@ -233,11 +294,7 @@ def sample_verify(
             return False
 
     else:
-        by_least = _edges_by_least_vertex(H)
-
-        def covered(S: tuple[int, ...]) -> bool:
-            m = _mask(S)
-            return any(em & m == em for v in S for em in by_least[v])
+        covered = partial(_covered, H._masks_by_least_vertex)
 
     rng = random.Random(seed)
     for t in range(trials):

@@ -93,6 +93,11 @@ class TestRootFinding:
         assert res == _bisection_root(10**12)
         assert res.c0 > 10**12 and res.residual < 1e-2
 
+    @pytest.mark.parametrize("R", [0, 10**306, 10**400], ids=["0", "1e306", "1e400"])
+    def test_beyond_the_supported_range_rejected(self, R):
+        with pytest.raises(ValueError, match=r"1 <= R <= 10\*\*305"):
+            limit_alpha_root(R)
+
 
 def _bisection_root(R: int) -> RootResult:
     """The plain 200-step bisection of [R, hi]: the reference whose float
@@ -136,6 +141,14 @@ class TestAsymptoticBounds:
     def test_fixed_gap(self):
         assert fixed_gap_mu_bound(10**6, 10) == pytest.approx(140 * math.log(10**6))
         assert fixed_gap_mu_bound(100, 3) < fixed_gap_mu_bound(200, 3)
+
+    @pytest.mark.parametrize(
+        "R", [10**153, 10**160, 10**306, 10**400], ids=["1e153", "1e160", "1e306", "1e400"]
+    )
+    def test_fixed_gap_beyond_float_range_is_inf(self, R):
+        # R (R+4) passes float range from R of about 1.3e154.
+        expected = math.inf if R > 10**154 else R * (R + 4) * math.log(3)
+        assert fixed_gap_mu_bound(3, R) == expected
 
     def test_gap_log_binomial(self):
         assert gap_log_binomial_mu_bound(9, 1) == pytest.approx(math.log(10))

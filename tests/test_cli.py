@@ -133,6 +133,22 @@ class TestConstruct:
         assert is_turan_system(H, 4).is_turan
 
 
+# System files that are not systems, by what is wrong with them: each must
+# give exit 2 and one line.
+MALFORMED_SYSTEMS = {
+    "edge-not-iterable": '{"n": 4, "r": 2, "edges": [1, 2]}',
+    "str-vertices": '{"n": 4, "r": 2, "edges": [["a", "b"]]}',
+    "float-vertex": '{"n": 4, "r": 2, "edges": [[0.5, 1]]}',
+    "bool-vertex": '{"n": 4, "r": 2, "edges": [[true, 2], [0, 1]]}',
+    "root-not-object": "[1]",
+    "n-not-integer": '{"n": "4", "r": 2, "edges": []}',
+    "r-not-integer": '{"n": 4, "r": 2.0, "edges": []}',
+    "no-edges": '{"n": 4, "r": 2}',
+    "edges-not-iterable": '{"n": 4, "r": 2, "edges": 5}',
+    "nested-too-deep": "[" * 100_000 + "]" * 100_000,
+}
+
+
 class TestVerify:
     def _write_system(self, tmp_path, capsys, broken=False):
         path = tmp_path / "H.json"
@@ -195,6 +211,21 @@ class TestVerify:
         code, _, err = run(["verify", "--input", str(path), "--s", "4"], capsys)
         assert code == 2 and "cannot parse" in err
 
+    @pytest.mark.parametrize(
+        "text", MALFORMED_SYSTEMS.values(), ids=MALFORMED_SYSTEMS.keys()
+    )
+    @pytest.mark.parametrize("command", ["verify", "blowup"])
+    def test_malformed_system_exit2_one_line(self, tmp_path, capsys, text, command):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        if command == "verify":
+            argv = ["verify", "--input", str(path), "--s", "3"]
+        else:
+            argv = ["construct", "blowup", "--input", str(path), "--m", "2"]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out
+        assert err.startswith(f"cannot parse {path}: ") and len(err.splitlines()) == 1
+
 
 class TestSolve:
     def test_solve_small(self, capsys):
@@ -244,6 +275,20 @@ class TestBounds:
     def test_deterministic_output(self, capsys):
         argv = ["bounds", "--r", "1000", "--big-r", "5", "--format", "json"]
         assert run(argv, capsys) == run(argv, capsys)
+
+    def test_fixed_gap_beyond_float_range_is_null(self, capsys):
+        code, out, err = run(
+            ["bounds", "--r", "3", "--big-r", str(10**160), "--format", "json"], capsys
+        )
+        values = {row["bound_name"]: row["value"] for row in json.loads(out)["rows"]}
+        assert code == 0 and not err
+        assert values["fixed_gap"] is None and values["limit_alpha"] > 10**160
+
+    @pytest.mark.parametrize("exponent", [306, 400])
+    def test_R_beyond_root_range_exit2(self, capsys, exponent):
+        code, out, err = run(["bounds", "--r", "3", "--big-r", str(10**exponent)], capsys)
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and "10**305" in err
 
     def test_degenerate_chain_row_omitted(self, capsys):
         code, out, err = run(

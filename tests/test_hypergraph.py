@@ -3,11 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from turan_systems.bounds import counting_lower_T
-from turan_systems.combinatorics import enumerate_subsets
+from turan_systems.combinatorics import check_subset, enumerate_subsets
 from turan_systems.hypergraph import (
     BudgetExceededError,
     UniformHypergraph,
@@ -38,6 +38,24 @@ class TestContainsEdge:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             contains_edge(matching_4_3_2(), (1, 2, 7))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, data):
+        n, _, r, edges = data.draw(random_systems())
+        H = UniformHypergraph.from_edges(n, r, edges)
+        k = data.draw(st.integers(r, n))
+        S = tuple(sorted(data.draw(st.permutations(range(n)))[:k]))
+        assert contains_edge(H, S) == (not uncovered(S, edges))
+
+    def test_index_built_on_first_use_and_kept(self):
+        H = UniformHypergraph.from_json(matching_4_3_2().to_json())
+        assert "_masks_by_least_vertex" not in vars(H)
+        assert is_turan_system(H, 3).is_turan
+        index = vars(H)["_masks_by_least_vertex"]
+        assert contains_edge(H, (0, 1, 2))
+        assert vars(H)["_masks_by_least_vertex"] is index
+        assert index == ((0b11,), (), (0b1100,), ())
 
 
 class TestExhaustiveVerify:
@@ -234,3 +252,81 @@ class TestSerialization:
             UniformHypergraph.from_edges(4, 2, [(0, 5)])
         with pytest.raises(ValueError):
             UniformHypergraph.from_edges(4, 2, [(0, 1, 2)])
+
+    @pytest.mark.parametrize("n, r", [(4.0, 2), (4, 2.0), ("4", 2), (True, 1), (4, 0), (-1, 2)])
+    def test_bad_parameters_rejected(self, n, r):
+        with pytest.raises(ValueError):
+            UniformHypergraph.from_edges(n, r, [])
+
+
+def reference_from_edges(n, r, edges):
+    """(edges, masks) from a loader that sorts, checks and masks one edge at
+    a time; the one-pass loader must give the same."""
+    normalized = {tuple(sorted(e)) for e in edges}
+    for e in normalized:
+        check_subset(e, n, r)
+    by_mask = {sum(1 << v for v in e): e for e in normalized}
+    masks = tuple(sorted(by_mask))
+    return tuple(by_mask[m] for m in masks), masks
+
+
+def as_container(kind, items):
+    if kind == "list":
+        return list(items)
+    if kind == "tuple":
+        return tuple(items)
+    return (x for x in items)
+
+
+@st.composite
+def loader_inputs(draw):
+    """(n, r, edges): r-subsets of range(n), n <= 40, each edge in shuffled
+    order, some edges repeated in another order."""
+    n = draw(st.integers(1, 40))
+    r = draw(st.integers(1, n))
+    edge = st.permutations(range(n)).map(lambda p: p[:r])
+    edges = draw(st.lists(edge, max_size=40))
+    for e in draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []:
+        edges.append(draw(st.permutations(e)))
+    return n, r, draw(st.permutations(edges))
+
+
+# Each turns one valid edge (a list) into an invalid one.
+CORRUPTIONS = {
+    "short": lambda e, n: e[:-1],
+    "long": lambda e, n: e + [next(v for v in range(n + 1) if v not in e)],
+    "repeated": lambda e, n: e[:-1] + e[:1],
+    "negative": lambda e, n: e[:-1] + [-1],
+    "too large": lambda e, n: e[:-1] + [n],
+    "float": lambda e, n: e[:-1] + [float(e[-1])],
+    "half": lambda e, n: e[:-1] + [e[-1] + 0.5],
+    "str": lambda e, n: e[:-1] + [str(e[-1])],
+    # True == 1 and False == 0: only the type tells a bool apart.
+    "bool": lambda e, n: e[:-1] + [e[-1] == 1],
+    "none": lambda e, n: e[:-1] + [None],
+    "not iterable": lambda e, n: e[0],
+}
+
+
+class TestLoaderAgainstReference:
+    @given(loader_inputs(), st.sampled_from(["list", "tuple", "generator"]),
+           st.sampled_from(["list", "tuple", "generator"]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_edges_and_masks(self, system, outer, inner):
+        n, r, edges = system
+        expected = reference_from_edges(n, r, edges)
+        H = UniformHypergraph.from_edges(
+            n, r, as_container(outer, (as_container(inner, e) for e in edges))
+        )
+        assert (H.edges, H.masks) == expected
+
+    @given(loader_inputs(), st.sampled_from(sorted(CORRUPTIONS)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_invalid_edge_raises_value_error(self, system, kind, data):
+        n, r, edges = system
+        assume(edges and not (kind == "repeated" and r == 1))
+        i = data.draw(st.integers(0, len(edges) - 1))
+        edges = [list(e) for e in edges]
+        edges[i] = CORRUPTIONS[kind](edges[i], n)
+        with pytest.raises(ValueError):
+            UniformHypergraph.from_edges(n, r, edges)

@@ -8,12 +8,17 @@ with the o-terms dropped; each report records that in its assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
 from .combinatorics import EXACT_LOG_N_MAX, binomial, log_binomial
 from .constructions import ConstructionParameters, construction_parameters
+
+
+# ln of the largest float: math.exp overflows above it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -261,43 +266,6 @@ def segment_split_plan(r: int, R: int, delta: float) -> SegmentSplitResult:
 
 
 @dataclass(frozen=True)
-class LargeGapBranchParameters:
-    r: int
-    R: int
-    eps1: float
-    delta: float
-    k: int
-    c: float
-    c_in_domain: bool  # c <= C(k, R)
-    regime_ok: bool  # R >= ln r
-    r_range_ok: bool  # R <= sqrt(18 r ln r)
-
-
-def large_gap_branch_parameters(r: int, R: int, eps1: float) -> LargeGapBranchParameters:
-    """The large-R branch: delta = max{eps1, 18R^2/r}, the segment-split k, and
-    c = R ln(3R/delta) + ln(2R^3)."""
-    if eps1 <= 0:
-        raise ValueError("eps1 must be positive")
-    delta = max(eps1, 18 * R * R / r)
-    k = math.ceil(R * r / (R + delta)) + R
-    c = R * math.log(3 * R / delta) + math.log(2 * R**3)
-    c_in_domain = (
-        math.log(c) <= log_binomial(k, R) + 1e-12 if R <= k else False
-    )
-    return LargeGapBranchParameters(
-        r=r,
-        R=R,
-        eps1=eps1,
-        delta=delta,
-        k=k,
-        c=c,
-        c_in_domain=c_in_domain,
-        regime_ok=R >= math.log(r),
-        r_range_ok=R <= math.sqrt(18 * r * math.log(r)),
-    )
-
-
-@dataclass(frozen=True)
 class ScheduleEntry:
     r_i: int
     k_i: int
@@ -421,12 +389,8 @@ def descent_certificate(
     for entry in reversed(trace.entries):
         log_mu = recursion_rhs_log(entry.r_i, R, entry.k_i, c, log_mu)
         valued.append(
-            ScheduleEntry(
-                r_i=entry.r_i,
-                k_i=entry.k_i,
-                case_tag=entry.case_tag,
-                in_domain=entry.in_domain,
-                step_lower_bound_ok=entry.step_lower_bound_ok,
+            replace(
+                entry,
                 c_i=c,
                 mu_bound_i=math.exp(log_mu) if log_mu < 709 else float("inf"),
             )
@@ -488,22 +452,31 @@ def closing_chain_check(r: int, R: int) -> ChainCheckResult:
     else:
         c_over_ell = params.denominator_log if params.denominator_log else float("inf")
         # r(r-1) C(s,R) / (2N) with N = floor(r(r-1)C/(2R)): equals R up to
-        # the floor, evaluated via logs.
-        second = math.exp(
-            math.log(r * (r - 1) / 2.0) + log_C - params.log_N
-        )
+        # the floor, evaluated via logs; inf once it leaves float range.
+        log_second = math.log(r * (r - 1) / 2.0) + log_C - params.log_N
+        second = math.exp(log_second) if log_second <= _LOG_FLOAT_MAX else math.inf
         log_N = params.log_N
 
+    # construction_parameters takes an R beyond float range only at r = 2,
+    # where the cell is degenerate.
+    R_float = float(R) if R <= sys.float_info.max else math.inf
     lhs = c_over_ell + second
-    majorant = 2.0 * log_C + R * log_N + second
-    target = R * log_C
+    majorant = 2.0 * log_C + R_float * log_N + second
+    target = R_float * log_C
+    if not target > 0:
+        ratio = float("inf")
+    elif math.isfinite(target):
+        ratio = lhs / target
+    else:
+        # R ln C(s,R) beyond float range: divide in two steps.
+        ratio = lhs / R_float / log_C
     return ChainCheckResult(
         r=r,
         R=R,
         lhs=lhs,
         majorant=majorant,
         target=target,
-        ratio=lhs / target if target > 0 else float("inf"),
+        ratio=ratio,
         degenerate=degenerate,
         params=params,
     )

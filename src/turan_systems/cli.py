@@ -23,7 +23,6 @@ from .bounds import bound_reports, closing_chain_check
 from .constructions import (
     ConstructionError,
     blowup,
-    construction_parameters,
     lll_certificate_for,
     lll_condition,
     moser_tardos_color,
@@ -253,12 +252,12 @@ def cmd_certify_lll(args: argparse.Namespace) -> int:
             cert = lll_condition(args.n, args.r + args.big_r, args.r, args.ell)
             chain = None
         else:
-            params = construction_parameters(args.r, args.big_r)
+            chain = closing_chain_check(args.r, args.big_r)
+            params = chain.params
             if params.degenerate:
                 print(f"degenerate parameters: {params.degenerate_reason}", file=sys.stderr)
                 return EXIT_CONSTRUCTION
             cert = lll_certificate_for(params)
-            chain = closing_chain_check(args.r, args.big_r)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ enumeration and serialization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import total_ordering
@@ -189,3 +190,17 @@ def enumerate_subsets(
                 for j in range(i):
                     current[j] = j
                 break
+
+
+def member_ranks(n: int, s: int, r: int) -> list[list[int]]:
+    """For each s-subset of [n] in colex order, the colex ranks of its r-subsets.
+
+    This is the incidence table that the solver's set cover and the
+    Moser-Tardos colourer share.  Colex rank is monotone in colex order, so
+    each list, in ascending rank, is the s-set's r-subsets in colex order.
+    """
+    r_index = {e: j for j, e in enumerate(enumerate_subsets(n, r))}
+    return [
+        sorted(map(r_index.__getitem__, itertools.combinations(S, r)))
+        for S in enumerate_subsets(n, s)
+    ]

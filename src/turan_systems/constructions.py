@@ -25,6 +25,8 @@ from .combinatorics import (
     enumerate_subsets,
     log_binomial,
     log_binomial_series,
+    member_ranks,
+    unrank_colex,
 )
 from .hypergraph import BudgetExceededError, UniformHypergraph
 
@@ -287,13 +289,6 @@ def dependency_degree(N: int, s: int, r: int) -> int:
     return sum(binomial(s, i) * binomial(N - s, s - i) for i in range(r, s + 1))
 
 
-def dependency_term_ratios(N: int, s: int, r: int) -> list[float]:
-    """Consecutive-term ratios (s-i)^2 / ((i+1)(N-2s+i+1)) for i in [r, s)."""
-    return [
-        (s - i) ** 2 / ((i + 1) * (N - 2 * s + i + 1)) for i in range(r, s)
-    ]
-
-
 def lll_condition(
     N: int | LogValue,
     s: int,
@@ -457,31 +452,26 @@ def moser_tardos_color(
     num_r = binomial(N, r)
     coloring = [rng.randrange(ell) for _ in range(num_r)]
 
-    s_sets = list(enumerate_subsets(N, s))
-    r_index = {e: j for j, e in enumerate(enumerate_subsets(N, r))}
-    # Colex rank is monotone in colex order, so sorting the ranks of an
-    # s-set's r-subsets puts them in the colex order of their positions.
-    member_ranks = [
-        sorted(map(r_index.__getitem__, itertools.combinations(S, r))) for S in s_sets
-    ]
+    # members[i]: the r-sets inside s-set i, in colex order.
+    members = member_ranks(N, s, r)
     # first_hit[j]: index of the colex-least s-set containing r-set j.
     first_hit: dict[int, int] = {}
-    for i in range(len(s_sets) - 1, -1, -1):
-        first_hit.update(dict.fromkeys(member_ranks[i], i))
+    for i in range(len(members) - 1, -1, -1):
+        first_hit.update(dict.fromkeys(members[i], i))
 
     def violated(start: int) -> int | None:
-        for i in range(start, len(s_sets)):
-            if len(set(map(coloring.__getitem__, member_ranks[i]))) < ell:
+        for i in range(start, len(members)):
+            if len(set(map(coloring.__getitem__, members[i]))) < ell:
                 return i
         return None
 
     rounds = 0
     bad = violated(0)
     while bad is not None and rounds < max_rounds:
-        for j in member_ranks[bad]:
+        for j in members[bad]:
             coloring[j] = rng.randrange(ell)
         rounds += 1
-        bad = violated(min(map(first_hit.__getitem__, member_ranks[bad])))
+        bad = violated(min(map(first_hit.__getitem__, members[bad])))
 
     sizes = [0] * ell
     for c in coloring:
@@ -496,7 +486,7 @@ def moser_tardos_color(
             least_color=None,
             least_class=None,
             class_sizes=tuple(sizes),
-            failed_s_set=s_sets[bad],
+            failed_s_set=unrank_colex(bad, s, N),
         )
 
     least = min(range(ell), key=lambda c: (sizes[c], c))

@@ -310,13 +310,6 @@ def density(H: UniformHypergraph) -> tuple[int, int, float]:
     return len(H.edges), denom, len(H.edges) / denom
 
 
-def verify_report_sound(H: UniformHypergraph, report: VerifyReport) -> bool:
-    """Soundness gate: a present witness must really be uncovered."""
-    if report.witness is None:
-        return True
-    return not contains_edge(H, report.witness)
-
-
 __all__ = [
     "BudgetExceededError",
     "UniformHypergraph",
@@ -325,6 +318,5 @@ __all__ = [
     "density",
     "is_turan_system",
     "sample_verify",
-    "verify_report_sound",
     "DEFAULT_EXHAUSTIVE_BUDGET",
 ]

@@ -15,7 +15,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .combinatorics import binomial, enumerate_subsets
+from .combinatorics import binomial, member_ranks, unrank_colex
 from .hypergraph import UniformHypergraph, is_turan_system
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -60,10 +60,6 @@ def turan_r2_value(n: int, s: int) -> int:
     return rem * binomial(q + 1, 2) + (parts - rem) * binomial(q, 2)
 
 
-def _prefix_edges(n: int, s: int, r: int) -> list[tuple[int, ...]]:
-    return list(enumerate_subsets(n - (s - r), r))
-
-
 def solve_min_turan(
     n: int, s: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SolveResult:
@@ -76,33 +72,26 @@ def solve_min_turan(
     a child of a node with d - 1 edges survives only if it covers at least
     C(n,s) - (best - d - 1) * C(n-r, s-r) s-sets, so each node costs one OR
     and one popcount.  At the root, the branch is fixed to the single edge
-    {0,...,r-1}, which is safe because the root subproblem is invariant
-    under all vertex relabelings.  The search keeps its own stack, so a
-    deep search ends at the node budget, not at the interpreter's
-    recursion limit.
+    {0,...,r-1}, colex rank 0, which is safe because the root subproblem is
+    invariant under all vertex relabelings.  The first incumbent is the
+    prefix system, every r-subset of the first n - s + r vertices: any s-set
+    has at least r vertices there.  Those r-sets are exactly the colex-first
+    C(n-s+r, r), so the incumbent is the ranks range(C(n-s+r, r)).  The
+    search keeps its own stack, so a deep search ends at the node budget,
+    not at the interpreter's recursion limit.
     """
     if not (r < s <= n):
         raise ValueError(f"need r < s <= n, got r={r}, s={s}, n={n}")
 
-    s_sets = list(enumerate_subsets(n, s))
-    r_rank: dict[tuple[int, ...], int] = {}
-    r_sets: list[tuple[int, ...]] = []
-    for e in enumerate_subsets(n, r):
-        r_rank[e] = len(r_sets)
-        r_sets.append(e)
-
-    num_s = len(s_sets)
-    positions = list(enumerate_subsets(s, r))
+    # children[i]: r-set indices inside s-set i, in colex order.
+    children = member_ranks(n, s, r)
+    num_s = len(children)
+    num_r = binomial(n, r)
     # cover_mask[j]: bitmap over s-set indices covered by r-set j.  Each is
     # filled a byte at a time, so setup is linear in its output, and turned
     # into an int in place, so the bytes and the ints never all coexist.
-    cover_mask: list = [bytearray(num_s // 8 + 1) for _ in r_sets]
-    # children[i]: r-set indices inside s-set i, in colex order.
-    children: list[list[int]] = []
-    for i, S in enumerate(s_sets):
-        # positions index into S; translate them to r-sets.
-        subs = [r_rank[tuple(map(S.__getitem__, pos))] for pos in positions]
-        children.append(subs)
+    cover_mask: list = [bytearray(num_s // 8 + 1) for _ in range(num_r)]
+    for i, subs in enumerate(children):
         byte, bit = i >> 3, 1 << (i & 7)
         for j in subs:
             cover_mask[j][byte] |= bit
@@ -110,9 +99,8 @@ def solve_min_turan(
         cover_mask[j] = int.from_bytes(bits, "little")
     per_edge = binomial(n - r, s - r)
 
-    incumbent = _prefix_edges(n, s, r)
-    incumbent_idx = [r_rank[e] for e in incumbent]
-    best = len(incumbent)
+    incumbent_idx = range(binomial(n - s + r, r))
+    best = len(incumbent_idx)
     nodes = 0
     exhausted = False
 
@@ -129,9 +117,9 @@ def solve_min_turan(
     # d + ceil(uncovered / per_edge) < best.  need moves by per_edge with
     # each push and pop and is reset when best falls; a child that covers
     # everything then only passes it if d < best.
-    none = len(r_sets)
+    none = num_r
     cover_mask.append(0)
-    root_branch = [r_rank[tuple(range(r))]]
+    root_branch = [0]
     stack = [(0, iter([none]), none)]
     need = num_s - (best - 1) * per_edge
     while stack:
@@ -161,7 +149,7 @@ def solve_min_turan(
             stack.pop()
             need -= per_edge
 
-    witness = UniformHypergraph.from_edges(n, r, [r_sets[j] for j in incumbent_idx])
+    witness = UniformHypergraph.from_edges(n, r, [unrank_colex(j, r, n) for j in incumbent_idx])
     return SolveResult(
         n=n,
         s=s,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from turan_systems.bounds import (
     bound_reports,
-    large_gap_branch_parameters,
     counting_lower_T,
     decaen_lower_mu,
     large_gap_mu_bound,
@@ -230,24 +229,6 @@ class TestSegmentSplit:
         assert segment_split_plan(r, R, delta).all_hold()
 
 
-class TestLargeGapBranchParameters:
-    def test_reference(self):
-        p = large_gap_branch_parameters(1000, 10, 0.01)
-        assert p.delta == pytest.approx(1.8)  # 18 R^2 / r dominates eps1
-        assert p.c == pytest.approx(10 * math.log(30 / 1.8) + math.log(2000))
-        assert p.c_in_domain
-
-    def test_eps_branch_condition(self):
-        # delta = eps1 exactly when R <= sqrt(eps1 r / 18).
-        p = large_gap_branch_parameters(10**6, 10, 0.01)
-        assert p.delta == pytest.approx(0.01)
-
-    def test_c_decreasing_in_delta(self):
-        a = large_gap_branch_parameters(10**4, 10, 0.05).c
-        b = large_gap_branch_parameters(10**4, 10, 0.5).c
-        assert b < a
-
-
 class TestSchedule:
     def test_single_step_termination(self):
         # Small r relative to 18R^2/eps1: one entry and stop.
@@ -311,6 +292,19 @@ class TestChainCheck:
         assert a.ratio == pytest.approx(1.0039127294808805, rel=1e-6)
         b = closing_chain_check(10**7, 10**4)
         assert b.ratio == pytest.approx(1.0003912288731949, rel=1e-6)
+
+    def test_ratio_with_finite_target_is_one_division(self):
+        a = closing_chain_check(3, 10**304)
+        assert math.isfinite(a.target)
+        assert a.ratio == a.lhs / a.target
+        assert a.ratio == pytest.approx(0.3342408430900464, rel=1e-12)
+
+    def test_ratio_past_float_range_of_target(self):
+        # R ln C(R+3, 3) overflows at R = 10^305; the ratio must not become 0.
+        a = closing_chain_check(3, 10**305)
+        assert a.target == math.inf
+        assert math.isfinite(a.ratio)
+        assert a.ratio == pytest.approx(0.3342378651156368, rel=1e-12)
 
     def test_ratio_below_threshold(self):
         assert closing_chain_check(10**6, 10**3).ratio < 1.1

@@ -350,10 +350,11 @@ class TestCertifyLll:
         code, _, err = run(["certify-lll", "--r", "2", "--big-r", "1"], capsys)
         assert code == 3 and "degenerate" in err
 
-    @pytest.mark.parametrize("big_r", ["2000", str(10**17)])
+    @pytest.mark.parametrize("big_r", ["2000", str(10**17), str(10**309)])
     def test_degenerate_log_path_cell_exit3(self, capsys, big_r):
         # N <= s on the log-space path, with N floored (R = 2000, N = 1001)
-        # or carried as ln N (R = 10^17, N about R/2).
+        # or carried as ln N (R = 10^17, N about R/2; R = 10^309, beyond
+        # float range, which the chain check must survive).
         code, out, err = run(["certify-lll", "--r", "2", "--big-r", big_r], capsys)
         assert code == 3 and not out
         assert err.startswith("degenerate parameters: N = ") and "<= s = " in err

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -11,6 +12,7 @@ from turan_systems.combinatorics import (
     binomial,
     enumerate_subsets,
     log_binomial,
+    member_ranks,
     rank_colex,
     unrank_colex,
 )
@@ -156,6 +158,18 @@ class TestEnumerate:
         for a, b in zip(cuts, cuts[1:]):
             pieces.extend(enumerate_subsets(9, 4, start=a, stop=b))
         assert pieces == full
+
+
+class TestMemberRanks:
+    def test_matches_ranks_of_combinations(self):
+        for n in range(2, 10):
+            for s in range(2, n + 1):
+                for r in range(1, s):
+                    expected = [
+                        sorted(rank_colex(x) for x in itertools.combinations(S, r))
+                        for S in enumerate_subsets(n, s)
+                    ]
+                    assert member_ranks(n, s, r) == expected, (n, s, r)
 
 
 class TestLogValue:

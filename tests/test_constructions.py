@@ -15,7 +15,6 @@ from turan_systems.constructions import (
     blowup,
     construction_parameters,
     dependency_degree,
-    dependency_term_ratios,
     expected_recursive_size,
     lll_certificate_for,
     lll_condition,
@@ -192,11 +191,6 @@ class TestDependencyDegree:
     def test_exact_small(self):
         # N=6, s=4, r=3: pairs of 4-sets sharing >= 3 vertices, loops included.
         assert dependency_degree(6, 4, 3) == binomial(4, 3) * binomial(2, 1) + 1
-
-    def test_term_ratios_below_half_in_domain(self):
-        s, R = 13, 3  # r = 10, N = C(s,3)
-        N = binomial(s, 3)
-        assert all(rho <= 0.5 for rho in dependency_term_ratios(N, s, 10))
 
     def test_upper_bound_when_valid(self):
         s, R, r = 13, 3, 10

@@ -75,6 +75,16 @@ class TestSolveMinTuran:
         assert res.nodes_explored == 2001
         assert res.optimum == binomial(29, 3)  # still the prefix incumbent
 
+    def test_setup_heavy_budgeted_solve_pinned(self):
+        # Setup dominates at n = 40; with 10 nodes the incumbent is still
+        # the prefix system, the colex-first C(39,3) triples.
+        res = solve_min_turan(40, 4, 3, node_budget=10)
+        assert res.budget_exhausted and not res.proven_optimal
+        assert res.nodes_explored == 11
+        assert res.optimum == binomial(39, 3)
+        assert res.witness.edges == tuple(enumerate_subsets(39, 3))
+        assert res.witness == trivial_prefix_system(40, 4, 3)
+
 
 def reference_solve(n, s, r, node_budget):
     """The search as it was written before the per-depth threshold.

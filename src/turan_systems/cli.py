@@ -19,7 +19,7 @@ import time
 import warnings
 
 from . import __version__
-from .bounds import bound_reports, closing_chain_check
+from .bounds import ALPHA_ROOT_R_MAX, bound_reports, closing_chain_check
 from .constructions import (
     ConstructionError,
     blowup,
@@ -35,7 +35,7 @@ from .hypergraph import (
     is_turan_system,
     sample_verify,
 )
-from .solver import ValueCache, solve_with_cache
+from .solver import DEFAULT_NODE_BUDGET, ValueCache, solve_with_cache
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -193,7 +193,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = solve_with_cache(args.n, args.s, args.r, cache=ValueCache())
+            result = solve_with_cache(
+                args.n, args.s, args.r, cache=ValueCache(), node_budget=args.node_budget
+            )
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_USAGE
@@ -252,6 +254,15 @@ def cmd_certify_lll(args: argparse.Namespace) -> int:
             cert = lll_condition(args.n, args.r + args.big_r, args.r, args.ell)
             chain = None
         else:
+            # Every r = 2 cell is degenerate (N < s), which is reported
+            # below at any R; for r >= 3 the schedule's logs leave float
+            # range beyond the root's limit, so such R is refused as
+            # `bounds` refuses it.
+            if args.r > 2 and args.big_r > ALPHA_ROOT_R_MAX:
+                raise ValueError(
+                    "certify-lll supports R <= 10**305 for r >= 3; "
+                    "the construction parameters leave float range beyond"
+                )
             chain = closing_chain_check(args.r, args.big_r)
             params = chain.params
             if params.degenerate:
@@ -338,6 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
+    p.add_argument(
+        "--node-budget", type=int, dest="node_budget", default=DEFAULT_NODE_BUDGET,
+        help="search nodes allowed over all levels",
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", help="all mu-scale bounds at one (r, R)")

@@ -1,20 +1,26 @@
 """Ground-truth oracle: exact T(n,s,r) at desk scale.
 
 Minimum Turán systems are minimum set covers: the C(n,s) s-sets must each
-be covered by some r-set inside them.  The solver branches on the
-colex-least uncovered s-set, which keeps node counts and witnesses
-deterministic, and cross-checks r = 2 against the Turán graph.
+be covered by some r-set inside them.  The solver proves T(m,s,r) for
+m = s, ..., n in turn: each level's lower bound comes from counting or
+from averaging over the level below, its first incumbent is the smaller
+of the prefix system and a Turán construction, and only a level where
+the two differ is searched.  The search branches on the colex-least
+uncovered s-set, which keeps node counts and witnesses deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import tempfile
 import time
 import warnings
 from dataclasses import dataclass
 
+from .bounds import counting_lower_T
 from .combinatorics import binomial, member_ranks, unrank_colex
 from .hypergraph import UniformHypergraph, is_turan_system
 
@@ -24,6 +30,15 @@ CACHE_ENV_VAR = "TURAN_CACHE"
 
 @dataclass
 class SolveResult:
+    """The best (n,s,r) system found and how far it is proven.
+
+    `lower_bound` is the root bound of level n, from `lower_bound_source`
+    ("counting" or "averaging").  `proof` says how optimality was shown:
+    "bound-met" when the optimum equals that bound, "exhausted" when the
+    search tree was exhausted, None when the node budget ran out first.
+    `nodes_explored` and the budget span every level searched.
+    """
+
     n: int
     s: int
     r: int
@@ -32,6 +47,9 @@ class SolveResult:
     nodes_explored: int
     proven_optimal: bool
     budget_exhausted: bool
+    lower_bound: int
+    lower_bound_source: str
+    proof: str | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -43,6 +61,9 @@ class SolveResult:
             "nodes_explored": self.nodes_explored,
             "proven_optimal": self.proven_optimal,
             "budget_exhausted": self.budget_exhausted,
+            "lower_bound": self.lower_bound,
+            "lower_bound_source": self.lower_bound_source,
+            "proof": self.proof,
         }
 
 
@@ -60,12 +81,71 @@ def turan_r2_value(n: int, s: int) -> int:
     return rem * binomial(q + 1, 2) + (parts - rem) * binomial(q, 2)
 
 
-def solve_min_turan(
-    n: int, s: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> SolveResult:
-    """Exact T(n,s,r) by branch-and-bound over covering r-sets.
+def _check_arguments(n: int, s: int, r: int, node_budget: int) -> None:
+    if not (r < s <= n):
+        raise ValueError(f"need r < s <= n, got r={r}, s={s}, n={n}")
+    if node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
 
-    Intended for desk scale (roughly n <= 9 for r = 2, n <= 8 for r >= 3).
+
+def _balanced_parts(n: int, k: int) -> list[range]:
+    """[n] cut into k consecutive blocks of sizes within one, larger first."""
+    q, rem = divmod(n, k)
+    cuts = itertools.accumulate((q + (i < rem) for i in range(k)), initial=0)
+    return list(itertools.starmap(range, itertools.pairwise(cuts)))
+
+
+def _turan_construction(n: int, s: int, r: int) -> list[tuple[int, ...]] | None:
+    """Turán's (n,s,r) system where one is known, else None.
+
+    r = 2: the complement of the balanced (s-1)-partite Turán graph, the
+    pairs inside the parts; an s-set has two vertices in some part.
+    (s,r) = (4,3): with [n] in three balanced parts V0, V1, V2, the
+    triples inside a part and those with two vertices in Vi and one in
+    V(i+1 mod 3); a 4-set has three vertices in a part or two in Vi and
+    one or two in a neighbouring part, which closes one such triple.
+    """
+    if r == 2:
+        return [e for part in _balanced_parts(n, s - 1) for e in itertools.combinations(part, 2)]
+    if (s, r) != (4, 3):
+        return None
+    parts = _balanced_parts(n, 3)
+    edges = []
+    for i, part in enumerate(parts):
+        edges += itertools.combinations(part, 3)
+        edges += (
+            tuple(sorted((a, b, c)))
+            for a, b in itertools.combinations(part, 2)
+            for c in parts[(i + 1) % 3]
+        )
+    return edges
+
+
+def _first_incumbent(n: int, s: int, r: int) -> list[int] | range:
+    """Colex ranks of the smaller of the prefix system and Turán's.
+
+    The prefix system, every r-subset of the first n - s + r vertices, is
+    exactly the colex-first C(n-s+r, r) r-sets; it is kept on a tie.
+    """
+    prefix = range(binomial(n - s + r, r))
+    edges = _turan_construction(n, s, r)
+    if edges is None or len(edges) >= len(prefix):
+        return prefix
+    ks = range(1, r + 1)
+    return [sum(map(math.comb, e, ks)) for e in edges]
+
+
+def _search(
+    n: int, s: int, r: int, incumbent: list[int] | range, bound: int, node_budget: int
+) -> tuple[list[int] | range, int, bool]:
+    """Branch and bound for an (n,s,r) system smaller than `incumbent`.
+
+    `incumbent` holds colex ranks of r-sets forming a Turán system.  The
+    search stops when it exhausts its tree, when it finds a system of
+    `bound` edges or fewer, or when it has visited more than `node_budget`
+    nodes.  Returns the ranks of the best system found, the number of
+    nodes visited and whether the budget ran out.
+
     Branches on the colex-least uncovered s-set with one child per r-subset
     of it; prunes a node with d edges when d + ceil(uncovered / C(n-r, s-r))
     reaches the incumbent.  That bound is kept as one threshold per depth:
@@ -73,16 +153,10 @@ def solve_min_turan(
     C(n,s) - (best - d - 1) * C(n-r, s-r) s-sets, so each node costs one OR
     and one popcount.  At the root, the branch is fixed to the single edge
     {0,...,r-1}, colex rank 0, which is safe because the root subproblem is
-    invariant under all vertex relabelings.  The first incumbent is the
-    prefix system, every r-subset of the first n - s + r vertices: any s-set
-    has at least r vertices there.  Those r-sets are exactly the colex-first
-    C(n-s+r, r), so the incumbent is the ranks range(C(n-s+r, r)).  The
-    search keeps its own stack, so a deep search ends at the node budget,
-    not at the interpreter's recursion limit.
+    invariant under all vertex relabelings.  The search keeps its own stack,
+    so a deep search ends at the node budget, not at the interpreter's
+    recursion limit.
     """
-    if not (r < s <= n):
-        raise ValueError(f"need r < s <= n, got r={r}, s={s}, n={n}")
-
     # children[i]: r-set indices inside s-set i, in colex order.
     children = member_ranks(n, s, r)
     num_s = len(children)
@@ -99,8 +173,7 @@ def solve_min_turan(
         cover_mask[j] = int.from_bytes(bits, "little")
     per_edge = binomial(n - r, s - r)
 
-    incumbent_idx = range(binomial(n - s + r, r))
-    best = len(incumbent_idx)
+    best = len(incumbent)
     nodes = 0
     exhausted = False
 
@@ -136,7 +209,10 @@ def solve_min_turan(
                 continue
             if count == num_s:
                 best = len(stack) - 1
-                incumbent_idx = [frame[2] for frame in stack[2:]] + [j]
+                incumbent = [frame[2] for frame in stack[2:]] + [j]
+                if best <= bound:
+                    stack.clear()
+                    break
                 need = num_s + per_edge
                 continue
             # colex-least uncovered s-set: the lowest zero bit of covered.
@@ -148,17 +224,59 @@ def solve_min_turan(
         else:
             stack.pop()
             need -= per_edge
+    return incumbent, nodes, exhausted
 
-    witness = UniformHypergraph.from_edges(n, r, [unrank_colex(j, r, n) for j in incumbent_idx])
+
+def solve_min_turan(
+    n: int, s: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> SolveResult:
+    """Exact T(n,s,r), level by level, by matching bounds and branch-and-bound.
+
+    Intended for desk scale (roughly n <= 9 for r = 2, n <= 8 for r >= 3,
+    and further where the bounds meet).  Level m = s, ..., n takes as lower
+    bound the larger of ceil(C(m,r)/C(s,r)) and, by Katona, Nemetz and
+    Simonovits, ceil(m T(m-1,s,r) / (m-r)): deleting a vertex of an (m,s,r)
+    system leaves an (m-1,s,r) system, and each edge survives m - r of the
+    m deletions.  T(m-1) is level m-1's optimum when it was proven, its
+    lower bound otherwise.  A level whose first incumbent (`_first_incumbent`)
+    meets its bound is closed with no setup; any other is searched by
+    `_search` until the two meet or its tree is exhausted.  The levels share
+    `node_budget`; once it has run out, the remaining levels take the bound
+    only.  Nothing is kept between calls.
+    """
+    _check_arguments(n, s, r, node_budget)
+    nodes = 0
+    out_of_budget = False
+    below = 0  # T(m-1), or its lower bound when level m-1 is unproven
+    for m in range(s, n + 1):
+        counting = counting_lower_T(m, s, r)
+        averaging = -(-m * below // (m - r))
+        bound, source = (averaging, "averaging") if averaging > counting else (counting, "counting")
+        incumbent = _first_incumbent(m, s, r)
+        if len(incumbent) > bound and not out_of_budget:
+            incumbent, used, out_of_budget = _search(
+                m, s, r, incumbent, bound, node_budget - nodes
+            )
+            nodes += used
+        if len(incumbent) == bound:
+            proof = "bound-met"
+        else:
+            proof = None if out_of_budget else "exhausted"
+        below = bound if proof is None else len(incumbent)
+
+    witness = UniformHypergraph.from_edges(n, r, [unrank_colex(j, r, n) for j in incumbent])
     return SolveResult(
         n=n,
         s=s,
         r=r,
-        optimum=best,
+        optimum=len(incumbent),
         witness=witness,
         nodes_explored=nodes,
-        proven_optimal=not exhausted,
-        budget_exhausted=exhausted,
+        proven_optimal=proof is not None,
+        budget_exhausted=proof is None,
+        lower_bound=bound,
+        lower_bound_source=source,
+        proof=proof,
     )
 
 
@@ -167,7 +285,8 @@ class ValueCache:
 
     Entries are never trusted blindly: hits re-verify the stored witness
     exhaustively before reuse, so a tampered or stale file degrades to a
-    cache miss.
+    cache miss.  An entry also records the proof of its optimum; one
+    without it, or whose proof does not match its bound, is dropped.
     """
 
     def __init__(self, path: str | None = None):
@@ -201,6 +320,11 @@ class ValueCache:
         try:
             witness = UniformHypergraph.from_edges(n, r, entry["edges"])
             optimum = int(entry["optimum"])
+            lower_bound = int(entry["lower_bound"])
+            source, proof = entry["lower_bound_source"], entry["proof"]
+            matching = "bound-met" if lower_bound == optimum else "exhausted"
+            if source not in ("counting", "averaging") or lower_bound > optimum or proof != matching:
+                raise ValueError("proof record does not match the optimum")
         except (KeyError, TypeError, ValueError) as exc:
             warnings.warn(f"dropping malformed cache entry ({n},{s},{r}): {exc}")
             return None
@@ -216,6 +340,9 @@ class ValueCache:
             nodes_explored=0,
             proven_optimal=True,
             budget_exhausted=False,
+            lower_bound=lower_bound,
+            lower_bound_source=source,
+            proof=proof,
         )
 
     def store(self, result: SolveResult) -> None:
@@ -224,6 +351,9 @@ class ValueCache:
         self._data[self._key(result.n, result.s, result.r)] = {
             "optimum": result.optimum,
             "edges": [list(e) for e in result.witness.edges],
+            "lower_bound": result.lower_bound,
+            "lower_bound_source": result.lower_bound_source,
+            "proof": result.proof,
             "verified_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         # Write a temporary file beside the cache and rename it over the
@@ -251,8 +381,11 @@ def solve_with_cache(
 ) -> SolveResult:
     """Cache-aware solve; proven results are persisted.
 
-    A cache that cannot be written only warns: the result is still returned.
+    The arguments are checked before the cache is read, and `node_budget`
+    covers all levels of a solve.  A cache that cannot be written only
+    warns: the result is still returned.
     """
+    _check_arguments(n, s, r, node_budget)
     cache = cache if cache is not None else ValueCache()
     hit = cache.get(n, s, r)
     if hit is not None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -245,6 +246,34 @@ class TestSolve:
         code, _, _ = run(["solve", "--n", "4", "--s", "5", "--r", "2"], capsys)
         assert code == 2
 
+    def test_published_value_proven_by_bound(self, capsys):
+        code, out, err = run(["solve", "--n", "8", "--s", "4", "--r", "3"], capsys)
+        obj = json.loads(out)
+        assert code == 0 and not err
+        assert (obj["optimum"], obj["proof"], obj["lower_bound"]) == (20, "bound-met", 20)
+        assert obj["lower_bound_source"] == "averaging" and obj["proven_optimal"]
+
+    def test_node_budget_exhausted_exit4_with_witness(self, capsys):
+        # (10,4,3) has bound 43 against Turán's 45 and needs a real search;
+        # its budget runs out at level 7 already.
+        code, out, _ = run(
+            ["solve", "--n", "10", "--s", "4", "--r", "3", "--node-budget", "1000"], capsys
+        )
+        obj = json.loads(out)
+        assert code == 4 and obj["budget_exhausted"] and not obj["proven_optimal"]
+        assert obj["proof"] is None and obj["nodes_explored"] == 1001
+        witness = UniformHypergraph.from_json_dict(obj["witness"])
+        assert len(witness) == obj["optimum"] == 45
+        assert is_turan_system(witness, 4).is_turan
+
+    @pytest.mark.parametrize("budget", ["-1", "-50000000"])
+    def test_negative_node_budget_exit2(self, capsys, budget):
+        code, out, err = run(
+            ["solve", "--n", "8", "--s", "4", "--r", "3", "--node-budget", budget], capsys
+        )
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and "budget" in err
+
     def test_unwritable_cache_warns_and_exits0(self, capsys, monkeypatch):
         monkeypatch.setenv("TURAN_CACHE", "/no/such/dir/c.json")
         code, out, err = run(["solve", "--n", "5", "--s", "4", "--r", "3"], capsys)
@@ -349,6 +378,20 @@ class TestCertifyLll:
     def test_degenerate_cell_exit3(self, capsys):
         code, _, err = run(["certify-lll", "--r", "2", "--big-r", "1"], capsys)
         assert code == 3 and "degenerate" in err
+
+    def test_R_at_root_limit_unchanged(self, capsys):
+        code, out, err = run(["certify-lll", "--r", "3", "--big-r", str(10**305)], capsys)
+        assert code == 0 and not err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fa6a9ec97c3fb2e9068705fc553cb1206b57608ebd720adb66b0d5f175f966d6"
+        )
+
+    @pytest.mark.parametrize("r", [3, 10])
+    @pytest.mark.parametrize("exponent", [306, 309])
+    def test_R_beyond_root_range_exit2(self, capsys, r, exponent):
+        code, out, err = run(["certify-lll", "--r", str(r), "--big-r", str(10**exponent)], capsys)
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and "10**305" in err
 
     @pytest.mark.parametrize("big_r", ["2000", str(10**17), str(10**309)])
     def test_degenerate_log_path_cell_exit3(self, capsys, big_r):

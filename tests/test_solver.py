@@ -4,16 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turan_systems.combinatorics import binomial, enumerate_subsets
+from turan_systems import solver
+from turan_systems.combinatorics import binomial, enumerate_subsets, unrank_colex
 from turan_systems.constructions import trivial_prefix_system
 from turan_systems.hypergraph import UniformHypergraph, is_turan_system
 from turan_systems.solver import (
-    SolveResult,
     ValueCache,
+    _search,
+    _turan_construction,
     solve_min_turan,
     solve_with_cache,
     turan_r2_value,
 )
+
+
+def prefix_search(n, s, r, budget):
+    """The search kernel from the prefix incumbent with no bound, as the
+    reference loop runs it: (optimum, witness, nodes, budget ran out)."""
+    ranks, nodes, out = _search(n, s, r, range(binomial(n - s + r, r)), 0, budget)
+    witness = UniformHypergraph.from_edges(n, r, [unrank_colex(j, r, n) for j in ranks])
+    return len(ranks), witness, nodes, out
 
 
 class TestSolveMinTuran:
@@ -46,52 +56,80 @@ class TestSolveMinTuran:
             solve_min_turan(5, 3, 3)
 
     def test_budget_exhaustion_reports_incumbent(self):
-        res = solve_min_turan(7, 3, 2, node_budget=10)
-        assert res.budget_exhausted and not res.proven_optimal
-        assert is_turan_system(res.witness, 3).is_turan
+        # Level 7 of (7,4,3) is searched (bound 11, Turán's 12 edges) and
+        # runs out of its 10 nodes.
+        res = solve_min_turan(7, 4, 3, node_budget=10)
+        assert res.budget_exhausted and not res.proven_optimal and res.proof is None
+        assert res.nodes_explored == 11 and res.optimum == 12
+        assert is_turan_system(res.witness, 4).is_turan
 
     def test_search_order_pinned(self):
-        # The branching order fixes node counts and witnesses; these are the
-        # figures of the recursive form of the same search.
-        for (n, s, r, budget), (optimum, nodes) in {
-            (6, 4, 3, None): (6, 166),
-            (7, 4, 3, None): (12, 114374),
-            (7, 3, 2, 10): (15, 11),
-            (6, 4, 2, 37): (3, 38),
-            (8, 5, 4, None): (14, 201527),
-            (8, 6, 4, None): (6, 27182),
-            (9, 5, 2, None): (6, 10422),
-            (7, 5, 3, None): (5, 472),
+        # The branching order fixes node counts and witnesses.  From the
+        # prefix incumbent with no bound, the kernel gives the figures of
+        # the recursive form of the same search; the solver's figures add
+        # the levels below n and stop where the bound is met.
+        for (n, s, r, budget), (optimum, kernel_nodes, nodes) in {
+            (6, 4, 3, None): (6, 166, 0),
+            (7, 4, 3, None): (12, 114374, 113722),
+            (7, 3, 2, 10): (15, 11, None),
+            (6, 4, 2, 37): (3, 38, 0),
+            (8, 5, 4, None): (14, 201527, 201857),
+            (8, 6, 4, None): (6, 27182, 25955),
+            (9, 5, 2, None): (6, 10422, 0),
+            (7, 5, 3, None): (5, 472, 494),
         }.items():
-            kwargs = {} if budget is None else {"node_budget": budget}
-            res = solve_min_turan(n, s, r, **kwargs)
-            assert (res.optimum, res.nodes_explored) == (optimum, nodes)
+            budget = solver.DEFAULT_NODE_BUDGET if budget is None else budget
+            assert prefix_search(n, s, r, budget)[::2] == (optimum, kernel_nodes)
+            if nodes is not None:
+                res = solve_min_turan(n, s, r, node_budget=budget)
+                assert (res.optimum, res.nodes_explored) == (optimum, nodes)
+        # Turán's theorem closes (7,3,2) at the root: T(7,3,2) = 9.
+        res = solve_min_turan(7, 3, 2, node_budget=10)
+        assert (res.optimum, res.nodes_explored, res.proof) == (9, 0, "bound-met")
 
     def test_deep_search_does_not_overflow(self):
         # The first dive for (30,4,3) goes past depth 1000 within this budget,
         # deeper than the interpreter's default recursion limit.
-        res = solve_min_turan(30, 4, 3, node_budget=2000)
-        assert res.budget_exhausted and not res.proven_optimal
-        assert res.nodes_explored == 2001
-        assert res.optimum == binomial(29, 3)  # still the prefix incumbent
+        optimum, _, nodes, out = prefix_search(30, 4, 3, 2000)
+        assert out and nodes == 2001
+        assert optimum == binomial(29, 3)  # still the prefix incumbent
 
-    def test_setup_heavy_budgeted_solve_pinned(self):
-        # Setup dominates at n = 40; with 10 nodes the incumbent is still
-        # the prefix system, the colex-first C(39,3) triples.
+    def test_setup_heavy_budgeted_solve_pinned(self, monkeypatch):
+        # Setup dominates the kernel at n = 40; with 10 nodes its incumbent
+        # is still the prefix system, the colex-first C(39,3) triples.
+        optimum, witness, nodes, out = prefix_search(40, 4, 3, 10)
+        assert out and nodes == 11 and optimum == binomial(39, 3)
+        assert witness.edges == tuple(enumerate_subsets(39, 3))
+        assert witness == trivial_prefix_system(40, 4, 3)
+        # The solver spends the 10 nodes at level 7, the first level its
+        # bound leaves open, and sets up no other level: levels 8 to 40
+        # take the bound only, and the witness is Turán's construction.
+        built = []
+        real = solver.member_ranks
+        monkeypatch.setattr(solver, "member_ranks", lambda *a: built.append(a) or real(*a))
         res = solve_min_turan(40, 4, 3, node_budget=10)
-        assert res.budget_exhausted and not res.proven_optimal
+        assert built == [(7, 4, 3)]
+        assert res.budget_exhausted and not res.proven_optimal and res.proof is None
         assert res.nodes_explored == 11
-        assert res.optimum == binomial(39, 3)
-        assert res.witness.edges == tuple(enumerate_subsets(39, 3))
-        assert res.witness == trivial_prefix_system(40, 4, 3)
+        assert res.witness == UniformHypergraph.from_edges(40, 3, _turan_construction(40, 4, 3))
+        assert res.optimum == 4225 and res.lower_bound == 3289
+        assert res.lower_bound_source == "averaging"
+
+    def test_level_closed_at_root_does_no_setup(self, monkeypatch):
+        monkeypatch.setattr(solver, "member_ranks", None)
+        for n, s, r in [(10, 5, 2), (11, 6, 2), (6, 4, 3), (9, 6, 1)]:
+            res = solve_min_turan(n, s, r)
+            assert res.nodes_explored == 0 and res.proof == "bound-met"
 
 
-def reference_solve(n, s, r, node_budget):
+def reference_solve(n, s, r, node_budget, incumbent=None, bound=0):
     """The search as it was written before the per-depth threshold.
 
     Every node stores its r-set in a path array and takes the ceiling bound
-    from the complement of its covered set.  Returns the result and the
-    node numbers at which the incumbent improved.
+    from the complement of its covered set.  It starts from `incumbent`, a
+    list of r-sets (the prefix system by default), and stops once it finds
+    a system of at most `bound` edges.  Returns (optimum, witness, nodes,
+    budget ran out) and the node numbers at which the incumbent improved.
     """
     s_sets = list(enumerate_subsets(n, s))
     r_rank = {}
@@ -110,11 +148,12 @@ def reference_solve(n, s, r, node_budget):
     all_covered = (1 << num_s) - 1
     per_edge = binomial(n - r, s - r)
 
-    incumbent = list(enumerate_subsets(n - (s - r), r))
+    if incumbent is None:
+        incumbent = list(enumerate_subsets(n - (s - r), r))
     incumbent_idx = [r_rank[e] for e in incumbent]
     best = len(incumbent)
     nodes = 0
-    exhausted = False
+    exhausted = met = False
     improved_at = []
 
     none = len(r_sets)
@@ -122,7 +161,7 @@ def reference_solve(n, s, r, node_budget):
     root_branch = [r_rank[tuple(range(r))]]
     path = [none] * (best + 1)
     stack = [(0, iter([none]))]
-    while stack and not exhausted:
+    while stack and not (exhausted or met):
         base, rest = stack[-1]
         depth = len(stack) - 1
         for j in rest:
@@ -137,6 +176,9 @@ def reference_solve(n, s, r, node_budget):
                     best = depth
                     incumbent_idx = path[1:depth + 1]
                     improved_at.append(nodes)
+                    if best <= bound:
+                        met = True
+                        break
                 continue
             uncovered = all_covered & ~covered
             if depth + -(-(uncovered.bit_count()) // per_edge) >= best:
@@ -148,13 +190,67 @@ def reference_solve(n, s, r, node_budget):
             stack.pop()
 
     witness = UniformHypergraph.from_edges(n, r, [r_sets[j] for j in incumbent_idx])
-    result = SolveResult(n, s, r, best, witness, nodes, not exhausted, exhausted)
-    return result, improved_at
+    return (best, witness, nodes, exhausted), improved_at
+
+
+def reference_construction(n, s, r):
+    """Turán's systems, as the r-sets whose parts fit the pattern.
+
+    Vertex v lies in part v // (q + 1) among the first rem * (q + 1)
+    vertices and in part rem + (v - rem * (q + 1)) // q after them, for
+    n = q k + rem and k parts: k = s - 1 for r = 2, k = 3 for (4,3).
+    """
+    if r != 2 and (s, r) != (4, 3):
+        return None
+    k = s - 1 if r == 2 else 3
+    q, rem = divmod(n, k)
+    head = rem * (q + 1)
+    part = [v // (q + 1) if v < head else rem + (v - head) // q for v in range(n)]
+    if r == 2:
+        return [e for e in enumerate_subsets(n, 2) if part[e[0]] == part[e[1]]]
+    patterns = [(i, i, i) for i in range(3)] + [(i, i, (i + 1) % 3) for i in range(3)]
+    patterns = {tuple(sorted(p)) for p in patterns}
+    return [e for e in enumerate_subsets(n, 3) if tuple(sorted(part[v] for v in e)) in patterns]
+
+
+def reference_levels(n, s, r, node_budget):
+    """solve_min_turan's levels written out over reference_solve: each
+    level's bound from counting and averaging, its first incumbent the
+    smaller of the prefix system and reference_construction."""
+    below = nodes = 0
+    out = False
+    for m in range(s, n + 1):
+        counting = -(-binomial(m, r) // binomial(s, r))
+        averaging = -(-m * below // (m - r)) if m > s else 0
+        bound = max(counting, averaging)
+        source = "averaging" if averaging > counting else "counting"
+        incumbent = list(enumerate_subsets(m - s + r, r))
+        built = reference_construction(m, s, r)
+        if built is not None and len(built) < len(incumbent):
+            incumbent = built
+        best, witness = len(incumbent), UniformHypergraph.from_edges(m, r, incumbent)
+        if best > bound and not out:
+            (best, witness, used, out), _ = reference_solve(
+                m, s, r, node_budget - nodes, incumbent, bound
+            )
+            nodes += used
+        proof = "bound-met" if best == bound else None if out else "exhausted"
+        below = bound if proof is None else best
+    return {
+        "n": n, "s": s, "r": r, "optimum": best, "witness": witness.to_json_dict(),
+        "nodes_explored": nodes, "proven_optimal": proof is not None,
+        "budget_exhausted": proof is None, "lower_bound": bound,
+        "lower_bound_source": source, "proof": proof,
+    }
 
 
 # Reference budget: enough for every (n <= 8) instance to improve its
 # incumbent several times, small enough for the reference loop.
 REFERENCE_CAP = 20_000
+
+SMALL_INSTANCES = [
+    (n, s, r) for n in range(2, 9) for s in range(2, n + 1) for r in range(1, s)
+]
 
 
 @st.composite
@@ -175,21 +271,105 @@ def budgeted_instances(draw):
 
 
 class TestSearchEquivalence:
+    """The kernel from the prefix incumbent with no bound, node for node."""
+
     @settings(max_examples=60, deadline=None)
     @given(budgeted_instances())
     def test_matches_reference_loop(self, case):
         n, s, r, budget = case
         want, _ = reference_solve(n, s, r, budget)
-        got = solve_min_turan(n, s, r, node_budget=budget)
-        assert got.to_json_dict() == want.to_json_dict()
+        assert prefix_search(n, s, r, budget) == want
 
     def test_every_small_instance_to_the_cap(self):
-        for n in range(2, 9):
-            for s in range(2, n + 1):
-                for r in range(1, s):
-                    want, _ = reference_solve(n, s, r, REFERENCE_CAP)
-                    got = solve_min_turan(n, s, r, node_budget=REFERENCE_CAP)
-                    assert got.to_json_dict() == want.to_json_dict()
+        for n, s, r in SMALL_INSTANCES:
+            want, _ = reference_solve(n, s, r, REFERENCE_CAP)
+            assert prefix_search(n, s, r, REFERENCE_CAP) == want
+
+
+class TestLevelEquivalence:
+    """The solver against the reference loop fed the same levels."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SMALL_INSTANCES), st.integers(0, REFERENCE_CAP))
+    def test_matches_reference_levels(self, instance, budget):
+        got = solve_min_turan(*instance, node_budget=budget).to_json_dict()
+        assert got == reference_levels(*instance, budget)
+
+    def test_every_small_instance_to_the_cap(self):
+        for n, s, r in SMALL_INSTANCES:
+            got = solve_min_turan(n, s, r, node_budget=REFERENCE_CAP).to_json_dict()
+            assert got == reference_levels(n, s, r, REFERENCE_CAP)
+
+
+class TestBoundsAndConstructions:
+    def test_lower_bound_sound_for_small_instances(self):
+        # Every instance with n <= 8 is proven; where the unbounded
+        # reference search proves within its cap, the optima agree.
+        agreed = 0
+        for n, s, r in SMALL_INSTANCES:
+            res = solve_min_turan(n, s, r)
+            assert res.proven_optimal and res.proof in ("exhausted", "bound-met")
+            assert res.lower_bound <= res.optimum == len(res.witness)
+            assert (res.proof == "bound-met") == (res.lower_bound == res.optimum)
+            assert is_turan_system(res.witness, s).is_turan
+            (optimum, _, _, out), _ = reference_solve(n, s, r, REFERENCE_CAP)
+            if not out:
+                assert res.optimum == optimum
+                agreed += 1
+        assert agreed == 78  # of 84
+
+    def test_turan_43_construction(self):
+        for n in range(4, 13):
+            edges = _turan_construction(n, 4, 3)
+            H = UniformHypergraph.from_edges(n, 3, edges)
+            assert len(H) == len(edges) and is_turan_system(H, 4).is_turan
+            assert sorted(edges) == sorted(reference_construction(n, 4, 3))
+        assert len(_turan_construction(8, 4, 3)) == 20
+        assert len(_turan_construction(9, 4, 3)) == 30
+
+    def test_r2_construction_is_turan(self):
+        for n in range(3, 13):
+            for s in range(3, n + 1):
+                edges = _turan_construction(n, s, 2)
+                H = UniformHypergraph.from_edges(n, 2, edges)
+                assert is_turan_system(H, s).is_turan
+                assert len(H) == len(edges) == turan_r2_value(n, s)
+
+    def test_no_construction_elsewhere(self):
+        assert _turan_construction(8, 5, 3) is None and _turan_construction(8, 5, 4) is None
+
+    def test_published_43_values_proven_by_bound(self):
+        # T(8,4,3) = 20 and T(9,4,3) = 30 (Sidorenko, Graphs Combin. 1995):
+        # averaging from T(7,4,3) = 12 gives ceil(8 * 12 / 5) = 20, then
+        # ceil(9 * 20 / 6) = 30, which Turán's construction meets.
+        for n, value in [(8, 20), (9, 30)]:
+            res = solve_min_turan(n, 4, 3)
+            assert (res.optimum, res.proof, res.lower_bound) == (value, "bound-met", value)
+            assert res.lower_bound_source == "averaging" and res.proven_optimal
+            assert is_turan_system(res.witness, 4).is_turan
+
+    def test_r2_solves_without_turans_formula(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solve_min_turan called turan_r2_value")
+
+        monkeypatch.setattr(solver, "turan_r2_value", refuse)
+        for n in range(3, 13):
+            for s in range(3, min(n, 7) + 1):
+                res = solve_min_turan(n, s, 2)
+                assert res.nodes_explored == 0 and res.proof == "bound-met"
+                assert res.optimum == turan_r2_value(n, s)
+
+    def test_repeated_calls_are_identical(self):
+        for args in [(8, 4, 3), (9, 7, 5), (11, 6, 2)]:
+            assert solve_min_turan(*args).to_json_dict() == solve_min_turan(*args).to_json_dict()
+        budgeted = [solve_min_turan(10, 4, 3, node_budget=500).to_json_dict() for _ in range(2)]
+        assert budgeted[0] == budgeted[1]
+
+    def test_negative_budget_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            solve_min_turan(6, 4, 3, node_budget=-1)
+        with pytest.raises(ValueError):
+            solve_with_cache(6, 4, 3, cache=ValueCache(str(tmp_path / "c.json")), node_budget=-1)
 
 
 class TestTuranGraphCrossCheck:
@@ -220,6 +400,27 @@ class TestValueCache:
         again = ValueCache(str(tmp_path / "cache.json")).get(4, 3, 2)
         assert again is not None
         assert again.optimum == res.optimum and again.witness == res.witness
+        assert (again.lower_bound, again.lower_bound_source, again.proof) == (
+            res.lower_bound, res.lower_bound_source, res.proof
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda e: e.pop("proof"),  # written before proofs were recorded
+            lambda e: e.update(proof="exhausted"),  # bound-met is the only match
+            lambda e: e.update(lower_bound=e["optimum"] + 1),
+            lambda e: e.update(lower_bound_source="guess"),
+        ],
+    )
+    def test_entry_without_matching_proof_dropped(self, tmp_path, edit):
+        path = tmp_path / "cache.json"
+        ValueCache(str(path)).store(solve_min_turan(8, 4, 3))
+        data = json.loads(path.read_text())
+        edit(data["8,4,3"])
+        path.write_text(json.dumps(data))
+        with pytest.warns(UserWarning, match="malformed"):
+            assert ValueCache(str(path)).get(8, 4, 3) is None
 
     def test_tampered_witness_rejected(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -277,7 +478,7 @@ class TestValueCache:
 
     def test_unproven_results_not_cacheable(self, tmp_path):
         cache = ValueCache(str(tmp_path / "cache.json"))
-        res = solve_min_turan(7, 3, 2, node_budget=10)
+        res = solve_min_turan(7, 4, 3, node_budget=10)
         with pytest.raises(ValueError):
             cache.store(res)
 

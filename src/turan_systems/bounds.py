@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
-from .combinatorics import EXACT_LOG_N_MAX, binomial, log_binomial
+from .combinatorics import EXACT_LOG_N_MAX, JsonRecord, binomial, log_binomial
 from .constructions import ConstructionParameters, construction_parameters
 
 
@@ -22,21 +22,12 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(JsonRecord):
     name: str
     kind: str  # "lower" | "upper" | "asymptotic-upper"
     value: float
     assumptions: tuple[str, ...] = ()
     exact_path: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "value": self.value,
-            "assumptions": list(self.assumptions),
-            "exact_path": self.exact_path,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +51,14 @@ def decaen_lower_mu(s: int, r: int) -> float:
 
 @dataclass(frozen=True)
 class RootResult:
-    """Largest real root of e^x = (x+1)^{R+1} and the constant alpha."""
+    """Largest real root of e^x = (x+1)^{R+1} and the constant alpha.
+
+    residual is |exp(g(c0)) - 1| at the float c0, g(x) = x - (R+1) ln(1+x).
+    It carries no information once ulp(c0) >= 1 (c0 >= 2^52, from about
+    R = 1.3e14): g(c0) is then a difference of floats whose spacing is 1
+    or more, so residual is 0.0 or at least 1 - 1/e however close c0 is
+    to the root.
+    """
 
     R: int
     c0: float
@@ -99,7 +97,8 @@ def limit_alpha_root(R: int) -> RootResult:
     taken in one jump to the dyadic cell that holds it; the rest run as a
     plain bisection that calls g only inside the window.  So c0 is the
     bisection's float, bit for bit, for about a quarter of its calls of g.
-    R must lie in [1, ALPHA_ROOT_R_MAX]; ValueError otherwise.
+    R must lie in [1, ALPHA_ROOT_R_MAX]; ValueError otherwise.  The
+    residual says nothing from about R = 1.3e14 on (see RootResult).
     """
     if not 1 <= R <= ALPHA_ROOT_R_MAX:
         raise ValueError(
@@ -266,7 +265,7 @@ def segment_split_plan(r: int, R: int, delta: float) -> SegmentSplitResult:
 
 
 @dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(JsonRecord):
     r_i: int
     k_i: int
     case_tag: str
@@ -277,7 +276,7 @@ class ScheduleEntry:
 
 
 @dataclass
-class RecursionTrace:
+class RecursionTrace(JsonRecord):
     """The (r_i, k_i) descent schedule, optionally with mu values."""
 
     r: int
@@ -291,32 +290,6 @@ class RecursionTrace:
     base_source: str | None = None
     final_mu: float | None = None
     ratio_to_RlnR: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "R": self.R,
-            "eps1": self.eps1,
-            "t": self.t,
-            "r_final": self.r_final,
-            "entries": [
-                {
-                    "r_i": e.r_i,
-                    "k_i": e.k_i,
-                    "case_tag": e.case_tag,
-                    "in_domain": e.in_domain,
-                    "step_lower_bound_ok": e.step_lower_bound_ok,
-                    "c_i": e.c_i,
-                    "mu_bound_i": e.mu_bound_i,
-                }
-                for e in self.entries
-            ],
-            "base_level": self.base_level,
-            "base_mu_log": self.base_mu_log,
-            "base_source": self.base_source,
-            "final_mu": self.final_mu,
-            "ratio_to_RlnR": self.ratio_to_RlnR,
-        }
 
 
 def descent_schedule(r: int, R: int, eps1: float) -> RecursionTrace:
@@ -407,7 +380,7 @@ def descent_certificate(
 
 
 @dataclass(frozen=True)
-class ChainCheckResult:
+class ChainCheckResult(JsonRecord):
     r: int
     R: int
     lhs: float  # C(s,R) * f with f = 1/ell + r(r-1)/(2N)
@@ -416,17 +389,6 @@ class ChainCheckResult:
     ratio: float
     degenerate: bool  # ell < 2, ratio unreliable
     params: ConstructionParameters = field(repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "R": self.R,
-            "lhs": self.lhs,
-            "majorant": self.majorant,
-            "target": self.target,
-            "ratio": self.ratio,
-            "degenerate": self.degenerate,
-        }
 
 
 def closing_chain_check(r: int, R: int) -> ChainCheckResult:
@@ -488,7 +450,11 @@ def closing_chain_check(r: int, R: int) -> ChainCheckResult:
 
 
 def bound_reports(r: int, R: int, eps1: float = 0.05) -> list[BoundReport]:
-    """All applicable mu-scale bounds at (r, R)."""
+    """All applicable mu-scale bounds at (r, R).
+
+    eps1 is unused: no bound here depends on it.  The parameter stays for
+    callers that pass it positionally.
+    """
     s = r + R
     # First, so that an R beyond the root's range is refused before any
     # other bound meets a float overflow.

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success / verified, 1 verified-false, 2 usage error,
-3 construction failure, 4 budget refusal.  Every randomized subcommand
-requires an explicit --seed so reruns are byte-identical; each construct
-run writes a manifest side file recording the full parameter map.
+3 construction failure, 4 budget refusal.  Subcommands return 0 or 1
+(and 4 for a solve that runs out of budget) and raise on every failure;
+main maps the exception to its code and prints it as one stderr line.
+Every randomized subcommand requires an explicit --seed so reruns are
+byte-identical; each construct run writes a manifest side file recording
+the full parameter map.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_BUDGET = 4
+
+# The exit code of each exception a subcommand may raise, first match wins.
+_EXIT_CODES = (
+    (BudgetExceededError, EXIT_BUDGET),
+    (ConstructionError, EXIT_CONSTRUCTION),
+    ((ValueError, OSError), EXIT_USAGE),
+)
 
 
 def _finite_or_null(obj):
@@ -118,40 +128,20 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if getattr(args, name) is None
     ]
     if missing:
-        print(f"construct {args.kind} requires {', '.join(missing)}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.kind == "prefix":
-            system = trivial_prefix_system(args.n, args.s, args.r)
-        elif args.kind == "coloring":
-            outcome = moser_tardos_color(
-                args.n, args.s, args.r, args.ell, args.seed, args.max_rounds
+        raise ValueError(f"construct {args.kind} requires {', '.join(missing)}")
+    if args.kind == "prefix":
+        system = trivial_prefix_system(args.n, args.s, args.r)
+    elif args.kind == "coloring":
+        outcome = moser_tardos_color(args.n, args.s, args.r, args.ell, args.seed, args.max_rounds)
+        if not outcome.success:
+            raise ConstructionError(
+                f"resampling cap reached; last violated s-set {outcome.failed_s_set}"
             )
-            if not outcome.success:
-                print(
-                    f"resampling cap reached; last violated s-set {outcome.failed_s_set}",
-                    file=sys.stderr,
-                )
-                return EXIT_CONSTRUCTION
-            system = outcome.least_class
-        elif args.kind == "blowup":
-            A = _load_system(args.input)
-            system, _report = blowup(A, args.m)
-        elif args.kind == "recursive":
-            system, _sample = recursive_system(
-                args.n, args.r, args.big_r, args.k, args.c, args.seed
-            )
-        else:  # pragma: no cover - argparse restricts choices
-            return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
-    except ConstructionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except (ValueError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        system = outcome.least_class
+    elif args.kind == "blowup":
+        system, _report = blowup(_load_system(args.input), args.m)
+    else:
+        system, _sample = recursive_system(args.n, args.r, args.big_r, args.k, args.c, args.seed)
     _write_output(_dump(system.to_json_dict()), args.out)
     _write_manifest("construct", args, args.out)
     return EXIT_OK
@@ -161,25 +151,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        H = _load_system(args.input)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.mode == "exhaustive":
-            report = is_turan_system(H, args.s, budget=args.budget)
-        else:
-            if args.seed is None:
-                print("sample mode requires --seed", file=sys.stderr)
-                return EXIT_USAGE
-            report = sample_verify(H, args.s, args.trials, args.seed)
-    except BudgetExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    H = _load_system(args.input)
+    if args.mode == "exhaustive":
+        report = is_turan_system(H, args.s, budget=args.budget)
+    elif args.seed is None:
+        raise ValueError("sample mode requires --seed")
+    else:
+        report = sample_verify(H, args.s, args.trials, args.seed)
     sys.stdout.write(_dump(report.to_json_dict()))
     return EXIT_OK if report.is_turan else EXIT_FALSE
 
@@ -192,13 +170,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # change the result; each becomes one line on stderr.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            result = solve_with_cache(
-                args.n, args.s, args.r, cache=ValueCache(), node_budget=args.node_budget
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
+        result = solve_with_cache(
+            args.n, args.s, args.r, cache=ValueCache(), node_budget=args.node_budget
+        )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     sys.stdout.write(_dump(result.to_json_dict()))
@@ -210,7 +184,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 _CSV_COLUMNS = ["r", "R", "bound_name", "kind", "value", "assumptions"]
 
 
-def _bounds_rows(r: int, R: int, eps1: float) -> list[dict]:
+def _bounds_rows(r: int, R: int) -> list[dict]:
     return [
         {
             "r": r,
@@ -220,7 +194,7 @@ def _bounds_rows(r: int, R: int, eps1: float) -> list[dict]:
             "value": rep.value,
             "assumptions": "; ".join(rep.assumptions),
         }
-        for rep in bound_reports(r, R, eps1)
+        for rep in bound_reports(r, R)
     ]
 
 
@@ -236,12 +210,7 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    try:
-        rows = _bounds_rows(args.r, args.big_r, args.eps1)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    _emit_rows(rows, args.format)
+    _emit_rows(_bounds_rows(args.r, args.big_r), args.format)
     return EXIT_OK
 
 
@@ -249,29 +218,23 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_certify_lll(args: argparse.Namespace) -> int:
-    try:
-        if args.n is not None and args.ell is not None:
-            cert = lll_condition(args.n, args.r + args.big_r, args.r, args.ell)
-            chain = None
-        else:
-            # Every r = 2 cell is degenerate (N < s), which is reported
-            # below at any R; for r >= 3 the schedule's logs leave float
-            # range beyond the root's limit, so such R is refused as
-            # `bounds` refuses it.
-            if args.r > 2 and args.big_r > ALPHA_ROOT_R_MAX:
-                raise ValueError(
-                    "certify-lll supports R <= 10**305 for r >= 3; "
-                    "the construction parameters leave float range beyond"
-                )
-            chain = closing_chain_check(args.r, args.big_r)
-            params = chain.params
-            if params.degenerate:
-                print(f"degenerate parameters: {params.degenerate_reason}", file=sys.stderr)
-                return EXIT_CONSTRUCTION
-            cert = lll_certificate_for(params)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    if args.n is not None and args.ell is not None:
+        cert = lll_condition(args.n, args.r + args.big_r, args.r, args.ell)
+        chain = None
+    else:
+        # Every r = 2 cell is degenerate (N < s), which is reported below at
+        # any R; for r >= 3 the schedule's logs leave float range beyond the
+        # root's limit, so such R is refused as `bounds` refuses it.
+        if args.r > 2 and args.big_r > ALPHA_ROOT_R_MAX:
+            raise ValueError(
+                "certify-lll supports R <= 10**305 for r >= 3; "
+                "the construction parameters leave float range beyond"
+            )
+        chain = closing_chain_check(args.r, args.big_r)
+        params = chain.params
+        if params.degenerate:
+            raise ConstructionError(f"degenerate parameters: {params.degenerate_reason}")
+        cert = lll_certificate_for(params)
     payload = {"certificate": cert.to_json_dict()}
     if chain is not None:
         payload["chain_check"] = chain.to_json_dict()
@@ -297,15 +260,8 @@ def _parse_grid(spec: str) -> tuple[list[int], list[int]]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    try:
-        r_values, R_values = _parse_grid(args.grid)
-        rows = []
-        for r in r_values:
-            for R in R_values:
-                rows.extend(_bounds_rows(r, R, args.eps1))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    r_values, R_values = _parse_grid(args.grid)
+    rows = [row for r in r_values for R in R_values for row in _bounds_rows(r, R)]
     _emit_rows(rows, args.format)
     return EXIT_OK
 
@@ -358,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="all mu-scale bounds at one (r, R)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--big-r", type=int, dest="big_r", required=True)
-    p.add_argument("--eps1", type=float, default=0.05)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_bounds)
 
@@ -371,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="bound table over a grid of (r, R) cells")
     p.add_argument("--grid", required=True, help="e.g. 'r=100,1000;R=3,10'")
-    p.add_argument("--eps1", type=float, default=0.05)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(func=cmd_table)
 
@@ -379,9 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (BudgetExceededError, ConstructionError, ValueError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

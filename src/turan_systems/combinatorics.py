@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import total_ordering
 from typing import Iterator
 
@@ -23,6 +23,26 @@ EXACT_N_BUDGET = 512
 # log_binomial takes the log of the exact integer C(n, k) up to this n and
 # Stirling's series beyond it.  This is the one exact-or-log cutoff for ln C.
 EXACT_LOG_N_MAX = 4096
+
+
+class JsonRecord:
+    """Base of the dataclass records that are printed as JSON.
+
+    to_json_dict maps each field shown in repr to its value: tuples and
+    lists become lists, and nested records their own dicts.  A field
+    marked repr=False is left out.
+    """
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self) if f.repr}
+
+
+def _json_value(value):
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, JsonRecord):
+        return value.to_json_dict()
+    return value
 
 
 def binomial(n: int, k: int) -> int:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-
-import mpmath
+import sys
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .combinatorics import (
     EXACT_N_BUDGET,
+    JsonRecord,
     LogValue,
     binomial,
     enumerate_subsets,
@@ -29,6 +30,9 @@ from .combinatorics import (
     unrank_colex,
 )
 from .hypergraph import BudgetExceededError, UniformHypergraph
+
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_MATERIALIZE_BUDGET = 5_000_000
 
@@ -63,7 +67,7 @@ def trivial_prefix_system(n: int, s: int, r: int) -> UniformHypergraph:
 
 
 @dataclass(frozen=True)
-class ConstructionParameters:
+class ConstructionParameters(JsonRecord):
     """N and ell for the coloring construction at given (r, R).
 
     N = floor(r(r-1) C(s,R) / (2R)) and
@@ -101,25 +105,11 @@ class ConstructionParameters:
             raise ValueError("degenerate parameters carry no ell")
         return LogValue(self.log_ell)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "R": self.R,
-            "s": self.s,
-            "exact_path": self.exact_path,
-            "N": self.N,
-            "ell": self.ell,
-            "log_N": self.log_N,
-            "log_ell": self.log_ell,
-            "log_binom_sR": self.log_binom_sR,
-            "denominator_log": self.denominator_log,
-            "degenerate": self.degenerate,
-            "degenerate_reason": self.degenerate_reason,
-        }
-
 
 def _guarded_floor(numerator: int, denominator: mpmath.mpf) -> int:
     """floor(numerator / denominator) with an integer-boundary guard."""
+    import mpmath
+
     with mpmath.workdps(len(str(numerator)) + 30):
         q = mpmath.mpf(numerator) / denominator
         fl = mpmath.floor(q)
@@ -151,6 +141,10 @@ def _floor_of_quotient(C: int, X: int) -> tuple[int, float]:
     slack = q * _QUOTIENT_REL_ERR
     if 1e-10 + slack <= q - ell <= 1.0 - slack:
         return ell, denom_log
+    # mpmath is imported only here, on the rare slow path, so that importing
+    # the package does not pay for it.
+    import mpmath
+
     with mpmath.workdps(len(str(C)) + 30):
         denom = mpmath.log(mpmath.mpf(X))
         return _guarded_floor(C, denom), float(denom)
@@ -254,6 +248,7 @@ class LllCertificate:
     ratio_C_over_ell: float
 
     def to_json_dict(self) -> dict:
+        # By hand: the LogValue fields are written as their logs, renamed.
         return {
             "log_N": self.N.log_magnitude,
             "s": self.s,
@@ -300,7 +295,9 @@ def lll_condition(
 
     Delta is computed exactly whenever N is an explicit integer, otherwise
     bounded by 2 C(s,R) C(N-s,R) (valid when 3 <= R <= s/2 and
-    N >= C(s,3); the certificate carries that flag).
+    N >= C(s,3); the certificate carries that flag).  An integer N needs
+    R <= sys.maxsize, since math.comb takes no larger terms; ValueError
+    otherwise.
 
     ratio_C_over_ell, when given, is a certified lower bound on
     C(s,R)/ell; construction_parameters supplies its denominator for this
@@ -309,6 +306,11 @@ def lll_condition(
     R = s - r
     if not (0 < r < s):
         raise ValueError(f"need 0 < r < s, got r={r}, s={s}")
+    if isinstance(N, int) and R > sys.maxsize:
+        raise ValueError(
+            f"an explicit N supports R <= {sys.maxsize}; "
+            "the exact dependency degree needs binomials beyond math.comb"
+        )
     N_val = LogValue.from_int(N) if isinstance(N, int) else N
     ell_val = LogValue.from_int(ell) if isinstance(ell, int) else ell
     if ell_val.is_zero or ell_val.log_magnitude < 0:
@@ -382,7 +384,7 @@ def lll_certificate_for(params: ConstructionParameters) -> LllCertificate:
 
 
 @dataclass
-class ColoringOutcome:
+class ColoringOutcome(JsonRecord):
     success: bool
     N: int
     s: int
@@ -392,7 +394,7 @@ class ColoringOutcome:
     coloring: tuple[int, ...]  # colour of each r-set, indexed by colex rank
     rounds_used: int
     least_color: int | None
-    least_class: UniformHypergraph | None
+    least_class: UniformHypergraph | None = field(repr=False)
     class_sizes: tuple[int, ...]
     failed_s_set: tuple[int, ...] | None
 
@@ -403,21 +405,6 @@ class ColoringOutcome:
             if c == color
         ]
         return UniformHypergraph.from_edges(self.N, self.r, edges)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "N": self.N,
-            "s": self.s,
-            "r": self.r,
-            "ell": self.ell,
-            "seed": self.seed,
-            "rounds_used": self.rounds_used,
-            "least_color": self.least_color,
-            "class_sizes": list(self.class_sizes),
-            "coloring": list(self.coloring),
-            "failed_s_set": list(self.failed_s_set) if self.failed_s_set else None,
-        }
 
 
 def moser_tardos_color(
@@ -510,7 +497,7 @@ def moser_tardos_color(
 
 
 @dataclass(frozen=True)
-class BlowupReport:
+class BlowupReport(JsonRecord):
     m: int
     N: int
     r: int
@@ -521,17 +508,6 @@ class BlowupReport:
 
     def cap(self) -> int:
         return self.size_transversal_cap + self.size_degenerate_cap
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "N": self.N,
-            "r": self.r,
-            "size": self.size,
-            "size_transversal_cap": self.size_transversal_cap,
-            "size_degenerate_cap": self.size_degenerate_cap,
-            "f": self.f,
-        }
 
 
 def blowup(
@@ -583,7 +559,7 @@ def blowup(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RecursionSample:
+class RecursionSample(JsonRecord):
     n: int
     r: int
     R: int
@@ -598,24 +574,6 @@ class RecursionSample:
     size_extension_star: int
     size_total: int
     expected_size: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "R": self.R,
-            "k": self.k,
-            "c": self.c,
-            "p": self.p,
-            "seed": self.seed,
-            "retries": self.retries,
-            "sampled": [list(d) for d in self.sampled],
-            "size_sampled_star": self.size_sampled_star,
-            "size_uncovered": self.size_uncovered,
-            "size_extension_star": self.size_extension_star,
-            "size_total": self.size_total,
-            "expected_size": self.expected_size,
-        }
 
 
 def _validate_recursion_params(n: int, r: int, R: int, k: int, c: float) -> None:

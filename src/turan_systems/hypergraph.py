@@ -21,6 +21,7 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from .combinatorics import (
+    JsonRecord,
     binomial,
     check_subset,
     rank_colex,
@@ -35,7 +36,7 @@ class BudgetExceededError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UniformHypergraph:
+class UniformHypergraph(JsonRecord):
     """An r-graph on vertex set {0, ..., n-1}; edges kept in colex order.
 
     Immutable after construction; edge bitmasks are precomputed, in
@@ -124,6 +125,8 @@ class UniformHypergraph:
     # --- serialization (canonical formats) ---
 
     def to_json_dict(self) -> dict:
+        # By hand: one list per edge, with no per-field dispatch, is the fast
+        # path for systems of millions of edges.
         return {"n": self.n, "r": self.r, "edges": [list(e) for e in self.edges]}
 
     def to_json(self) -> str:
@@ -168,7 +171,7 @@ def _mask(elements: tuple[int, ...]) -> int:
 
 
 @dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(JsonRecord):
     """Outcome of a Turán-system check."""
 
     is_turan: bool
@@ -178,17 +181,6 @@ class VerifyReport:
     s: int
     trials: int | None = None
     seed: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_turan": self.is_turan,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "sets_checked": self.sets_checked,
-            "mode": self.mode,
-            "s": self.s,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
 
 
 def contains_edge(H: UniformHypergraph, S: tuple[int, ...]) -> bool:

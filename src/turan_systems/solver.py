@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from .bounds import counting_lower_T
-from .combinatorics import binomial, member_ranks, unrank_colex
+from .combinatorics import JsonRecord, binomial, member_ranks, unrank_colex
 from .hypergraph import UniformHypergraph, is_turan_system
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -29,7 +29,7 @@ CACHE_ENV_VAR = "TURAN_CACHE"
 
 
 @dataclass
-class SolveResult:
+class SolveResult(JsonRecord):
     """The best (n,s,r) system found and how far it is proven.
 
     `lower_bound` is the root bound of level n, from `lower_bound_source`
@@ -50,21 +50,6 @@ class SolveResult:
     lower_bound: int
     lower_bound_source: str
     proof: str | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "r": self.r,
-            "optimum": self.optimum,
-            "witness": self.witness.to_json_dict(),
-            "nodes_explored": self.nodes_explored,
-            "proven_optimal": self.proven_optimal,
-            "budget_exhausted": self.budget_exhausted,
-            "lower_bound": self.lower_bound,
-            "lower_bound_source": self.lower_bound_source,
-            "proof": self.proof,
-        }
 
 
 def turan_r2_value(n: int, s: int) -> int:

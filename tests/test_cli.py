@@ -2,9 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import turan_systems
 from turan_systems import cli
 from turan_systems.hypergraph import UniformHypergraph, is_turan_system
 
@@ -119,6 +123,15 @@ class TestConstruct:
             capsys,
         )
         assert code == 2
+
+    def test_unwritable_out_exit2_one_line(self, tmp_path, capsys):
+        out_path = tmp_path / "no-such-dir" / "x.json"
+        code, out, err = run(
+            ["construct", "prefix", "--n", "6", "--s", "4", "--r", "3", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2 and not out
+        assert err == f"[Errno 2] No such file or directory: '{out_path}'\n"
 
     def test_recursive_deterministic(self, tmp_path, capsys):
         argv = [
@@ -319,6 +332,18 @@ class TestBounds:
         assert code == 2 and not out
         assert len(err.splitlines()) == 1 and "10**305" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--r", "100", "--big-r", "10"], ["table", "--grid", "r=100;R=3"]],
+        ids=["bounds", "table"],
+    )
+    def test_eps1_option_refused(self, capsys, argv):
+        # No bound depends on eps1, so neither command takes it.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--eps1", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps1 0.1" in capsys.readouterr().err
+
     def test_degenerate_chain_row_omitted(self, capsys):
         code, out, err = run(
             ["bounds", "--r", "2", "--big-r", "2000", "--format", "json"], capsys
@@ -432,3 +457,106 @@ class TestParser:
             cli.main(["--version"])
         assert exc.value.code == 0
         capsys.readouterr()
+
+
+# sha256 of stdout and the exit code of commands whose output is pinned
+# byte for byte; "{sys}" is the prefix (6,4,3) system file.
+PINNED_OUTPUTS = {
+    "solve": (
+        "solve --n 8 --s 4 --r 3", 0,
+        "70a930c12891195a0e6b2c18fd1838c4d9d03c4f7c3fc8f2d6f3629240ad010b",
+    ),
+    "verify-exhaustive": (
+        "verify --input {sys} --s 4", 0,
+        "df74f8235a4620fce4e3c50f863fe16bb1c791dd5d874f98875a03dbf5a02775",
+    ),
+    "verify-sampled": (
+        "verify --input {sys} --s 4 --mode sample --trials 200 --seed 5", 0,
+        "a9fec2312bbea432b51022fcb6a7b27a644e34e410cc9a756dda169bbeb6a78f",
+    ),
+    "certify-lll": (
+        "certify-lll --r 1000000 --big-r 1000", 0,
+        "a598544dcdcbc2fdfa4e6b309e3b7c3e80d3a6ec7ca92fb781d1c6fb2bd645f0",
+    ),
+    "construct-recursive": (
+        "construct recursive --n 8 --r 3 --big-r 1 --k 2 --c 1.0 --seed 11", 0,
+        "6842890d0e325d8bb0cc731f51329d648e050933d7e825e11abbda415dd3409a",
+    ),
+}
+
+# Every failure other than a verified-false result and a solve out of
+# budget: (command, exit code).  "{dir}" is a directory holding the files
+# written by the fixture below.
+ERROR_PATHS = {
+    "construct-missing-option": ("construct prefix --n 6 --s 4", 2),
+    "coloring-round-cap": (
+        "construct coloring --n 6 --s 4 --r 3 --ell 20 --seed 1 --max-rounds 30", 3,
+    ),
+    "coloring-budget": ("construct coloring --n 400 --s 4 --r 3 --ell 2 --seed 1", 4),
+    "coloring-no-colour": ("construct coloring --n 6 --s 4 --r 3 --ell 0 --seed 1", 2),
+    "blowup-missing-file": ("construct blowup --input {dir}/nope.json --m 2", 2),
+    "blowup-bad-m": ("construct blowup --input {dir}/sys.json --m 0", 2),
+    "blowup-r1": ("construct blowup --input {dir}/r1.json --m 2", 2),
+    "recursive-retries": (
+        "construct recursive --n 3 --r 2 --big-r 1 --k 1 --c 0.99999 --seed 0", 3,
+    ),
+    "recursive-bad-k": ("construct recursive --n 8 --r 3 --big-r 5 --k 2 --c 1 --seed 1", 2),
+    "construct-unwritable-out": ("construct prefix --n 6 --s 4 --r 3 --out {dir}/no/x.json", 2),
+    "verify-budget": ("verify --input {dir}/big.json --s 20 --budget 1000", 4),
+    "verify-sample-no-seed": ("verify --input {dir}/sys.json --s 4 --mode sample", 2),
+    "verify-no-trials": (
+        "verify --input {dir}/sys.json --s 4 --mode sample --trials 0 --seed 5", 2,
+    ),
+    "verify-junk": ("verify --input {dir}/junk.json --s 4", 2),
+    "verify-bad-s": ("verify --input {dir}/sys.json --s 9", 2),
+    "solve-bad-parameters": ("solve --n 4 --s 5 --r 2", 2),
+    "solve-negative-budget": ("solve --n 8 --s 4 --r 3 --node-budget -1", 2),
+    "bounds-R-beyond-root": (f"bounds --r 3 --big-r {10**306}", 2),
+    "bounds-R-zero": ("bounds --r 1 --big-r 0", 2),
+    "certify-degenerate": ("certify-lll --r 2 --big-r 1", 3),
+    "certify-degenerate-log-path": ("certify-lll --r 2 --big-r 2000", 3),
+    "certify-R-beyond-root": (f"certify-lll --r 3 --big-r {10**306}", 2),
+    "certify-no-colour": ("certify-lll --r 3 --big-r 1 --n 20 --ell 0", 2),
+    "certify-bad-r": ("certify-lll --r 0 --big-r 1", 2),
+    # An explicit N needs the exact dependency degree, whose binomials
+    # math.comb refuses for R beyond sys.maxsize.
+    "certify-override-R-10^20": (f"certify-lll --r 3 --big-r {10**20} --n {10**21} --ell 2", 2),
+    "certify-override-R-10^306": (
+        f"certify-lll --r 3 --big-r {10**306} --n {10**307} --ell 2", 2,
+    ),
+    "table-missing-R": ("table --grid r=100", 2),
+    "table-bad-name": ("table --grid q=1;R=2", 2),
+    "table-bad-int": ("table --grid r=x;R=2", 2),
+}
+
+
+class TestOutputContract:
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        run(["construct", "prefix", "--n", "6", "--s", "4", "--r", "3",
+             "--out", str(tmp_path / "sys.json")], capsys)
+        (tmp_path / "r1.json").write_text('{"n": 4, "r": 1, "edges": [[0], [1]]}')
+        (tmp_path / "big.json").write_text('{"n": 40, "r": 2, "edges": [[0, 1]]}')
+        (tmp_path / "junk.json").write_text("{oops")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "command, code, digest", PINNED_OUTPUTS.values(), ids=PINNED_OUTPUTS.keys()
+    )
+    def test_output_bytes_pinned(self, files, capsys, command, code, digest):
+        got, out, err = run(command.format(sys=files / "sys.json").split(), capsys)
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, code", ERROR_PATHS.values(), ids=ERROR_PATHS.keys())
+    def test_error_is_one_stderr_line(self, files, capsys, command, code):
+        got, out, err = run(command.format(dir=files).split(), capsys)
+        assert got == code and out == ""
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+
+    def test_import_leaves_mpmath_unloaded(self):
+        # mpmath is needed only on the slow path of the exact floors.
+        src = os.path.dirname(os.path.dirname(turan_systems.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, turan_systems.cli; sys.exit('mpmath' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -11,7 +11,6 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
 
 from .combinatorics import EXACT_LOG_N_MAX, JsonRecord, binomial, log_binomial
 from .constructions import ConstructionParameters, construction_parameters
@@ -319,19 +318,14 @@ def descent_schedule(r: int, R: int, eps1: float) -> RecursionTrace:
         r_i = r_next
 
 
-def descent_certificate(
-    r: int,
-    R: int,
-    eps1: float,
-    base_mu: Callable[[int], float] | float | None = None,
-) -> RecursionTrace:
+def descent_certificate(r: int, R: int, eps1: float) -> RecursionTrace:
     """Backward evaluation of the recursion bound along the descent.
 
-    base_mu bounds mu(r_final + R, r_final) at the level where the descent
-    stops; the default is the complete-system bound C(r_final + R, R).  The
-    descent constant is c = R ln(3R/eps1) + ln(2 R ln R), which requires
-    R >= 2.  The result is a concrete finite chain of inequalities, not an
-    asymptotic statement; the achieved ratio to R ln R is reported as-is.
+    The base bounds mu(r_final + R, r_final) at the level where the descent
+    stops by the complete system, C(r_final + R, R).  The descent constant
+    is c = R ln(3R/eps1) + ln(2 R ln R), which requires R >= 2.  The result
+    is a concrete finite chain of inequalities, not an asymptotic
+    statement; the achieved ratio to R ln R is reported as-is.
     """
     if R < 2:
         raise ValueError("the descent constant needs R >= 2 (ln(2 R ln R) > -inf)")
@@ -339,24 +333,10 @@ def descent_certificate(
     c = R * math.log(3 * R / eps1) + math.log(2 * R * math.log(R))
 
     base_level = trace.r_final
-    if base_mu is None:
-        log_mu = log_binomial(base_level + R, R)
-        source = f"complete system C({base_level + R},{R})"
-    elif callable(base_mu):
-        val = base_mu(base_level)
-        if val < 1:
-            raise ValueError(f"base mu bound must be >= 1, got {val}")
-        log_mu = math.log(val)
-        source = "caller-supplied"
-    else:
-        if base_mu < 1:
-            raise ValueError(f"base mu bound must be >= 1, got {base_mu}")
-        log_mu = math.log(base_mu)
-        source = "caller-supplied"
-
+    log_mu = log_binomial(base_level + R, R)
     trace.base_level = base_level
     trace.base_mu_log = log_mu
-    trace.base_source = source
+    trace.base_source = f"complete system C({base_level + R},{R})"
 
     valued: list[ScheduleEntry] = []
     for entry in reversed(trace.entries):
@@ -400,30 +380,25 @@ def closing_chain_check(r: int, R: int) -> ChainCheckResult:
     """
     params = construction_parameters(r, R)
     log_C = params.log_binom_sR
-    degenerate = False
-    if params.degenerate:
-        degenerate = True
-    if params.ell is not None and params.ell < 2:
-        degenerate = True
+    degenerate = params.degenerate or (params.ell is not None and params.ell < 2)
 
-    if params.exact_path and params.N is not None and not params.degenerate:
+    # An integer ell is carried only on the exact path; there N is exact too.
+    if params.ell is not None and not params.degenerate:
         C = binomial(params.s, R)
-        c_over_ell = C / params.ell if params.ell else float("inf")
+        c_over_ell = C / params.ell
         second = r * (r - 1) * C / (2.0 * params.N)
-        log_N = math.log(params.N)
     else:
         c_over_ell = params.denominator_log if params.denominator_log else float("inf")
         # r(r-1) C(s,R) / (2N) with N = floor(r(r-1)C/(2R)): equals R up to
         # the floor, evaluated via logs; inf once it leaves float range.
         log_second = math.log(r * (r - 1) / 2.0) + log_C - params.log_N
         second = math.exp(log_second) if log_second <= _LOG_FLOAT_MAX else math.inf
-        log_N = params.log_N
 
     # construction_parameters takes an R beyond float range only at r = 2,
     # where the cell is degenerate.
     R_float = float(R) if R <= sys.float_info.max else math.inf
     lhs = c_over_ell + second
-    majorant = 2.0 * log_C + R_float * log_N + second
+    majorant = 2.0 * log_C + R_float * params.log_N + second
     target = R_float * log_C
     if not target > 0:
         ratio = float("inf")

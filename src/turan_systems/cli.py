@@ -218,7 +218,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_certify_lll(args: argparse.Namespace) -> int:
-    if args.n is not None and args.ell is not None:
+    if (args.n is None) != (args.ell is None):
+        raise ValueError("certify-lll: --n and --ell go together; give both or neither")
+    if args.n is not None:
         cert = lll_condition(args.n, args.r + args.big_r, args.r, args.ell)
         chain = None
     else:

@@ -4,7 +4,10 @@ Everything downstream (verification, constructions, bound formulas) goes
 through this module, so the conventions here are global: vertices are
 0-based contiguous integers, subsets are strictly increasing tuples, and
 colexicographic order is the single canonical order for ranking,
-enumeration and serialization.
+enumeration and serialization.  LogValue carries a nonnegative real as
+its natural log and does no arithmetic; the choice between exact and log
+values is made by the callers (construction_parameters for the colouring
+schedule, EXACT_LOG_N_MAX for ln C).
 """
 
 from __future__ import annotations
@@ -12,13 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import total_ordering
 from typing import Iterator
-
-# Formulas are evaluated with exact integers as long as every intermediate
-# binomial coefficient has ambient size at most this; beyond it they switch
-# to natural-log floats.
-EXACT_N_BUDGET = 512
 
 # log_binomial takes the log of the exact integer C(n, k) up to this n and
 # Stirling's series beyond it.  This is the one exact-or-log cutoff for ln C.
@@ -94,13 +91,13 @@ def log_binomial_series(log_n: float, t: float, k: int) -> float:
     )
 
 
-@total_ordering
 @dataclass(frozen=True)
 class LogValue:
     """A nonnegative real carried on natural-log scale.
 
     Used for quantities like C(s,R)^2 * C(N-s,R) whose magnitudes dwarf
-    floating range at the full construction-scale parameters.
+    floating range at the full construction-scale parameters.  It only
+    carries a value: arithmetic is done on log_magnitude by the caller.
     """
 
     log_magnitude: float
@@ -117,28 +114,6 @@ class LogValue:
         if value == 0:
             return LogValue.zero()
         return LogValue(float(math.log(value)))
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero or other.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log_magnitude + other.log_magnitude)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LogValue):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self.log_magnitude == other.log_magnitude
-
-    def __lt__(self, other: "LogValue") -> bool:
-        if self.is_zero:
-            return not other.is_zero
-        if other.is_zero:
-            return False
-        return self.log_magnitude < other.log_magnitude
-
-    def __hash__(self) -> int:
-        return hash((self.is_zero, None if self.is_zero else self.log_magnitude))
 
 
 def check_subset(elements: tuple[int, ...], n: int, k: int | None = None) -> None:

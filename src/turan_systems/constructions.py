@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .combinatorics import (
-    EXACT_N_BUDGET,
     JsonRecord,
     LogValue,
     binomial,
@@ -35,6 +34,11 @@ if TYPE_CHECKING:
     import mpmath
 
 DEFAULT_MATERIALIZE_BUDGET = 5_000_000
+
+# construction_parameters takes N and ell as exact integers while
+# ln N <= ln EXACT_N_BUDGET, and carries ell as ln ell beyond.  log_binomial
+# has its own cutoff, EXACT_LOG_N_MAX.
+EXACT_N_BUDGET = 512
 
 
 class ConstructionError(RuntimeError):
@@ -77,7 +81,8 @@ class ConstructionParameters(JsonRecord):
     integers with certified floors; otherwise they are carried in
     log-space.  There the floor in ell is dropped, and the floor in N is
     kept in ln C(N-s,R) until N reaches 2^53, beyond which its relative
-    effect is below float resolution.
+    effect is below float resolution.  exact_path says which; downstream
+    code reads N and ell (None off the exact path) and never re-decides.
     """
 
     r: int
@@ -94,16 +99,6 @@ class ConstructionParameters(JsonRecord):
     denominator_log: float | None
     degenerate: bool
     degenerate_reason: str | None
-
-    def N_value(self) -> LogValue:
-        return LogValue.from_int(self.N) if self.N is not None else LogValue(self.log_N)
-
-    def ell_value(self) -> LogValue:
-        if self.ell is not None:
-            return LogValue.from_int(self.ell)
-        if self.log_ell is None:
-            raise ValueError("degenerate parameters carry no ell")
-        return LogValue(self.log_ell)
 
 
 def _guarded_floor(numerator: int, denominator: mpmath.mpf) -> int:
@@ -153,67 +148,54 @@ def _floor_of_quotient(C: int, X: int) -> tuple[int, float]:
 def construction_parameters(r: int, R: int) -> ConstructionParameters:
     """Evaluate the (N, ell) schedule of the coloring construction.
 
-    On the exact path ell = floor(C / ln(C^2 C(N-s,R))) is taken in floats
-    from the log of the exact integer; mpmath recomputes it only when the
-    quotient lies within its float error margin of an integer (see
-    _floor_of_quotient).
+    This is the one place the schedule chooses between exact and log-space
+    arithmetic.  On the exact path ell = floor(C / ln(C^2 C(N-s,R))) is
+    taken in floats from the log of the exact integer; mpmath recomputes it
+    only when the quotient lies within its float error margin of an integer
+    (see _floor_of_quotient).  On the log path ln N is unfloored and ell is
+    carried as ln ell.
     """
     if r < 2 or R < 1:
         raise ValueError(f"need r >= 2 and R >= 1, got r={r}, R={R}")
     s = r + R
     log_C = log_binomial(s, R)
-    log_N_est = math.log(r * (r - 1) / (2 * R)) + log_C
-
-    if log_N_est <= math.log(EXACT_N_BUDGET) + 1e-9:
+    log_N = math.log(r * (r - 1) / (2 * R)) + log_C
+    exact = log_N <= math.log(EXACT_N_BUDGET) + 1e-9
+    # The floored N, wherever the floor moves it by more than float
+    # resolution; the exact path reports it and takes ln N from it.
+    C = N = None
+    if log_N < 53 * math.log(2):
         C = binomial(s, R)
         N = r * (r - 1) * C // (2 * R)
-        log_N = math.log(N) if N > 0 else float("-inf")
-        if N <= s:
-            return ConstructionParameters(
-                r, R, s, True, N, None, log_N, None, log_C, None, True,
-                f"N = {N} <= s = {s}",
-            )
-        ell, denom_log = _floor_of_quotient(C, C * C * binomial(N - s, R))
-        if ell < 1:
-            return ConstructionParameters(
-                r, R, s, True, N, ell, log_N, None, log_C, denom_log, True,
-                f"ell = {ell} < 1 (single colour, construction vacuous)",
-            )
-        return ConstructionParameters(
-            r, R, s, True, N, ell, log_N, math.log(ell), log_C, denom_log,
-            False, None,
-        )
+        if exact:
+            log_N = math.log(N)
+    reported_N = N if exact else None
 
-    # Log-space path.  log_N is unfloored; C(N-s, R) takes the floored N
-    # while the floor moves it by more than float resolution.
-    log_N = log_N_est
-    N_or_log: int | LogValue
-    if log_N < 53 * math.log(2):
-        N_or_log = r * (r - 1) * binomial(s, R) // (2 * R)
-        too_small = N_or_log <= s
-    else:
-        N_or_log = LogValue(log_N)
-        too_small = log_N <= math.log(s)
+    too_small = N <= s if N is not None else log_N <= math.log(s)
     if too_small:
-        N_text = f"exp({log_N})" if isinstance(N_or_log, LogValue) else N_or_log
         return ConstructionParameters(
-            r, R, s, False, None, None, log_N, None, log_C, None, True,
-            f"N = {N_text} <= s = {s}",
+            r, R, s, exact, reported_N, None, log_N, None, log_C, None, True,
+            f"N = {f'exp({log_N})' if N is None else N} <= s = {s}",
         )
-    denom_log = 2.0 * log_C + log_binomial_outside(N_or_log, s, R)
+    if exact:
+        ell, denom_log = _floor_of_quotient(C, C * C * binomial(N - s, R))
+        log_ell = math.log(ell) if ell >= 1 else None
+    else:
+        ell = None
+        denom_log = 2.0 * log_C + log_binomial_outside(
+            LogValue(log_N) if N is None else N, s, R
+        )
+        log_ell = log_C - math.log(denom_log) if denom_log > 0 else None
+
+    reason = None
     if denom_log <= 0:
-        return ConstructionParameters(
-            r, R, s, False, None, None, log_N, None, log_C, denom_log, True,
-            "nonpositive log denominator",
-        )
-    log_ell = log_C - math.log(denom_log)
-    if log_ell < 0:
-        return ConstructionParameters(
-            r, R, s, False, None, None, log_N, log_ell, log_C, denom_log, True,
-            "ell < 1 (single colour, construction vacuous)",
-        )
+        reason = "nonpositive log denominator"
+    elif log_ell is None or log_ell < 0:
+        ell_text = "ell" if ell is None else f"ell = {ell}"
+        reason = f"{ell_text} < 1 (single colour, construction vacuous)"
     return ConstructionParameters(
-        r, R, s, False, None, None, log_N, log_ell, log_C, denom_log, False, None
+        r, R, s, exact, reported_N, ell, log_N, log_ell, log_C, denom_log,
+        reason is not None, reason,
     )
 
 
@@ -284,6 +266,23 @@ def dependency_degree(N: int, s: int, r: int) -> int:
     return sum(binomial(s, i) * binomial(N - s, s - i) for i in range(r, s + 1))
 
 
+def _int_str_digit_limit() -> int:
+    """The longest int that str() converts, in digits; 0 means no limit.
+
+    Python before 3.10.7 has no such limit and no sys.get_int_max_str_digits.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else 0
+
+
+def _delta_too_long(digit_limit: int) -> str:
+    return (
+        f"delta_exact would have more than {digit_limit} digits, too many to print; "
+        "an explicit N (certify-lll --n/--ell) computes Delta exactly, while the "
+        "schedule path (no --n/--ell) bounds it in log space"
+    )
+
+
 def lll_condition(
     N: int | LogValue,
     s: int,
@@ -296,8 +295,8 @@ def lll_condition(
     Delta is computed exactly whenever N is an explicit integer, otherwise
     bounded by 2 C(s,R) C(N-s,R) (valid when 3 <= R <= s/2 and
     N >= C(s,3); the certificate carries that flag).  An integer N needs
-    R <= sys.maxsize, since math.comb takes no larger terms; ValueError
-    otherwise.
+    N >= s and R <= sys.maxsize, since math.comb takes no larger terms,
+    and a Delta short enough for str() to print; ValueError otherwise.
 
     ratio_C_over_ell, when given, is a certified lower bound on
     C(s,R)/ell; construction_parameters supplies its denominator for this
@@ -306,11 +305,28 @@ def lll_condition(
     R = s - r
     if not (0 < r < s):
         raise ValueError(f"need 0 < r < s, got r={r}, s={s}")
-    if isinstance(N, int) and R > sys.maxsize:
-        raise ValueError(
-            f"an explicit N supports R <= {sys.maxsize}; "
-            "the exact dependency degree needs binomials beyond math.comb"
-        )
+    check_digits = False
+    if isinstance(N, int):
+        if R > sys.maxsize:
+            raise ValueError(
+                f"an explicit N supports R <= {sys.maxsize}; "
+                "the exact dependency degree needs binomials beyond math.comb"
+            )
+        if N < s:
+            raise ValueError(f"an explicit N needs N >= s = {s}, got N = {N}")
+        digit_limit = _int_str_digit_limit()
+        # Delta <= C(N,s) < 2^(s * N.bit_length()) and 10^L > 2^(3L), so a
+        # Delta with at most 3L bits there is short enough to print.
+        check_digits = digit_limit and s * N.bit_length() > 3 * digit_limit
+    if check_digits:
+        # Delta's largest term bounds it from below: refuse before the
+        # s - r + 1 exact binomials when that term alone is too long to
+        # print.  C(s,i) C(N-s,s-i) is unimodal in i, with its mode at
+        # floor((s+1)^2/(N+2)) (the hypergeometric mode).
+        i = max(r, (s + 1) ** 2 // (N + 2))
+        log_term = log_binomial(s, i) + log_binomial(N - s, s - i)
+        if log_term > digit_limit * math.log(10) * (1 + 1e-12):
+            raise ValueError(_delta_too_long(digit_limit))
     N_val = LogValue.from_int(N) if isinstance(N, int) else N
     ell_val = LogValue.from_int(ell) if isinstance(ell, int) else ell
     if ell_val.is_zero or ell_val.log_magnitude < 0:
@@ -323,6 +339,8 @@ def lll_condition(
     delta_exact: int | None = None
     if isinstance(N, int):
         delta_exact = dependency_degree(N, s, r)
+        if check_digits and delta_exact >= 10**digit_limit:
+            raise ValueError(_delta_too_long(digit_limit))
         log_delta = LogValue.from_int(delta_exact)
     else:
         log_delta = LogValue(math.log(2.0) + log_C + log_binomial_outside(N, s, R))
@@ -371,11 +389,16 @@ def lll_certificate_for(params: ConstructionParameters) -> LllCertificate:
     """Certificate at the construction's own (N, ell) schedule."""
     if params.degenerate:
         raise ValueError(f"degenerate parameters: {params.degenerate_reason}")
-    N: int | LogValue = params.N if params.N is not None else params.N_value()
-    ell: int | LogValue = params.ell if params.ell is not None else params.ell_value()
-    # floor(ell) <= C/denominator, so the denominator is a certified lower
-    # bound on C(s,R)/ell; it keeps the true-scale evaluation cancellation-free.
-    return lll_condition(N, params.s, params.r, ell, ratio_C_over_ell=params.denominator_log)
+    # An exact N gives the exact dependency degree.  floor(ell) <=
+    # C/denominator, so the denominator is a certified lower bound on
+    # C(s,R)/ell; it keeps the true-scale evaluation cancellation-free.
+    return lll_condition(
+        params.N if params.N is not None else LogValue(params.log_N),
+        params.s,
+        params.r,
+        LogValue(params.log_ell),
+        ratio_C_over_ell=params.denominator_log,
+    )
 
 
 # ---------------------------------------------------------------------------

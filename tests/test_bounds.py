@@ -276,10 +276,6 @@ class TestCertificate:
         trace = descent_certificate(10**5, 3, 0.05)
         assert trace.final_mu == pytest.approx(4335741.954328693, rel=1e-6)
 
-    def test_invalid_base_rejected(self):
-        with pytest.raises(ValueError):
-            descent_certificate(10**5, 3, 0.05, base_mu=0.5)
-
     def test_R1_rejected(self):
         with pytest.raises(ValueError):
             descent_certificate(10**5, 1, 0.05)

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import turan_systems
-from turan_systems import cli
+from turan_systems import cli, constructions
 from turan_systems.hypergraph import UniformHypergraph, is_turan_system
 
 
@@ -418,6 +419,17 @@ class TestCertifyLll:
         assert code == 2 and not out
         assert len(err.splitlines()) == 1 and "10**305" in err
 
+    def test_unprintable_delta_refused_quickly(self, capsys, monkeypatch):
+        # delta_exact here has over 4300 digits, more than Python prints by
+        # default; the refusal comes before its 2501 exact binomials.
+        monkeypatch.setattr(constructions, "_int_str_digit_limit", lambda: 4300)
+        argv = ["certify-lll", "--r", "3", "--big-r", "2500", "--n", "125000", "--ell", "2"]
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and "delta_exact" in err and "--n" in err
+
     @pytest.mark.parametrize("big_r", ["2000", str(10**17), str(10**309)])
     def test_degenerate_log_path_cell_exit3(self, capsys, big_r):
         # N <= s on the log-space path, with N floored (R = 2000, N = 1001)
@@ -524,6 +536,10 @@ ERROR_PATHS = {
     "certify-override-R-10^306": (
         f"certify-lll --r 3 --big-r {10**306} --n {10**307} --ell 2", 2,
     ),
+    # --n and --ell override the schedule together or not at all.
+    "certify-n-alone": ("certify-lll --r 30 --big-r 3 --n 100000", 2),
+    "certify-ell-alone": ("certify-lll --r 30 --big-r 3 --ell 5", 2),
+    "certify-override-N-below-s": ("certify-lll --r 3 --big-r 2 --n 3 --ell 2", 2),
     "table-missing-R": ("table --grid r=100", 2),
     "table-bad-name": ("table --grid q=1;R=2", 2),
     "table-bad-int": ("table --grid r=x;R=2", 2),

@@ -173,16 +173,6 @@ class TestMemberRanks:
 
 
 class TestLogValue:
-    def test_multiplication_adds_logs(self):
-        x = LogValue.from_int(6) * LogValue.from_int(7)
-        assert x.log_magnitude == pytest.approx(math.log(42), rel=1e-12)
-
-    def test_zero_absorbs(self):
-        assert (LogValue.zero() * LogValue.from_int(5)).is_zero
-
-    def test_comparisons(self):
-        assert LogValue.zero() < LogValue.from_int(1) < LogValue.from_int(2)
-
     def test_conversion_monotone(self):
-        values = [LogValue.from_int(v) for v in [1, 2, 10, 10**100]]
-        assert values == sorted(values)
+        logs = [LogValue.from_int(v).log_magnitude for v in [0, 1, 2, 10, 10**100]]
+        assert logs == sorted(logs) and len(set(logs)) == len(logs)

@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import math
 import random
+import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turan_systems.bounds import bound_reports, closing_chain_check
+from turan_systems.cli import _dump
 from turan_systems.combinatorics import LogValue, binomial, enumerate_subsets, rank_colex
 from turan_systems import constructions
 from turan_systems.constructions import (
@@ -199,6 +203,40 @@ class TestDependencyDegree:
         assert delta <= 2 * binomial(s, R) * binomial(N - s, R)
 
 
+def _identity_grid():
+    """(r, R) cells over both parameter paths, their switch and the
+    degenerate cells: R up to 10^4 for r <= 40, true scale for large r,
+    and R = 10^e up to 10^295."""
+    for r in range(2, 41):
+        for R in [*range(1, 60), 100, 300, 1000, 1020, 1021, 1022, 3000, 10**4]:
+            yield r, R
+    for r in [100, 300, 10**3, 3 * 10**3, 10**4, 10**5, 10**6, 10**7, 10**8, 10**12]:
+        for R in [1, 2, 3, 5, 10, 30, 100, 1000, 10**5]:
+            yield r, R
+    for r in [2, 3, 5, 26, 1000]:
+        for e in range(10, 296, 15):
+            yield r, 10**e
+
+
+class TestScheduleOutputsPinned:
+    def test_grid_digest(self):
+        # sha256 of what the schedule, chain check, certificate and bound
+        # rows print at 2,803 cells: a change that moves a byte re-pins it
+        # and names the cells that moved.
+        h = hashlib.sha256()
+        for r, R in _identity_grid():
+            p = construction_parameters(r, R)
+            h.update(_dump(p.to_json_dict()).encode())
+            h.update(_dump(closing_chain_check(r, R).to_json_dict()).encode())
+            if not p.degenerate:
+                h.update(_dump(lll_certificate_for(p).to_json_dict()).encode())
+            rows = [[b.name, b.kind, b.value, list(b.assumptions)] for b in bound_reports(r, R)]
+            h.update(_dump({"rows": rows}).encode())
+        assert h.hexdigest() == (
+            "a2c767eda241e288013dfc3c14995d942c8f67cabd2fe5ccd18e3013092e89e3"
+        )
+
+
 class TestLogBinomialOutside:
     @pytest.mark.parametrize("N, s, R", [(600, 14, 10), (10**6, 20, 5), (10**15, 1003, 3)])
     def test_log_N_agrees_with_exact_N(self, N, s, R):
@@ -240,6 +278,31 @@ class TestLllCondition:
         cert = lll_condition(8, 4, 3, 2)
         assert cert.delta_exact == dependency_degree(8, 4, 3)
         assert not cert.delta_is_upper_bound
+
+    def test_explicit_N_below_s_refused(self):
+        with pytest.raises(ValueError, match="N >= s = 5"):
+            lll_condition(3, 5, 3, 2)
+
+    @pytest.mark.parametrize("N, sum_runs", [(208, True), (220, False)])
+    def test_delta_too_long_to_print_refused(self, monkeypatch, N, sum_runs):
+        # With a 50-digit limit and s = 53: at N = 208 Delta has 51 digits
+        # and its largest term 50, so only the check on the exact Delta sees
+        # it; at N = 220 the largest term (i = 13) alone has 51 digits and is
+        # refused before the sum, though the i = r term has 47.
+        monkeypatch.setattr(constructions, "_int_str_digit_limit", lambda: 50)
+        if not sum_runs:
+            monkeypatch.setattr(constructions, "dependency_degree", None)
+        with pytest.raises(ValueError, match="delta_exact would have more than 50 digits"):
+            lll_condition(N, 53, 2, 2)
+
+    def test_delta_at_digit_limit_kept(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_int_str_digit_limit", lambda: 50)
+        cert = lll_condition(207, 53, 2, 2)
+        assert len(str(cert.delta_exact)) == 50
+
+    def test_digit_limit_absent_means_none(self, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert constructions._int_str_digit_limit() == 0
 
     def test_exponential_condition_implies_symmetric_condition(self):
         for (r, R) in [(10**6, 10**3), (10**4, 10**2)]:

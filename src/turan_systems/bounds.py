@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .combinatorics import EXACT_LOG_N_MAX, JsonRecord, binomial, log_binomial
+from .combinatorics import JsonRecord, binomial, log_binomial
 from .constructions import ConstructionParameters, construction_parameters
 
 
@@ -26,7 +26,6 @@ class BoundReport(JsonRecord):
     kind: str  # "lower" | "upper" | "asymptotic-upper"
     value: float
     assumptions: tuple[str, ...] = ()
-    exact_path: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,6 @@ def segment_split_plan(r: int, R: int, delta: float) -> SegmentSplitResult:
 class ScheduleEntry(JsonRecord):
     r_i: int
     k_i: int
-    case_tag: str
     in_domain: bool  # r_i >= 18 R^2 / eps1
     step_lower_bound_ok: bool  # r_{i+1} >= eps1 r_i / (2 (R + eps1))
     c_i: float | None = None
@@ -284,7 +282,6 @@ class RecursionTrace(JsonRecord):
     entries: list[ScheduleEntry]
     t: int
     r_final: int  # r_{t+1}, below the 18 R^2 / eps1 threshold
-    base_level: int | None = None
     base_mu_log: float | None = None
     base_source: str | None = None
     final_mu: float | None = None
@@ -306,7 +303,6 @@ def descent_schedule(r: int, R: int, eps1: float) -> RecursionTrace:
             ScheduleEntry(
                 r_i=r_i,
                 k_i=k_i,
-                case_tag="descent",
                 in_domain=r_i >= threshold,
                 step_lower_bound_ok=r_next >= eps1 * r_i / (2 * (R + eps1)),
             )
@@ -332,11 +328,9 @@ def descent_certificate(r: int, R: int, eps1: float) -> RecursionTrace:
     trace = descent_schedule(r, R, eps1)
     c = R * math.log(3 * R / eps1) + math.log(2 * R * math.log(R))
 
-    base_level = trace.r_final
-    log_mu = log_binomial(base_level + R, R)
-    trace.base_level = base_level
+    log_mu = log_binomial(trace.r_final + R, R)
     trace.base_mu_log = log_mu
-    trace.base_source = f"complete system C({base_level + R},{R})"
+    trace.base_source = f"complete system C({trace.r_final + R},{R})"
 
     valued: list[ScheduleEntry] = []
     for entry in reversed(trace.entries):
@@ -470,7 +464,6 @@ def bound_reports(r: int, R: int, eps1: float = 0.05) -> list[BoundReport]:
             "asymptotic-upper",
             gap_log_binomial_mu_bound(r, R),
             ("leading term only; o(1) factor dropped",),
-            exact_path=s <= EXACT_LOG_N_MAX,
         )
     )
     # The colouring construction needs r >= 2.
@@ -486,7 +479,6 @@ def bound_reports(r: int, R: int, eps1: float = 0.05) -> list[BoundReport]:
                         "ratio of C(s,R) f to R ln C(s,R) at the construction's "
                         "(N, ell); dimensionless",
                     ),
-                    exact_path=chain.params.exact_path,
                 )
             )
     return reports

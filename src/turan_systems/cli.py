@@ -33,6 +33,7 @@ from .constructions import (
     trivial_prefix_system,
 )
 from .hypergraph import (
+    DEFAULT_EXHAUSTIVE_BUDGET,
     BudgetExceededError,
     UniformHypergraph,
     is_turan_system,
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=10**9)
+    p.add_argument("--budget", type=int, default=DEFAULT_EXHAUSTIVE_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="exact T(n,s,r) by branch and bound")

@@ -131,10 +131,7 @@ def check_subset(elements: tuple[int, ...], n: int, k: int | None = None) -> Non
 
 def rank_colex(elements: tuple[int, ...]) -> int:
     """Colex rank of a strictly increasing subset: sum of C(e_i, i+1)."""
-    rank = 0
-    for i, v in enumerate(elements):
-        rank += binomial(v, i + 1)
-    return rank
+    return sum(map(math.comb, elements, range(1, len(elements) + 1)))
 
 
 def unrank_colex(index: int, k: int, n: int) -> tuple[int, ...]:
@@ -157,25 +154,12 @@ def unrank_colex(index: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(result)
 
 
-def enumerate_subsets(
-    n: int, k: int, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield k-subsets of [n] in colex order, optionally a rank slice.
-
-    The slice form lets callers split the full range [0, C(n,k)) into
-    contiguous chunks for parallel consumption.
-    """
+def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield the k-subsets of [n] in colex order."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    total = binomial(n, k)
-    if stop is None:
-        stop = total
-    if start < 0 or stop > total or start > stop:
-        raise ValueError(f"bad rank slice [{start}, {stop}) for C({n},{k})={total}")
-    if start == stop:
-        return
-    current = list(range(k)) if start == 0 else list(unrank_colex(start, k, n))
-    for _ in range(stop - start):
+    current = list(range(k))
+    for _ in range(binomial(n, k)):
         yield tuple(current)
         # Colex successor: bump the first position that has headroom.
         for i in range(k):

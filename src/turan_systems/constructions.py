@@ -34,6 +34,8 @@ if TYPE_CHECKING:
     import mpmath
 
 DEFAULT_MATERIALIZE_BUDGET = 5_000_000
+# Draws that recursive_system takes before it gives up.
+RECURSION_MAX_RETRIES = 1000
 
 # construction_parameters takes N and ell as exact integers while
 # ln N <= ln EXACT_N_BUDGET, and carries ell as ln ell beyond.  log_binomial
@@ -49,6 +51,14 @@ class FloorAmbiguousError(RuntimeError):
     """Interval arithmetic could not separate a floor from an integer boundary."""
 
 
+def _refuse_beyond_budget(n: int, k: int) -> None:
+    """BudgetExceededError when C(n,k) exceeds DEFAULT_MATERIALIZE_BUDGET."""
+    if binomial(n, k) > DEFAULT_MATERIALIZE_BUDGET:
+        raise BudgetExceededError(
+            f"C({n},{k}) exceeds materialization budget {DEFAULT_MATERIALIZE_BUDGET}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Baseline
 # ---------------------------------------------------------------------------
@@ -62,6 +72,7 @@ def trivial_prefix_system(n: int, s: int, r: int) -> UniformHypergraph:
     """
     if not (r < s <= n):
         raise ValueError(f"need r < s <= n, got r={r}, s={s}, n={n}")
+    _refuse_beyond_budget(n - (s - r), r)
     return UniformHypergraph.from_edges(n, r, enumerate_subsets(n - (s - r), r))
 
 
@@ -437,7 +448,6 @@ def moser_tardos_color(
     ell: int,
     seed: int,
     max_rounds: int = 20_000,
-    budget: int = DEFAULT_MATERIALIZE_BUDGET,
 ) -> ColoringOutcome:
     """Random ell-coloring of all r-sets of [N] with resampling repair.
 
@@ -455,8 +465,7 @@ def moser_tardos_color(
         raise ValueError(f"need r < s <= N, got r={r}, s={s}, N={N}")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if binomial(N, r) > budget:
-        raise BudgetExceededError(f"C({N},{r}) exceeds materialization budget {budget}")
+    _refuse_beyond_budget(N, r)
 
     rng = random.Random(seed)
     num_r = binomial(N, r)
@@ -487,30 +496,20 @@ def moser_tardos_color(
     for c in coloring:
         sizes[c] += 1
 
-    if bad is not None:
-        return ColoringOutcome(
-            success=False,
-            N=N, s=s, r=r, ell=ell, seed=seed,
-            coloring=tuple(coloring),
-            rounds_used=rounds,
-            least_color=None,
-            least_class=None,
-            class_sizes=tuple(sizes),
-            failed_s_set=unrank_colex(bad, s, N),
-        )
-
-    least = min(range(ell), key=lambda c: (sizes[c], c))
+    success = bad is None
+    least = min(range(ell), key=lambda c: (sizes[c], c)) if success else None
     outcome = ColoringOutcome(
-        success=True,
+        success=success,
         N=N, s=s, r=r, ell=ell, seed=seed,
         coloring=tuple(coloring),
         rounds_used=rounds,
         least_color=least,
         least_class=None,
         class_sizes=tuple(sizes),
-        failed_s_set=None,
+        failed_s_set=None if success else unrank_colex(bad, s, N),
     )
-    outcome.least_class = outcome.color_class(least)
+    if success:
+        outcome.least_class = outcome.color_class(least)
     return outcome
 
 
@@ -527,18 +526,12 @@ class BlowupReport(JsonRecord):
     size: int
     size_transversal_cap: int  # m^r |A|
     size_degenerate_cap: int  # N C(m,2) C(mN-2, r-2)
-    f: float | None  # 1/ell + r(r-1)/(2N) when ell is known
 
     def cap(self) -> int:
         return self.size_transversal_cap + self.size_degenerate_cap
 
 
-def blowup(
-    A: UniformHypergraph,
-    m: int,
-    ell: int | None = None,
-    budget: int = DEFAULT_MATERIALIZE_BUDGET,
-) -> tuple[UniformHypergraph, BlowupReport]:
+def blowup(A: UniformHypergraph, m: int) -> tuple[UniformHypergraph, BlowupReport]:
     """Blow each vertex of A into m clones (parts are residues mod N).
 
     The result on [mN] keeps every r-set that meets some part twice, plus
@@ -554,11 +547,8 @@ def blowup(
         raise ValueError("blowup requires r >= 2")
     N, r = A.n, A.r
     n = m * N
-    if binomial(n, r) > budget:
-        raise BudgetExceededError(
-            f"C({n},{r}) exceeds materialization budget {budget}"
-        )
-    edge_set = A.edge_set()
+    _refuse_beyond_budget(n, r)
+    edge_set = set(A.edges)
     edges = []
     for e in enumerate_subsets(n, r):
         parts = tuple(sorted(v % N for v in e))
@@ -572,7 +562,6 @@ def blowup(
         size=len(B),
         size_transversal_cap=m**r * len(A),
         size_degenerate_cap=N * binomial(m, 2) * binomial(n - 2, r - 2),
-        f=(1.0 / ell + r * (r - 1) / (2.0 * N)) if ell else None,
     )
     return B, report
 
@@ -634,25 +623,6 @@ def expected_recursive_size(
     return expected, cap
 
 
-def sample_recursive_system(
-    n: int,
-    r: int,
-    R: int,
-    k: int,
-    c: float,
-    rng: random.Random,
-) -> tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
-    """One raw draw of the recursion: returns (edges of G, sampled S).
-
-    The draw makes one pass over the k-sets, extending each unhit one by
-    its tail system.  No retry filtering; used directly by the Monte Carlo comparison against
-    expected_recursive_size.
-    """
-    _validate_recursion_params(n, r, R, k, c)
-    edges, sampled, _ = _draw(n, r, R, k, c, rng)
-    return edges, sampled
-
-
 def _draw(
     n: int,
     r: int,
@@ -660,13 +630,15 @@ def _draw(
     k: int,
     c: float,
     rng: random.Random,
-) -> tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...], int]:
-    """One draw in a single pass over the k-sets: (edges, sampled, |T|).
+) -> tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...], int, int]:
+    """One draw in a single pass over the k-sets: (edges, sampled, |S*|, |T|).
 
     T is the set of k-sets that contain no sampled (k-R)-set.  The tail past
     a k-set with maximum v is the prefix (n-1-v, r-k+R, r-k)-system on the
     vertices after v: every (r-k)-subset of range(v+1, n-R), none when the
-    tail is shorter than r-k+R.
+    tail is shorter than r-k+R.  S* and T* share no r-set: the first k-R
+    vertices of an r-set are sampled in S* and lie in an unhit k-set in T*,
+    so |G| = |S*| + |T*|.
     """
     d = k - R  # size of the sampled initial segments
     p = c / binomial(k, R)
@@ -676,11 +648,13 @@ def _draw(
     edges: set[tuple[int, ...]] = set()
     # S*: r-sets whose d smallest elements form a sampled set.
     extensions: dict[int, list[tuple[int, ...]]] = {}
+    size_s_star = 0
     for D in sampled:
         lo = D[-1] if D else -1
         if lo not in extensions:
             extensions[lo] = list(itertools.combinations(range(lo + 1, n), r - d))
         edges.update(D + x for x in extensions[lo])
+        size_s_star += len(extensions[lo])
     # T*: k-sets not hit by S, extended by the tail system past their max.
     tails: dict[int, list[tuple[int, ...]]] = {}
     uncovered = 0
@@ -692,7 +666,7 @@ def _draw(
         if v not in tails:
             tails[v] = list(itertools.combinations(range(v + 1, n - R), r - k))
         edges.update(Y + Z for Z in tails[v])
-    return edges, sampled, uncovered
+    return edges, sampled, size_s_star, uncovered
 
 
 def recursive_system(
@@ -702,29 +676,26 @@ def recursive_system(
     k: int,
     c: float,
     seed: int,
-    max_retries: int = 1000,
 ) -> tuple[UniformHypergraph, RecursionSample]:
     """Initial-segment recursion for a Turán (n, r+R, r)-system.
 
     Samples each (k-R)-set into S with probability c/C(k,R), keeps r-sets
     whose initial (k-R)-segment is sampled, and extends every unhit k-set
     by the prefix Turán (n', r-k+R, r-k)-system to its right.  Resamples
-    until |G| is at most its expected value.  Each draw makes one pass over
-    the k-sets, which both builds the extensions and counts the unhit
-    k-sets.
+    until |G| is at most its expected value, for at most
+    RECURSION_MAX_RETRIES draws.  Each draw makes one pass over the
+    (k-R)-sets and one over the k-sets of [n], and keeps at most C(n,r)
+    r-sets; each of those counts must lie within DEFAULT_MATERIALIZE_BUDGET.
     """
     _validate_recursion_params(n, r, R, k, c)
+    for size in (k - R, k, r):
+        _refuse_beyond_budget(n, size)
     expected, _ = expected_recursive_size(n, r, R, k, c)
     rng = random.Random(seed)
-    best: tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...]] | None = None
-    for attempt in range(max_retries):
-        edges, sampled, uncovered = _draw(n, r, R, k, c, rng)
-        if best is None or len(edges) < len(best[0]):
-            best = (edges, sampled)
+    smallest = math.inf
+    for attempt in range(RECURSION_MAX_RETRIES):
+        edges, sampled, size_s_star, uncovered = _draw(n, r, R, k, c, rng)
         if len(edges) <= expected + 1e-9:
-            d = k - R
-            sampled_set = set(sampled)
-            size_s_star = sum(1 for e in edges if e[:d] in sampled_set)
             G = UniformHypergraph.from_edges(n, r, edges)
             sample = RecursionSample(
                 n=n, r=r, R=R, k=k, c=c,
@@ -739,8 +710,8 @@ def recursive_system(
                 expected_size=expected,
             )
             return G, sample
-    assert best is not None
+        smallest = min(smallest, len(edges))
     raise ConstructionError(
-        f"no sample with |G| <= {expected:.3f} within {max_retries} retries "
-        f"(best seen {len(best[0])})"
+        f"no sample with |G| <= {expected:.3f} within {RECURSION_MAX_RETRIES} retries "
+        f"(best seen {smallest})"
     )

@@ -60,7 +60,7 @@ class UniformHypergraph(JsonRecord):
         other non-int vertices are rejected.  Repeated edges collapse into
         one.  Any violation raises ValueError.
 
-        This is the one loader, behind from_json, from_text and every
+        This is the one loader, behind from_json and every
         construction.  Each check is one pass over all edges or all
         vertices in C-level maps and sets; the only Python loop runs over
         the distinct vertices, to build their bits.
@@ -119,10 +119,7 @@ class UniformHypergraph(JsonRecord):
             by_least[(em & -em).bit_length() - 1].append(em)
         return tuple(map(tuple, by_least))
 
-    def edge_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.edges)
-
-    # --- serialization (canonical formats) ---
+    # --- serialization (canonical JSON) ---
 
     def to_json_dict(self) -> dict:
         # By hand: one list per edge, with no per-field dispatch, is the fast
@@ -148,19 +145,6 @@ class UniformHypergraph(JsonRecord):
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
         return UniformHypergraph.from_json_dict(obj)
-
-    def to_text(self) -> str:
-        """Plain-text format: one edge per line, ascending vertices."""
-        return "".join(" ".join(str(v) for v in e) + "\n" for e in self.edges)
-
-    @staticmethod
-    def from_text(text: str, n: int, r: int) -> "UniformHypergraph":
-        edges = [
-            tuple(int(tok) for tok in line.split())
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        return UniformHypergraph.from_edges(n, r, edges)
 
 
 def _mask(elements: tuple[int, ...]) -> int:

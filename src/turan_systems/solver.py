@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import tempfile
 import time
@@ -21,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .bounds import counting_lower_T
-from .combinatorics import JsonRecord, binomial, member_ranks, unrank_colex
+from .combinatorics import JsonRecord, binomial, member_ranks, rank_colex, unrank_colex
 from .hypergraph import UniformHypergraph, is_turan_system
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -116,8 +115,7 @@ def _first_incumbent(n: int, s: int, r: int) -> list[int] | range:
     edges = _turan_construction(n, s, r)
     if edges is None or len(edges) >= len(prefix):
         return prefix
-    ks = range(1, r + 1)
-    return [sum(map(math.comb, e, ks)) for e in edges]
+    return list(map(rank_colex, edges))
 
 
 def _search(

@@ -20,13 +20,13 @@ from turan_systems.bounds import (
 )
 from turan_systems.combinatorics import binomial
 from turan_systems.constructions import (
+    _draw,
     blowup,
     construction_parameters,
     expected_recursive_size,
     lll_certificate_for,
     moser_tardos_color,
     recursive_system,
-    sample_recursive_system,
 )
 from turan_systems.hypergraph import BudgetExceededError, is_turan_system
 from turan_systems.solver import solve_min_turan, turan_r2_value
@@ -104,7 +104,7 @@ def test_criterion_06_recursive_construction_validity():
     expected, _ = expected_recursive_size(8, 3, 1, 2, c=1.0)
     draw_rng = random.Random(0)
     sizes = [
-        len(sample_recursive_system(8, 3, 1, 2, 1.0, draw_rng)[0]) for _ in range(300)
+        len(_draw(8, 3, 1, 2, 1.0, draw_rng)[0]) for _ in range(300)
     ]
     mean = sum(sizes) / len(sizes)
     var = sum((x - mean) ** 2 for x in sizes) / (len(sizes) - 1)

@@ -513,6 +513,11 @@ ERROR_PATHS = {
         "construct recursive --n 3 --r 2 --big-r 1 --k 1 --c 0.99999 --seed 0", 3,
     ),
     "recursive-bad-k": ("construct recursive --n 8 --r 3 --big-r 5 --k 2 --c 1 --seed 1", 2),
+    # C(3000,1) and C(3000,2) fit the materialization budget, C(3000,3) does not.
+    "recursive-budget": (
+        "construct recursive --n 3000 --r 3 --big-r 1 --k 2 --c 1.0 --seed 1", 4,
+    ),
+    "prefix-budget": ("construct prefix --n 100000 --s 4 --r 3", 4),
     "construct-unwritable-out": ("construct prefix --n 6 --s 4 --r 3 --out {dir}/no/x.json", 2),
     "verify-budget": ("verify --input {dir}/big.json --s 20 --budget 1000", 4),
     "verify-sample-no-seed": ("verify --input {dir}/sys.json --s 4 --mode sample", 2),
@@ -576,3 +581,20 @@ class TestOutputContract:
         env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, turan_systems.cli; sys.exit('mpmath' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestToyScript:
+    def test_every_construction_verifies(self):
+        # The README's end-to-end walk through all four constructions.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = os.path.join(root, "scripts", "toy_constructions.py")
+        src = os.path.dirname(os.path.dirname(turan_systems.__file__))
+        proc = subprocess.run(
+            [sys.executable, script, "--seed", "7"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        checked = [line for line in proc.stdout.splitlines() if "verified=" in line]
+        # Three prefix systems, two colour classes, one blowup, one recursion.
+        assert len(checked) == 7
+        assert all(line.endswith("verified=True") for line in checked)

@@ -150,15 +150,6 @@ class TestEnumerate:
                 unrank_colex(i, k, n) for i in range(binomial(n, k))
             ]
 
-    def test_rank_slices_partition_the_stream(self):
-        full = list(enumerate_subsets(9, 4))
-        total = binomial(9, 4)
-        cuts = [0, 17, 50, 100, total]
-        pieces = []
-        for a, b in zip(cuts, cuts[1:]):
-            pieces.extend(enumerate_subsets(9, 4, start=a, stop=b))
-        assert pieces == full
-
 
 class TestMemberRanks:
     def test_matches_ranks_of_combinations(self):

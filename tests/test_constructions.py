@@ -16,6 +16,7 @@ from turan_systems import constructions
 from turan_systems.constructions import (
     ConstructionError,
     FloorAmbiguousError,
+    _draw,
     blowup,
     construction_parameters,
     dependency_degree,
@@ -25,7 +26,6 @@ from turan_systems.constructions import (
     log_binomial_outside,
     moser_tardos_color,
     recursive_system,
-    sample_recursive_system,
     trivial_prefix_system,
 )
 from turan_systems.hypergraph import (
@@ -51,6 +51,13 @@ class TestPrefixSystem:
         H = trivial_prefix_system(6, 6, 2)
         assert len(H) == binomial(2, 2) == 1
         assert is_turan_system(H, 6).is_turan
+
+    def test_budget_refusal(self, monkeypatch):
+        # The (8,4,3) prefix has C(7,3) = 35 edges, the (7,4,3) one C(6,3) = 20.
+        monkeypatch.setattr(constructions, "DEFAULT_MATERIALIZE_BUDGET", 30)
+        with pytest.raises(BudgetExceededError, match=r"C\(7,3\)"):
+            trivial_prefix_system(8, 4, 3)
+        assert len(trivial_prefix_system(7, 4, 3)) == 20
 
 
 class TestConstructionParameters:
@@ -416,10 +423,11 @@ class TestBlowup:
         assert len(B) <= report.cap()
         assert is_turan_system(B, 4).is_turan
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         A = trivial_prefix_system(30, 10, 5)
+        monkeypatch.setattr(constructions, "DEFAULT_MATERIALIZE_BUDGET", 10**4)
         with pytest.raises(BudgetExceededError):
-            blowup(A, 3, budget=10**4)
+            blowup(A, 3)
 
     def test_single_vertex_edges_rejected(self):
         # An s-set inside one non-edge part contains no edge when r = 1,
@@ -427,11 +435,6 @@ class TestBlowup:
         A = UniformHypergraph.from_edges(2, 1, [(0,)])
         with pytest.raises(ValueError):
             blowup(A, 2)
-
-    def test_f_reported_with_ell(self):
-        A = solve_min_turan(4, 3, 2).witness
-        _, report = blowup(A, 2, ell=2)
-        assert report.f == pytest.approx(0.5 + 2 * 1 / 8)
 
 
 class TestRecursiveSystem:
@@ -460,13 +463,24 @@ class TestRecursiveSystem:
     def test_uncovered_count_matches_brute_force(self):
         for n, r, R, k, c, seed in [(8, 3, 1, 2, 1.0, 11), (10, 4, 2, 3, 1.5, 3),
                                     (9, 4, 1, 2, 0.5, 7), (11, 5, 2, 4, 2.0, 1)]:
-            _, sample = recursive_system(n, r, R, k, c, seed)
+            G, sample = recursive_system(n, r, R, k, c, seed)
             sampled = set(sample.sampled)
             unhit = sum(
                 1 for Y in itertools.combinations(range(n), k)
                 if not any(D in sampled for D in itertools.combinations(Y, k - R))
             )
             assert sample.size_uncovered == unhit
+            star = sum(1 for e in G.edges if e[: k - R] in sampled)
+            assert sample.size_sampled_star == star
+            assert sample.size_extension_star == len(G) - star
+
+    def test_budget_refusal(self, monkeypatch):
+        # C(8,1) = 8 and C(8,2) = 28 fit a budget of 30, C(8,3) = 56 does not.
+        monkeypatch.setattr(constructions, "DEFAULT_MATERIALIZE_BUDGET", 30)
+        with pytest.raises(BudgetExceededError, match=r"C\(8,3\)"):
+            recursive_system(8, 3, 1, 2, c=1.0, seed=11)
+        G, _ = recursive_system(6, 3, 1, 2, c=1.0, seed=11)  # C(6,3) = 20
+        assert is_turan_system(G, 4).is_turan
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -535,7 +549,7 @@ class TestExpectedSize:
         rng = random.Random(0)
         expected, _ = expected_recursive_size(8, 3, 1, 2, c=1.0)
         sizes = [
-            len(sample_recursive_system(8, 3, 1, 2, 1.0, rng)[0]) for _ in range(300)
+            len(_draw(8, 3, 1, 2, 1.0, rng)[0]) for _ in range(300)
         ]
         mean = sum(sizes) / len(sizes)
         var = sum((x - mean) ** 2 for x in sizes) / (len(sizes) - 1)

@@ -233,11 +233,6 @@ class TestSerialization:
         assert UniformHypergraph.from_json(H.to_json()) == H
         assert UniformHypergraph.from_json(H.to_json()).to_json() == H.to_json()
 
-    def test_text_roundtrip(self):
-        H = UniformHypergraph.from_edges(5, 3, [(0, 1, 2), (0, 3, 4)])
-        again = UniformHypergraph.from_text(H.to_text(), 5, 3)
-        assert again == H and again.to_text() == H.to_text()
-
     def test_edges_serialized_in_colex(self):
         H = UniformHypergraph.from_edges(5, 2, [(3, 4), (0, 1), (0, 4)])
         assert H.edges == ((0, 1), (0, 4), (3, 4))

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
-from .combinatorics import JsonRecord, binomial, log_binomial
-from .constructions import ConstructionParameters, construction_parameters
+from .combinatorics import FLOAT_R_MAX, JsonRecord, binomial, log_binomial
+from .constructions import construction_parameters
 
 
 # ln of the largest float: math.exp overflows above it.
@@ -73,10 +72,6 @@ class RootResult:
 # beyond R, so every float g outside the window has the sign of g.
 _ROOT_WINDOW = 2.0**-48
 
-# Beyond about R = 1.17e305 the bisection's bracket, and then c0 itself,
-# leave float range.
-ALPHA_ROOT_R_MAX = 10**305
-
 
 def limit_alpha_root(R: int) -> RootResult:
     """Solve x = (R+1) ln(1+x) for its unique root beyond R.
@@ -95,10 +90,12 @@ def limit_alpha_root(R: int) -> RootResult:
     taken in one jump to the dyadic cell that holds it; the rest run as a
     plain bisection that calls g only inside the window.  So c0 is the
     bisection's float, bit for bit, for about a quarter of its calls of g.
-    R must lie in [1, ALPHA_ROOT_R_MAX]; ValueError otherwise.  The
-    residual says nothing from about R = 1.3e14 on (see RootResult).
+    R must lie in [1, FLOAT_R_MAX]: beyond about R = 1.17e305 the
+    bisection's bracket, and then c0 itself, leave float range.
+    ValueError otherwise.  The residual says nothing from about
+    R = 1.3e14 on (see RootResult).
     """
-    if not 1 <= R <= ALPHA_ROOT_R_MAX:
+    if not 1 <= R <= FLOAT_R_MAX:
         raise ValueError(
             "limit_alpha_root supports 1 <= R <= 10**305; c0 leaves float range beyond"
         )
@@ -221,14 +218,14 @@ class BinomialRatioResult:
 
 
 def binomial_ratio_check(r1: int, r2: int, R: int) -> BinomialRatioResult:
-    """C(r1,R)/C(r2,R) <= ((r1-R)/(r2-R))^R; verdict in exact arithmetic."""
+    """C(r1,R)/C(r2,R) <= ((r1-R)/(r2-R))^R; the verdict is exact, from
+    the positive integers C(r1,R) (r2-R)^R and C(r2,R) (r1-R)^R."""
     if not (r1 >= r2 > R >= 1):
         raise ValueError(f"need r1 >= r2 > R >= 1, got ({r1}, {r2}, {R})")
-    lhs_exact = Fraction(binomial(r1, R), binomial(r2, R))
-    rhs_exact = Fraction(r1 - R, r2 - R) ** R
+    holds = binomial(r1, R) * (r2 - R) ** R <= binomial(r2, R) * (r1 - R) ** R
     lhs = math.exp(log_binomial(r1, R) - log_binomial(r2, R))
     rhs = math.exp(R * (math.log(r1 - R) - math.log(r2 - R)))
-    return BinomialRatioResult(lhs=lhs, rhs=rhs, holds=lhs_exact <= rhs_exact)
+    return BinomialRatioResult(lhs=lhs, rhs=rhs, holds=holds)
 
 
 @dataclass(frozen=True)
@@ -362,7 +359,6 @@ class ChainCheckResult(JsonRecord):
     target: float  # R ln C(s,R)
     ratio: float
     degenerate: bool  # ell < 2, ratio unreliable
-    params: ConstructionParameters = field(repr=False)
 
 
 def closing_chain_check(r: int, R: int) -> ChainCheckResult:
@@ -409,7 +405,6 @@ def closing_chain_check(r: int, R: int) -> ChainCheckResult:
         target=target,
         ratio=ratio,
         degenerate=degenerate,
-        params=params,
     )
 
 

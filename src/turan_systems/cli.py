@@ -22,10 +22,11 @@ import time
 import warnings
 
 from . import __version__
-from .bounds import ALPHA_ROOT_R_MAX, bound_reports, closing_chain_check
+from .bounds import bound_reports, closing_chain_check
 from .constructions import (
     ConstructionError,
     blowup,
+    construction_parameters,
     lll_certificate_for,
     lll_condition,
     moser_tardos_color,
@@ -225,18 +226,10 @@ def cmd_certify_lll(args: argparse.Namespace) -> int:
         cert = lll_condition(args.n, args.r + args.big_r, args.r, args.ell)
         chain = None
     else:
-        # Every r = 2 cell is degenerate (N < s), which is reported below at
-        # any R; for r >= 3 the schedule's logs leave float range beyond the
-        # root's limit, so such R is refused as `bounds` refuses it.
-        if args.r > 2 and args.big_r > ALPHA_ROOT_R_MAX:
-            raise ValueError(
-                "certify-lll supports R <= 10**305 for r >= 3; "
-                "the construction parameters leave float range beyond"
-            )
-        chain = closing_chain_check(args.r, args.big_r)
-        params = chain.params
+        params = construction_parameters(args.r, args.big_r)
         if params.degenerate:
             raise ConstructionError(f"degenerate parameters: {params.degenerate_reason}")
+        chain = closing_chain_check(args.r, args.big_r)
         cert = lll_certificate_for(params)
     payload = {"certificate": cert.to_json_dict()}
     if chain is not None:
@@ -272,8 +265,15 @@ def cmd_table(args: argparse.Namespace) -> int:
 # --- parser ---
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one stderr line, exit 2; subparsers share the class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="turan", description="Turán system construction and bound toolkit"
     )
     parser.add_argument("--version", action="version", version=__version__)

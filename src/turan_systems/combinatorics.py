@@ -7,7 +7,8 @@ colexicographic order is the single canonical order for ranking,
 enumeration and serialization.  LogValue carries a nonnegative real as
 its natural log and does no arithmetic; the choice between exact and log
 values is made by the callers (construction_parameters for the colouring
-schedule, EXACT_LOG_N_MAX for ln C).
+schedule, lll_certificate_for for its certificate, EXACT_LOG_N_MAX for
+ln C).
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from typing import Iterator
 # log_binomial takes the log of the exact integer C(n, k) up to this n and
 # Stirling's series beyond it.  This is the one exact-or-log cutoff for ln C.
 EXACT_LOG_N_MAX = 4096
+
+# The largest gap R that the float-valued bounds and the colouring schedule
+# accept: beyond about 1.17e305 the root behind alpha(R) leaves float range,
+# and so does the schedule's ln R! for r >= 3.
+FLOAT_R_MAX = 10**305
 
 
 class JsonRecord:
@@ -95,9 +101,10 @@ def log_binomial_series(log_n: float, t: float, k: int) -> float:
 class LogValue:
     """A nonnegative real carried on natural-log scale.
 
-    Used for quantities like C(s,R)^2 * C(N-s,R) whose magnitudes dwarf
-    floating range at the full construction-scale parameters.  It only
-    carries a value: arithmetic is done on log_magnitude by the caller.
+    The local-lemma certificate's output fields use it for quantities
+    like N and Delta whose magnitudes dwarf floating range at the full
+    construction-scale parameters.  It only carries a value: arithmetic
+    is done on log_magnitude by the caller.
     """
 
     log_magnitude: float
@@ -106,14 +113,6 @@ class LogValue:
     @staticmethod
     def zero() -> "LogValue":
         return LogValue(float("-inf"), True)
-
-    @staticmethod
-    def from_int(value: int) -> "LogValue":
-        if value < 0:
-            raise ValueError("LogValue represents nonnegative reals only")
-        if value == 0:
-            return LogValue.zero()
-        return LogValue(float(math.log(value)))
 
 
 def check_subset(elements: tuple[int, ...], n: int, k: int | None = None) -> None:

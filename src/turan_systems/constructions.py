@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .combinatorics import (
+    FLOAT_R_MAX,
     JsonRecord,
     LogValue,
     binomial,
@@ -93,7 +94,8 @@ class ConstructionParameters(JsonRecord):
     log-space.  There the floor in ell is dropped, and the floor in N is
     kept in ln C(N-s,R) until N reaches 2^53, beyond which its relative
     effect is below float resolution.  exact_path says which; downstream
-    code reads N and ell (None off the exact path) and never re-decides.
+    code reads N and ell (None off the exact path), and the certificate
+    branches on N alone.
     """
 
     r: int
@@ -165,9 +167,18 @@ def construction_parameters(r: int, R: int) -> ConstructionParameters:
     only when the quotient lies within its float error margin of an integer
     (see _floor_of_quotient).  On the log path ln N is unfloored and ell is
     carried as ln ell.
+
+    Needs r >= 2 and R >= 1, and for r >= 3 R <= FLOAT_R_MAX, beyond which
+    ln R! leaves float range; ValueError otherwise.  r = 2 is degenerate
+    (N <= s) at any R.
     """
     if r < 2 or R < 1:
         raise ValueError(f"need r >= 2 and R >= 1, got r={r}, R={R}")
+    if r > 2 and R > FLOAT_R_MAX:
+        raise ValueError(
+            "the colouring schedule supports R <= 10**305 for r >= 3; "
+            "its logs leave float range beyond"
+        )
     s = r + R
     log_C = log_binomial(s, R)
     log_N = math.log(r * (r - 1) / (2 * R)) + log_C
@@ -193,9 +204,8 @@ def construction_parameters(r: int, R: int) -> ConstructionParameters:
         log_ell = math.log(ell) if ell >= 1 else None
     else:
         ell = None
-        denom_log = 2.0 * log_C + log_binomial_outside(
-            LogValue(log_N) if N is None else N, s, R
-        )
+        log_outside = log_binomial_outside(log_N, s, R) if N is None else log_binomial(N - s, R)
+        denom_log = 2.0 * log_C + log_outside
         log_ell = log_C - math.log(denom_log) if denom_log > 0 else None
 
     reason = None
@@ -259,16 +269,14 @@ class LllCertificate:
         }
 
 
-def log_binomial_outside(N: int | LogValue, s: int, R: int) -> float:
-    """ln C(N-s, R), the number of R-sets of [N] that miss a fixed s-set.
+def log_binomial_outside(log_N: float, s: int, R: int) -> float:
+    """ln C(N-s, R), the number of R-sets of [N] that miss a fixed s-set,
+    for N carried as ln N.
 
-    An exact N goes to log_binomial.  An N carried as ln N goes to the same
-    Stirling series with ln(N-s) = ln N + ln(1 - s/N); once N is beyond
-    float range that is R ln N - ln R!.
+    The Stirling series of log_binomial with ln(N-s) = ln N + ln(1 - s/N);
+    once N is beyond float range that is R ln N - ln R!.
     """
-    if isinstance(N, int):
-        return log_binomial(N - s, R)
-    log_M = N.log_magnitude + math.log1p(-s * math.exp(-N.log_magnitude))
+    log_M = log_N + math.log1p(-s * math.exp(-log_N))
     return log_binomial_series(log_M, R * math.exp(-log_M), R)
 
 
@@ -295,19 +303,18 @@ def _delta_too_long(digit_limit: int) -> str:
 
 
 def lll_condition(
-    N: int | LogValue,
+    N: int,
     s: int,
     r: int,
-    ell: int | LogValue,
+    ell: int,
     ratio_C_over_ell: float | None = None,
 ) -> LllCertificate:
-    """Evaluate the local-lemma condition for the coloring construction.
+    """Evaluate the local-lemma condition at explicit integers N and ell.
 
-    Delta is computed exactly whenever N is an explicit integer, otherwise
-    bounded by 2 C(s,R) C(N-s,R) (valid when 3 <= R <= s/2 and
-    N >= C(s,3); the certificate carries that flag).  An integer N needs
-    N >= s and R <= sys.maxsize, since math.comb takes no larger terms,
-    and a Delta short enough for str() to print; ValueError otherwise.
+    Delta is the exact dependency degree.  That needs N >= s and
+    R <= sys.maxsize, since math.comb takes no larger terms, and a Delta
+    short enough for str() to print; ell must be >= 1.  ValueError
+    otherwise.
 
     ratio_C_over_ell, when given, is a certified lower bound on
     C(s,R)/ell; construction_parameters supplies its denominator for this
@@ -316,19 +323,17 @@ def lll_condition(
     R = s - r
     if not (0 < r < s):
         raise ValueError(f"need 0 < r < s, got r={r}, s={s}")
-    check_digits = False
-    if isinstance(N, int):
-        if R > sys.maxsize:
-            raise ValueError(
-                f"an explicit N supports R <= {sys.maxsize}; "
-                "the exact dependency degree needs binomials beyond math.comb"
-            )
-        if N < s:
-            raise ValueError(f"an explicit N needs N >= s = {s}, got N = {N}")
-        digit_limit = _int_str_digit_limit()
-        # Delta <= C(N,s) < 2^(s * N.bit_length()) and 10^L > 2^(3L), so a
-        # Delta with at most 3L bits there is short enough to print.
-        check_digits = digit_limit and s * N.bit_length() > 3 * digit_limit
+    if R > sys.maxsize:
+        raise ValueError(
+            f"an explicit N supports R <= {sys.maxsize}; "
+            "the exact dependency degree needs binomials beyond math.comb"
+        )
+    if N < s:
+        raise ValueError(f"an explicit N needs N >= s = {s}, got N = {N}")
+    digit_limit = _int_str_digit_limit()
+    # Delta <= C(N,s) < 2^(s * N.bit_length()) and 10^L > 2^(3L), so a
+    # Delta with at most 3L bits there is short enough to print.
+    check_digits = digit_limit and s * N.bit_length() > 3 * digit_limit
     if check_digits:
         # Delta's largest term bounds it from below: refuse before the
         # s - r + 1 exact binomials when that term alone is too long to
@@ -338,26 +343,44 @@ def lll_condition(
         log_term = log_binomial(s, i) + log_binomial(N - s, s - i)
         if log_term > digit_limit * math.log(10) * (1 + 1e-12):
             raise ValueError(_delta_too_long(digit_limit))
-    N_val = LogValue.from_int(N) if isinstance(N, int) else N
-    ell_val = LogValue.from_int(ell) if isinstance(ell, int) else ell
-    if ell_val.is_zero or ell_val.log_magnitude < 0:
+    if ell < 1:
         raise ValueError("ell must be >= 1")
-    log_ell = ell_val.log_magnitude
+    delta_exact = dependency_degree(N, s, r)
+    if check_digits and delta_exact >= 10**digit_limit:
+        raise ValueError(_delta_too_long(digit_limit))
+    log_delta = math.log(delta_exact)
+    return _certificate(math.log(N), s, r, math.log(ell), log_delta, delta_exact, ratio_C_over_ell)
 
-    log_C = log_binomial(s, R)
 
-    # Delta, exact when materializable.
-    delta_exact: int | None = None
-    if isinstance(N, int):
-        delta_exact = dependency_degree(N, s, r)
-        if check_digits and delta_exact >= 10**digit_limit:
-            raise ValueError(_delta_too_long(digit_limit))
-        log_delta = LogValue.from_int(delta_exact)
-    else:
-        log_delta = LogValue(math.log(2.0) + log_C + log_binomial_outside(N, s, R))
-    delta_upper_valid = 3 <= R <= s / 2 and (
-        N_val.log_magnitude >= log_binomial(s, min(3, s)) - 1e-12
+def lll_certificate_for(params: ConstructionParameters) -> LllCertificate:
+    """Certificate at the construction's own (N, ell) schedule.
+
+    The certificate's one exact-or-log branch: an exact N gives the exact
+    Delta through lll_condition, an N carried as ln N the bound
+    Delta <= 2 C(s,R) C(N-s,R), valid when 3 <= R <= s/2 and N >= C(s,3)
+    (the delta_upper_valid flag).  floor(ell) <= C/denominator, so the
+    denominator is a certified lower bound on C(s,R)/ell, free of
+    true-scale cancellation.
+    """
+    if params.degenerate:
+        raise ValueError(f"degenerate parameters: {params.degenerate_reason}")
+    s, r, R = params.s, params.r, params.R
+    if params.N is not None:
+        return lll_condition(params.N, s, r, params.ell, params.denominator_log)
+    log_delta = math.log(2.0) + params.log_binom_sR + log_binomial_outside(params.log_N, s, R)
+    return _certificate(
+        params.log_N, s, r, params.log_ell, log_delta, None, params.denominator_log
     )
+
+
+def _certificate(
+    log_N: float, s: int, r: int, log_ell: float, log_delta: float,
+    delta_exact: int | None, ratio_C_over_ell: float | None,
+) -> LllCertificate:
+    """The bad-event bound p, both conditions and the record, from logs."""
+    R = s - r
+    log_C = log_binomial(s, R)
+    delta_upper_valid = 3 <= R <= s / 2 and log_N >= log_binomial(s, min(3, s)) - 1e-12
 
     # C(s,R)/ell from logs; inf once it leaves float range (e^709.78).
     C_over_ell = math.exp(log_C - log_ell) if log_C - log_ell < 709 else math.inf
@@ -368,47 +391,28 @@ def lll_condition(
     # is ln ell - (C/ell) g with g = -ell ln(1 - 1/ell); zero for one colour.
     if log_ell == 0.0:
         log_p = LogValue.zero()
+        condition_holds = True
     else:
         u = math.exp(-log_ell)
         g = -math.log1p(-u) / u if u else 1.0
         log_p = LogValue(log_ell - C_over_ell * g)
-
-    if log_p.is_zero:
-        condition_holds = True
-    else:
-        condition_holds = 1.0 + log_p.log_magnitude + log_delta.log_magnitude < 0
-    exponential_condition_holds = x > 1.0 + log_ell + log_delta.log_magnitude
+        condition_holds = 1.0 + log_p.log_magnitude + log_delta < 0
+    exponential_condition_holds = x > 1.0 + log_ell + log_delta
 
     return LllCertificate(
-        N=N_val,
+        N=LogValue(log_N),
         s=s,
         r=r,
         R=R,
-        ell=ell_val,
+        ell=LogValue(log_ell),
         log_p_bound=log_p,
-        log_delta=log_delta,
+        log_delta=LogValue(log_delta),
         delta_exact=delta_exact,
         delta_is_upper_bound=delta_exact is None,
         delta_upper_valid=delta_upper_valid,
         condition_holds=condition_holds,
         exponential_condition_holds=exponential_condition_holds,
         ratio_C_over_ell=x,
-    )
-
-
-def lll_certificate_for(params: ConstructionParameters) -> LllCertificate:
-    """Certificate at the construction's own (N, ell) schedule."""
-    if params.degenerate:
-        raise ValueError(f"degenerate parameters: {params.degenerate_reason}")
-    # An exact N gives the exact dependency degree.  floor(ell) <=
-    # C/denominator, so the denominator is a certified lower bound on
-    # C(s,R)/ell; it keeps the true-scale evaluation cancellation-free.
-    return lll_condition(
-        params.N if params.N is not None else LogValue(params.log_N),
-        params.s,
-        params.r,
-        LogValue(params.log_ell),
-        ratio_C_over_ell=params.denominator_log,
     )
 
 
@@ -630,43 +634,27 @@ def _draw(
     k: int,
     c: float,
     rng: random.Random,
-) -> tuple[set[tuple[int, ...]], tuple[tuple[int, ...], ...], int, int]:
-    """One draw in a single pass over the k-sets: (edges, sampled, |S*|, |T|).
+) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, ...]], int, int]:
+    """One draw, sized without building it: (sampled, T, |S*|, |G|).
 
-    T is the set of k-sets that contain no sampled (k-R)-set.  The tail past
-    a k-set with maximum v is the prefix (n-1-v, r-k+R, r-k)-system on the
-    vertices after v: every (r-k)-subset of range(v+1, n-R), none when the
-    tail is shorter than r-k+R.  S* and T* share no r-set: the first k-R
-    vertices of an r-set are sampled in S* and lie in an unhit k-set in T*,
-    so |G| = |S*| + |T*|.
+    T lists the k-sets that contain no sampled (k-R)-set.  S* extends each
+    sampled D by every (r-k+R)-set past max D.  The tail past a k-set with
+    maximum v is the prefix (n-1-v, r-k+R, r-k)-system: every (r-k)-subset
+    of range(v+1, n-R).  S* and T* share no r-set (the first k-R vertices
+    of an r-set are sampled in S* and lie in an unhit k-set in T*), and
+    neither repeats one, so |G| = |S*| + |T*|.
     """
     d = k - R  # size of the sampled initial segments
     p = c / binomial(k, R)
     sampled = tuple(D for D in enumerate_subsets(n, d) if rng.random() < p)
     sampled_set = set(sampled)
-
-    edges: set[tuple[int, ...]] = set()
-    # S*: r-sets whose d smallest elements form a sampled set.
-    extensions: dict[int, list[tuple[int, ...]]] = {}
-    size_s_star = 0
-    for D in sampled:
-        lo = D[-1] if D else -1
-        if lo not in extensions:
-            extensions[lo] = list(itertools.combinations(range(lo + 1, n), r - d))
-        edges.update(D + x for x in extensions[lo])
-        size_s_star += len(extensions[lo])
-    # T*: k-sets not hit by S, extended by the tail system past their max.
-    tails: dict[int, list[tuple[int, ...]]] = {}
-    uncovered = 0
-    for Y in itertools.combinations(range(n), k):
-        if not sampled_set.isdisjoint(itertools.combinations(Y, d)):
-            continue
-        uncovered += 1
-        v = Y[-1]
-        if v not in tails:
-            tails[v] = list(itertools.combinations(range(v + 1, n - R), r - k))
-        edges.update(Y + Z for Z in tails[v])
-    return edges, sampled, size_s_star, uncovered
+    size_s_star = sum(math.comb(n - 1 - max(D, default=-1), r - d) for D in sampled)
+    unhit = [
+        Y for Y in itertools.combinations(range(n), k)
+        if sampled_set.isdisjoint(itertools.combinations(Y, d))
+    ]
+    size_t_star = sum(math.comb(max(0, n - R - 1 - Y[-1]), r - k) for Y in unhit)
+    return sampled, unhit, size_s_star, size_s_star + size_t_star
 
 
 def recursive_system(
@@ -694,9 +682,15 @@ def recursive_system(
     rng = random.Random(seed)
     smallest = math.inf
     for attempt in range(RECURSION_MAX_RETRIES):
-        edges, sampled, size_s_star, uncovered = _draw(n, r, R, k, c, rng)
-        if len(edges) <= expected + 1e-9:
-            G = UniformHypergraph.from_edges(n, r, edges)
+        sampled, unhit, size_s_star, size = _draw(n, r, R, k, c, rng)
+        if size <= expected + 1e-9:
+            # Only the accepted draw's edges are built: S*, then T*.
+            G = UniformHypergraph.from_edges(n, r, itertools.chain(
+                (D + x for D in sampled for x in
+                 itertools.combinations(range(max(D, default=-1) + 1, n), r - k + R)),
+                (Y + Z for Y in unhit for Z in
+                 itertools.combinations(range(Y[-1] + 1, n - R), r - k)),
+            ))
             sample = RecursionSample(
                 n=n, r=r, R=R, k=k, c=c,
                 p=c / binomial(k, R),
@@ -704,13 +698,13 @@ def recursive_system(
                 retries=attempt,
                 sampled=sampled,
                 size_sampled_star=size_s_star,
-                size_uncovered=uncovered,
-                size_extension_star=len(edges) - size_s_star,
-                size_total=len(edges),
+                size_uncovered=len(unhit),
+                size_extension_star=size - size_s_star,
+                size_total=size,
                 expected_size=expected,
             )
             return G, sample
-        smallest = min(smallest, len(edges))
+        smallest = min(smallest, size)
     raise ConstructionError(
         f"no sample with |G| <= {expected:.3f} within {RECURSION_MAX_RETRIES} retries "
         f"(best seen {smallest})"

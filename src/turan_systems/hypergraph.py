@@ -41,30 +41,29 @@ class UniformHypergraph(JsonRecord):
 
     Immutable after construction; edge bitmasks are precomputed, in
     ascending order (the colex order of the edges), because mask inclusion
-    and lookup are the hot paths of verification.
+    and lookup are the hot paths of verification.  The constructor is the
+    one loader (see __post_init__); from_edges and from_json call it.
     """
 
     n: int
     r: int
     edges: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(repr=False, compare=False, default=())
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @staticmethod
-    def from_edges(
-        n: int, r: int, edges: Iterable[Iterable[int]]
-    ) -> "UniformHypergraph":
-        """The r-graph on {0, ..., n-1} with the given edges.
+    def __post_init__(self) -> None:
+        """Check and normalise the fields: this is the one loader.
 
         n and r are ints with n >= 0 and r >= 1.  Each edge is an iterable
         of r distinct int vertices in range(n), in any order; bools and
         other non-int vertices are rejected.  Repeated edges collapse into
-        one.  Any violation raises ValueError.
+        one.  Any violation raises ValueError.  The edges are stored as
+        sorted tuples in colex order, with their bitmasks in ``masks``.
 
-        This is the one loader, behind from_json and every
-        construction.  Each check is one pass over all edges or all
-        vertices in C-level maps and sets; the only Python loop runs over
-        the distinct vertices, to build their bits.
+        Each check is one pass over all edges or all vertices in C-level
+        maps and sets; the only Python loop runs over the distinct
+        vertices, to build their bits.
         """
+        n, r, edges = self.n, self.r, self.edges
         if type(n) is not int or type(r) is not int:
             raise ValueError(f"n and r must be integers, got n={n!r}, r={r!r}")
         if n < 0 or r < 1:
@@ -97,12 +96,15 @@ class UniformHypergraph(JsonRecord):
         by_mask = dict(zip(masks, tuples))
         # Among sets of one size, colex order is the numeric order of masks.
         ordered = sorted(by_mask)
-        return UniformHypergraph(
-            n=n,
-            r=r,
-            edges=tuple(map(by_mask.__getitem__, ordered)),
-            masks=tuple(ordered),
-        )
+        object.__setattr__(self, "edges", tuple(map(by_mask.__getitem__, ordered)))
+        object.__setattr__(self, "masks", tuple(ordered))
+
+    @staticmethod
+    def from_edges(
+        n: int, r: int, edges: Iterable[Iterable[int]]
+    ) -> "UniformHypergraph":
+        """The r-graph on {0, ..., n-1} with the given edges."""
+        return UniformHypergraph(n, r, edges)
 
     def __len__(self) -> int:
         return len(self.edges)

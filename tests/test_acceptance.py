@@ -104,7 +104,7 @@ def test_criterion_06_recursive_construction_validity():
     expected, _ = expected_recursive_size(8, 3, 1, 2, c=1.0)
     draw_rng = random.Random(0)
     sizes = [
-        len(_draw(8, 3, 1, 2, 1.0, draw_rng)[0]) for _ in range(300)
+        _draw(8, 3, 1, 2, 1.0, draw_rng)[3] for _ in range(300)
     ]
     mean = sum(sizes) / len(sizes)
     var = sum((x - mean) ** 2 for x in sizes) / (len(sizes) - 1)

@@ -464,6 +464,18 @@ class TestParser:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--s", "4"], ["solve", "--n", "x", "--s", "4", "--r", "3"], ["frobnicate"]],
+        ids=["missing-option", "bad-int", "unknown-subcommand"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("turan") and ": error: " in err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
@@ -579,7 +591,11 @@ class TestOutputContract:
         # mpmath is needed only on the slow path of the exact floors.
         src = os.path.dirname(os.path.dirname(turan_systems.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, turan_systems.cli; sys.exit('mpmath' in sys.modules)"
+        # Nor fractions: binomial_ratio_check compares integers.
+        code = (
+            "import sys, turan_systems.cli; "
+            "sys.exit('mpmath' in sys.modules or 'fractions' in sys.modules)"
+        )
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from turan_systems.combinatorics import (
     EXACT_LOG_N_MAX,
-    LogValue,
     binomial,
     enumerate_subsets,
     log_binomial,
@@ -162,8 +161,3 @@ class TestMemberRanks:
                     ]
                     assert member_ranks(n, s, r) == expected, (n, s, r)
 
-
-class TestLogValue:
-    def test_conversion_monotone(self):
-        logs = [LogValue.from_int(v).log_magnitude for v in [0, 1, 2, 10, 10**100]]
-        assert logs == sorted(logs) and len(set(logs)) == len(logs)

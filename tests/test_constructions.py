@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from turan_systems.bounds import bound_reports, closing_chain_check
 from turan_systems.cli import _dump
-from turan_systems.combinatorics import LogValue, binomial, enumerate_subsets, rank_colex
+from turan_systems.combinatorics import binomial, enumerate_subsets, log_binomial, rank_colex
 from turan_systems import constructions
 from turan_systems.constructions import (
     ConstructionError,
@@ -81,6 +81,13 @@ class TestConstructionParameters:
         assert not p.exact_path and p.degenerate
         assert p.log_N == pytest.approx(math.log(10**17 / 2 + 1.5), rel=1e-12)
         assert p.degenerate_reason.endswith(f"<= s = {10**17 + 2}")
+
+    @pytest.mark.parametrize("R", [10**306, 10**309])
+    def test_R_beyond_float_range_refused(self, R):
+        # ln R! leaves float range for r >= 3; r = 2 stays degenerate.
+        with pytest.raises(ValueError, match=r"10\*\*305"):
+            construction_parameters(3, R)
+        assert construction_parameters(2, R).degenerate
 
     def test_log_path_consistency_with_exact(self):
         # r=7, R=2 still fits the exact path; its log fields must agree
@@ -247,12 +254,12 @@ class TestScheduleOutputsPinned:
 class TestLogBinomialOutside:
     @pytest.mark.parametrize("N, s, R", [(600, 14, 10), (10**6, 20, 5), (10**15, 1003, 3)])
     def test_log_N_agrees_with_exact_N(self, N, s, R):
-        from_log = log_binomial_outside(LogValue.from_int(N), s, R)
-        assert from_log == pytest.approx(log_binomial_outside(N, s, R), rel=1e-12)
+        from_log = log_binomial_outside(math.log(N), s, R)
+        assert from_log == pytest.approx(log_binomial(N - s, R), rel=1e-12)
 
     def test_beyond_float_range(self):
         # N = e^1000: N - s - i equals N to float resolution.
-        got = log_binomial_outside(LogValue(1000.0), 50, 7)
+        got = log_binomial_outside(1000.0, 50, 7)
         assert got == pytest.approx(7 * 1000.0 - math.lgamma(8), rel=1e-15)
 
 
@@ -549,7 +556,7 @@ class TestExpectedSize:
         rng = random.Random(0)
         expected, _ = expected_recursive_size(8, 3, 1, 2, c=1.0)
         sizes = [
-            len(_draw(8, 3, 1, 2, 1.0, rng)[0]) for _ in range(300)
+            _draw(8, 3, 1, 2, 1.0, rng)[3] for _ in range(300)
         ]
         mean = sum(sizes) / len(sizes)
         var = sum((x - mean) ** 2 for x in sizes) / (len(sizes) - 1)

@@ -68,6 +68,12 @@ class TestExhaustiveVerify:
         assert not report.is_turan
         assert report.witness == (0, 1, 2, 3)
 
+    def test_constructor_builds_a_checked_system(self):
+        # K4^(3) through the constructor: its one 4-set holds all four triples.
+        H = UniformHypergraph(4, 3, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+        assert is_turan_system(H, 4).is_turan
+        assert contains_edge(H, (0, 1, 2))
+
     def test_three_triples_cover_5_4(self):
         H = UniformHypergraph.from_edges(5, 3, [(0, 1, 2), (0, 3, 4), (1, 3, 4)])
         assert is_turan_system(H, 4).is_turan
@@ -313,6 +319,9 @@ class TestLoaderAgainstReference:
             n, r, as_container(outer, (as_container(inner, e) for e in edges))
         )
         assert (H.edges, H.masks) == expected
+        # The constructor is the loader that from_edges calls.
+        G = UniformHypergraph(n, r, as_container(outer, (as_container(inner, e) for e in edges)))
+        assert G == H and G.masks == H.masks
 
     @given(loader_inputs(), st.sampled_from(sorted(CORRUPTIONS)), st.data())
     @settings(max_examples=300, deadline=None)
@@ -324,3 +333,5 @@ class TestLoaderAgainstReference:
         edges[i] = CORRUPTIONS[kind](edges[i], n)
         with pytest.raises(ValueError):
             UniformHypergraph.from_edges(n, r, edges)
+        with pytest.raises(ValueError):
+            UniformHypergraph(n, r, edges)

@@ -11,12 +11,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .combinatorics import FLOAT_R_MAX, JsonRecord, binomial, log_binomial
+from .combinatorics import FLOAT_R_MAX, JsonRecord, binomial, check_sizes, exp_or_inf, log_binomial
 from .constructions import construction_parameters
-
-
-# ln of the largest float: math.exp overflows above it.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -34,8 +30,7 @@ class BoundReport(JsonRecord):
 
 def counting_lower_T(n: int, s: int, r: int) -> int:
     """Double-counting lower bound ceil(C(n,r) / C(s,r)) on T(n,s,r)."""
-    if not (r < s <= n):
-        raise ValueError(f"need r < s <= n, got r={r}, s={s}, n={n}")
+    check_sizes(n, s, r)
     return -(-binomial(n, r) // binomial(s, r))
 
 
@@ -336,7 +331,7 @@ def descent_certificate(r: int, R: int, eps1: float) -> RecursionTrace:
             replace(
                 entry,
                 c_i=c,
-                mu_bound_i=math.exp(log_mu) if log_mu < 709 else float("inf"),
+                mu_bound_i=exp_or_inf(log_mu),
             )
         )
     trace.entries = list(reversed(valued))
@@ -372,17 +367,15 @@ def closing_chain_check(r: int, R: int) -> ChainCheckResult:
     log_C = params.log_binom_sR
     degenerate = params.degenerate or (params.ell is not None and params.ell < 2)
 
-    # An integer ell is carried only on the exact path; there N is exact too.
-    if params.ell is not None and not params.degenerate:
+    if params.exact_path and not params.degenerate:
         C = binomial(params.s, R)
         c_over_ell = C / params.ell
         second = r * (r - 1) * C / (2.0 * params.N)
     else:
         c_over_ell = params.denominator_log if params.denominator_log else float("inf")
         # r(r-1) C(s,R) / (2N) with N = floor(r(r-1)C/(2R)): equals R up to
-        # the floor, evaluated via logs; inf once it leaves float range.
-        log_second = math.log(r * (r - 1) / 2.0) + log_C - params.log_N
-        second = math.exp(log_second) if log_second <= _LOG_FLOAT_MAX else math.inf
+        # the floor, evaluated via logs.
+        second = exp_or_inf(math.log(r * (r - 1) / 2.0) + log_C - params.log_N)
 
     # construction_parameters takes an R beyond float range only at r = 2,
     # where the cell is degenerate.

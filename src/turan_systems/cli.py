@@ -80,23 +80,20 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _write_manifest(subcommand: str, args: argparse.Namespace, out: str | None) -> None:
-    if out is None:
-        return
+def _write_manifest(args: argparse.Namespace, text: str) -> None:
+    """The manifest beside args.out, with the digest of the text written there."""
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in {"func", "out"}
     }
-    with open(out, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "parameters": params,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "outputs": {out: digest},
+        "outputs": {args.out: hashlib.sha256(text.encode()).hexdigest()},
     }
-    with open(out + ".manifest.json", "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         fh.write(_dump(manifest))
 
 
@@ -144,8 +141,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         system, _report = blowup(_load_system(args.input), args.m)
     else:
         system, _sample = recursive_system(args.n, args.r, args.big_r, args.k, args.c, args.seed)
-    _write_output(_dump(system.to_json_dict()), args.out)
-    _write_manifest("construct", args, args.out)
+    text = _dump(system.to_json_dict())
+    _write_output(text, args.out)
+    if args.out is not None:
+        _write_manifest(args, text)
     return EXIT_OK
 
 
@@ -249,6 +248,8 @@ def _parse_grid(spec: str) -> tuple[list[int], list[int]]:
         name = name.strip()
         if name not in {"r", "R"} or not items:
             raise ValueError(f"bad grid component {part!r}; expected r=... or R=...")
+        if name in values:
+            raise ValueError(f"grid names {name} twice; give each of r and R once")
         values[name] = [int(tok) for tok in items.split(",")]
     if "r" not in values or "R" not in values:
         raise ValueError("grid must define both r and R, e.g. 'r=4,5,6;R=1,2'")

@@ -32,8 +32,9 @@ class JsonRecord:
     """Base of the dataclass records that are printed as JSON.
 
     to_json_dict maps each field shown in repr to its value: tuples and
-    lists become lists, and nested records their own dicts.  A field
-    marked repr=False is left out.
+    lists become lists, nested records their own dicts, and a LogValue
+    its log_magnitude, or None when it is zero.  A field marked
+    repr=False is left out.
     """
 
     def to_json_dict(self) -> dict:
@@ -45,7 +46,21 @@ def _json_value(value):
         return [_json_value(v) for v in value]
     if isinstance(value, JsonRecord):
         return value.to_json_dict()
+    if isinstance(value, LogValue):
+        return None if value.is_zero else value.log_magnitude
     return value
+
+
+def check_sizes(n: int, s: int, r: int) -> None:
+    """The domain 1 <= r < s <= n of a Turán (n,s,r)-system; ValueError otherwise."""
+    if not 1 <= r < s <= n:
+        raise ValueError(f"need 1 <= r < s <= n, got r={r}, s={s}, n={n}")
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x below 709, inf from 709 on: the one float-overflow cutoff, a
+    little below ln of the largest float (709.78)."""
+    return math.exp(x) if x < 709 else math.inf
 
 
 def binomial(n: int, k: int) -> int:

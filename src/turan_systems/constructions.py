@@ -23,7 +23,9 @@ from .combinatorics import (
     JsonRecord,
     LogValue,
     binomial,
+    check_sizes,
     enumerate_subsets,
+    exp_or_inf,
     log_binomial,
     log_binomial_series,
     member_ranks,
@@ -71,8 +73,7 @@ def trivial_prefix_system(n: int, s: int, r: int) -> UniformHypergraph:
     Any s-set misses at most s-r of those prefix vertices, hence meets the
     prefix in at least r points and contains an edge.  Size C(n-s+r, r).
     """
-    if not (r < s <= n):
-        raise ValueError(f"need r < s <= n, got r={r}, s={s}, n={n}")
+    check_sizes(n, s, r)
     _refuse_beyond_budget(n - (s - r), r)
     return UniformHypergraph.from_edges(n, r, enumerate_subsets(n - (s - r), r))
 
@@ -93,9 +94,8 @@ class ConstructionParameters(JsonRecord):
     integers with certified floors; otherwise they are carried in
     log-space.  There the floor in ell is dropped, and the floor in N is
     kept in ln C(N-s,R) until N reaches 2^53, beyond which its relative
-    effect is below float resolution.  exact_path says which; downstream
-    code reads N and ell (None off the exact path), and the certificate
-    branches on N alone.
+    effect is below float resolution.  exact_path says which, and
+    downstream code branches on it; N and ell are None off the exact path.
     """
 
     r: int
@@ -226,7 +226,7 @@ def construction_parameters(r: int, R: int) -> ConstructionParameters:
 
 
 @dataclass(frozen=True)
-class LllCertificate:
+class LllCertificate(JsonRecord):
     """Arithmetic of the symmetric local-lemma check for the bad events.
 
     p is the probability that a fixed s-set misses some colour, Delta the
@@ -236,11 +236,11 @@ class LllCertificate:
     e^{C(s,R)/ell} > e*ell*Delta.
     """
 
-    N: LogValue
+    log_N: LogValue
     s: int
     r: int
     R: int
-    ell: LogValue
+    log_ell: LogValue
     log_p_bound: LogValue
     log_delta: LogValue
     delta_exact: int | None
@@ -249,24 +249,6 @@ class LllCertificate:
     condition_holds: bool
     exponential_condition_holds: bool
     ratio_C_over_ell: float
-
-    def to_json_dict(self) -> dict:
-        # By hand: the LogValue fields are written as their logs, renamed.
-        return {
-            "log_N": self.N.log_magnitude,
-            "s": self.s,
-            "r": self.r,
-            "R": self.R,
-            "log_ell": self.ell.log_magnitude,
-            "log_p_bound": None if self.log_p_bound.is_zero else self.log_p_bound.log_magnitude,
-            "log_delta": self.log_delta.log_magnitude,
-            "delta_exact": self.delta_exact,
-            "delta_is_upper_bound": self.delta_is_upper_bound,
-            "delta_upper_valid": self.delta_upper_valid,
-            "condition_holds": self.condition_holds,
-            "exponential_condition_holds": self.exponential_condition_holds,
-            "ratio_C_over_ell": self.ratio_C_over_ell,
-        }
 
 
 def log_binomial_outside(log_N: float, s: int, R: int) -> float:
@@ -365,7 +347,7 @@ def lll_certificate_for(params: ConstructionParameters) -> LllCertificate:
     if params.degenerate:
         raise ValueError(f"degenerate parameters: {params.degenerate_reason}")
     s, r, R = params.s, params.r, params.R
-    if params.N is not None:
+    if params.exact_path:
         return lll_condition(params.N, s, r, params.ell, params.denominator_log)
     log_delta = math.log(2.0) + params.log_binom_sR + log_binomial_outside(params.log_N, s, R)
     return _certificate(
@@ -382,8 +364,7 @@ def _certificate(
     log_C = log_binomial(s, R)
     delta_upper_valid = 3 <= R <= s / 2 and log_N >= log_binomial(s, min(3, s)) - 1e-12
 
-    # C(s,R)/ell from logs; inf once it leaves float range (e^709.78).
-    C_over_ell = math.exp(log_C - log_ell) if log_C - log_ell < 709 else math.inf
+    C_over_ell = exp_or_inf(log_C - log_ell)
     # x: the certified lower bound on C(s,R)/ell when one is given.
     x = C_over_ell if ratio_C_over_ell is None else ratio_C_over_ell
 
@@ -400,11 +381,11 @@ def _certificate(
     exponential_condition_holds = x > 1.0 + log_ell + log_delta
 
     return LllCertificate(
-        N=LogValue(log_N),
+        log_N=LogValue(log_N),
         s=s,
         r=r,
         R=R,
-        ell=LogValue(log_ell),
+        log_ell=LogValue(log_ell),
         log_p_bound=log_p,
         log_delta=LogValue(log_delta),
         delta_exact=delta_exact,
@@ -465,8 +446,7 @@ def moser_tardos_color(
     held all colours and kept them, so the result is the same as a rescan
     from the first s-set.
     """
-    if not (r < s <= N):
-        raise ValueError(f"need r < s <= N, got r={r}, s={s}, N={N}")
+    check_sizes(N, s, r)
     if ell < 1:
         raise ValueError("ell must be >= 1")
     _refuse_beyond_budget(N, r)

@@ -23,6 +23,7 @@ from typing import Iterable
 from .combinatorics import (
     JsonRecord,
     binomial,
+    check_sizes,
     check_subset,
     rank_colex,
     unrank_colex,
@@ -201,8 +202,9 @@ def is_turan_system(
     ``sets_checked`` is the number of s-sets up to and including the
     witness in colex order, or C(n,s) when there is none.
     """
-    if not (H.r < s <= H.n):
-        raise ValueError(f"need r < s <= n, got r={H.r}, s={s}, n={H.n}")
+    check_sizes(H.n, s, H.r)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     total = binomial(H.n, s)
     if total > budget:
         raise BudgetExceededError(
@@ -252,8 +254,7 @@ def sample_verify(
     H: UniformHypergraph, s: int, trials: int, seed: int
 ) -> VerifyReport:
     """Monte Carlo screen: uniform s-sets via unranking of uniform ranks."""
-    if not (H.r < s <= H.n):
-        raise ValueError(f"need r < s <= n, got r={H.r}, s={s}, n={H.n}")
+    check_sizes(H.n, s, H.r)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     total = binomial(H.n, s)

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .bounds import counting_lower_T
-from .combinatorics import JsonRecord, binomial, member_ranks, rank_colex, unrank_colex
+from .combinatorics import JsonRecord, binomial, check_sizes, member_ranks, rank_colex, unrank_colex
 from .hypergraph import UniformHypergraph, is_turan_system
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -66,8 +66,7 @@ def turan_r2_value(n: int, s: int) -> int:
 
 
 def _check_arguments(n: int, s: int, r: int, node_budget: int) -> None:
-    if not (r < s <= n):
-        raise ValueError(f"need r < s <= n, got r={r}, s={s}, n={n}")
+    check_sizes(n, s, r)
     if node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
 

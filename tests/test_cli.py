@@ -518,6 +518,7 @@ ERROR_PATHS = {
     ),
     "coloring-budget": ("construct coloring --n 400 --s 4 --r 3 --ell 2 --seed 1", 4),
     "coloring-no-colour": ("construct coloring --n 6 --s 4 --r 3 --ell 0 --seed 1", 2),
+    "coloring-r0": ("construct coloring --n 6 --s 4 --r 0 --ell 2 --seed 1", 2),
     "blowup-missing-file": ("construct blowup --input {dir}/nope.json --m 2", 2),
     "blowup-bad-m": ("construct blowup --input {dir}/sys.json --m 0", 2),
     "blowup-r1": ("construct blowup --input {dir}/r1.json --m 2", 2),
@@ -532,6 +533,7 @@ ERROR_PATHS = {
     "prefix-budget": ("construct prefix --n 100000 --s 4 --r 3", 4),
     "construct-unwritable-out": ("construct prefix --n 6 --s 4 --r 3 --out {dir}/no/x.json", 2),
     "verify-budget": ("verify --input {dir}/big.json --s 20 --budget 1000", 4),
+    "verify-negative-budget": ("verify --input {dir}/sys.json --s 4 --budget -1", 2),
     "verify-sample-no-seed": ("verify --input {dir}/sys.json --s 4 --mode sample", 2),
     "verify-no-trials": (
         "verify --input {dir}/sys.json --s 4 --mode sample --trials 0 --seed 5", 2,
@@ -540,6 +542,7 @@ ERROR_PATHS = {
     "verify-bad-s": ("verify --input {dir}/sys.json --s 9", 2),
     "solve-bad-parameters": ("solve --n 4 --s 5 --r 2", 2),
     "solve-negative-budget": ("solve --n 8 --s 4 --r 3 --node-budget -1", 2),
+    "solve-r0": ("solve --n 9 --s 4 --r 0", 2),
     "bounds-R-beyond-root": (f"bounds --r 3 --big-r {10**306}", 2),
     "bounds-R-zero": ("bounds --r 1 --big-r 0", 2),
     "certify-degenerate": ("certify-lll --r 2 --big-r 1", 3),
@@ -560,6 +563,7 @@ ERROR_PATHS = {
     "table-missing-R": ("table --grid r=100", 2),
     "table-bad-name": ("table --grid q=1;R=2", 2),
     "table-bad-int": ("table --grid r=x;R=2", 2),
+    "table-repeated-name": ("table --grid r=3;R=1;r=4", 2),
 }
 
 

@@ -10,6 +10,7 @@ from turan_systems.combinatorics import (
     EXACT_LOG_N_MAX,
     binomial,
     enumerate_subsets,
+    exp_or_inf,
     log_binomial,
     member_ranks,
     rank_colex,
@@ -80,6 +81,13 @@ class TestLogBinomial:
     def test_symmetric(self):
         for n, k in [(5000, 1), (10**30, 7), (4097, 2000)]:
             assert log_binomial(n, k) == log_binomial(n, n - k)
+
+
+def test_exp_or_inf_cuts_at_709():
+    for x in (-1.0, 0.0, 708.0, math.nextafter(709.0, 0.0)):
+        assert exp_or_inf(x) == math.exp(x) < math.inf
+    for x in (709.0, 709.78, 710.0, 1e300):
+        assert exp_or_inf(x) == math.inf
 
 
 def _ln_binomial_mpmath(n, k):

@@ -418,12 +418,13 @@ class ColoringOutcome(JsonRecord):
     failed_s_set: tuple[int, ...] | None
 
     def color_class(self, color: int) -> UniformHypergraph:
-        edges = [
-            e
-            for e, c in zip(enumerate_subsets(self.N, self.r), self.coloring)
-            if c == color
-        ]
-        return UniformHypergraph.from_edges(self.N, self.r, edges)
+        return _color_class(self.N, self.r, self.coloring, color)
+
+
+def _color_class(N: int, r: int, coloring, color: int) -> UniformHypergraph:
+    """The r-sets of [N] that coloring (indexed by colex rank) gives color."""
+    edges = [e for e, c in zip(enumerate_subsets(N, r), coloring) if c == color]
+    return UniformHypergraph.from_edges(N, r, edges)
 
 
 def moser_tardos_color(
@@ -438,18 +439,21 @@ def moser_tardos_color(
 
     Colours every r-set uniformly at random, then repeatedly picks the
     colex-least s-set missing some colour and redraws the colours of all
-    its r-subsets, in colex order.  On success every colour class is a
-    Turán (N,s,r)-system by definition of "no bad event".
+    its r-subsets, in colex order.  Each search for a bad s-set starts
+    from the first s-set.  On success every colour class is a Turán
+    (N,s,r)-system by definition of "no bad event".
 
-    After a redraw the search for the next bad s-set restarts at the
-    colex-least s-set that contains a redrawn r-set: every s-set before it
-    held all colours and kept them, so the result is the same as a rescan
-    from the first s-set.
+    ValueError for sizes outside 1 <= r < s <= N, ell < 1 or max_rounds < 0;
+    BudgetExceededError, before anything is drawn, when the C(N,r) r-sets
+    or the C(N,s) s-sets of the member table exceed the budget.
     """
     check_sizes(N, s, r)
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be >= 0")
     _refuse_beyond_budget(N, r)
+    _refuse_beyond_budget(N, s)
 
     rng = random.Random(seed)
     num_r = binomial(N, r)
@@ -457,24 +461,20 @@ def moser_tardos_color(
 
     # members[i]: the r-sets inside s-set i, in colex order.
     members = member_ranks(N, s, r)
-    # first_hit[j]: index of the colex-least s-set containing r-set j.
-    first_hit: dict[int, int] = {}
-    for i in range(len(members) - 1, -1, -1):
-        first_hit.update(dict.fromkeys(members[i], i))
 
-    def violated(start: int) -> int | None:
-        for i in range(start, len(members)):
-            if len(set(map(coloring.__getitem__, members[i]))) < ell:
+    def violated() -> int | None:
+        for i, ranks in enumerate(members):
+            if len(set(map(coloring.__getitem__, ranks))) < ell:
                 return i
         return None
 
     rounds = 0
-    bad = violated(0)
+    bad = violated()
     while bad is not None and rounds < max_rounds:
         for j in members[bad]:
             coloring[j] = rng.randrange(ell)
         rounds += 1
-        bad = violated(min(map(first_hit.__getitem__, members[bad])))
+        bad = violated()
 
     sizes = [0] * ell
     for c in coloring:
@@ -482,19 +482,16 @@ def moser_tardos_color(
 
     success = bad is None
     least = min(range(ell), key=lambda c: (sizes[c], c)) if success else None
-    outcome = ColoringOutcome(
+    return ColoringOutcome(
         success=success,
         N=N, s=s, r=r, ell=ell, seed=seed,
         coloring=tuple(coloring),
         rounds_used=rounds,
         least_color=least,
-        least_class=None,
+        least_class=_color_class(N, r, coloring, least) if success else None,
         class_sizes=tuple(sizes),
         failed_s_set=None if success else unrank_colex(bad, s, N),
     )
-    if success:
-        outcome.least_class = outcome.color_class(least)
-    return outcome
 
 
 # ---------------------------------------------------------------------------

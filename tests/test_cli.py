@@ -506,6 +506,11 @@ PINNED_OUTPUTS = {
         "construct recursive --n 8 --r 3 --big-r 1 --k 2 --c 1.0 --seed 11", 0,
         "6842890d0e325d8bb0cc731f51329d648e050933d7e825e11abbda415dd3409a",
     ),
+    # 21 resampling rounds.
+    "construct-coloring": (
+        "construct coloring --n 9 --s 5 --r 3 --ell 3 --seed 7", 0,
+        "28a14ab3e5185077246b91f6b1bc9072eb82221ea3275d170f00786c29d9e077",
+    ),
 }
 
 # Every failure other than a verified-false result and a solve out of
@@ -517,6 +522,11 @@ ERROR_PATHS = {
         "construct coloring --n 6 --s 4 --r 3 --ell 20 --seed 1 --max-rounds 30", 3,
     ),
     "coloring-budget": ("construct coloring --n 400 --s 4 --r 3 --ell 2 --seed 1", 4),
+    # C(40,3) fits the materialization budget, the C(40,8) s-sets do not.
+    "coloring-s-set-budget": ("construct coloring --n 40 --s 8 --r 3 --ell 2 --seed 1", 4),
+    "coloring-negative-rounds": (
+        "construct coloring --n 6 --s 4 --r 3 --ell 2 --seed 1 --max-rounds -1", 2,
+    ),
     "coloring-no-colour": ("construct coloring --n 6 --s 4 --r 3 --ell 0 --seed 1", 2),
     "coloring-r0": ("construct coloring --n 6 --s 4 --r 0 --ell 2 --seed 1", 2),
     "blowup-missing-file": ("construct blowup --input {dir}/nope.json --m 2", 2),

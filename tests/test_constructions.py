@@ -373,6 +373,19 @@ class TestMoserTardos:
         out = moser_tardos_color(N, s, r, ell, seed, max_rounds=max_rounds)
         assert out.to_json_dict() == _moser_tardos_reference(N, s, r, ell, seed, max_rounds)
 
+    # The benchmark's instances, which the property above rarely draws, and
+    # one call stopped by its round cap.
+    @pytest.mark.parametrize(
+        "N, s, r, ell, seed, max_rounds",
+        [(9, 5, 3, 3, seed, 20_000) for seed in (1, 7, 11)]
+        + [(10, 6, 3, 4, seed, 20_000) for seed in (1, 3, 11)]
+        + [(10, 6, 3, 4, 3, 2)],
+    )
+    def test_benchmark_instances_match_reference(self, N, s, r, ell, seed, max_rounds):
+        out = moser_tardos_color(N, s, r, ell, seed, max_rounds=max_rounds)
+        assert out.to_json_dict() == _moser_tardos_reference(N, s, r, ell, seed, max_rounds)
+        assert out.success == (max_rounds > 2)
+
 
 def _moser_tardos_reference(N, s, r, ell, seed, max_rounds):
     """Resampling with one rank_colex per r-subset and a rescan from the

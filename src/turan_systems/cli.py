@@ -48,11 +48,13 @@ EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_BUDGET = 4
 
-# The exit code of each exception a subcommand may raise, first match wins.
+# The exit code of each exception a subcommand may raise, first match wins;
+# main catches exactly these classes.
 _EXIT_CODES = (
     (BudgetExceededError, EXIT_BUDGET),
     (ConstructionError, EXIT_CONSTRUCTION),
-    ((ValueError, OSError), EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
 )
 
 
@@ -340,9 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, ConstructionError, ValueError, OSError) as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(exc, file=sys.stderr)
-        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .combinatorics import (
     FLOAT_R_MAX,
@@ -33,9 +32,6 @@ from .combinatorics import (
 )
 from .hypergraph import BudgetExceededError, UniformHypergraph
 
-if TYPE_CHECKING:
-    import mpmath
-
 DEFAULT_MATERIALIZE_BUDGET = 5_000_000
 # Draws that recursive_system takes before it gives up.
 RECURSION_MAX_RETRIES = 1000
@@ -48,10 +44,6 @@ EXACT_N_BUDGET = 512
 
 class ConstructionError(RuntimeError):
     """A randomized construction failed within its retry/round caps."""
-
-
-class FloorAmbiguousError(RuntimeError):
-    """Interval arithmetic could not separate a floor from an integer boundary."""
 
 
 def _refuse_beyond_budget(n: int, k: int) -> None:
@@ -91,10 +83,10 @@ class ConstructionParameters(JsonRecord):
     ell = floor(C(s,R) / ln(C(s,R)^2 C(N-s,R))), with s = r + R.
 
     When magnitudes allow (N <= EXACT_N_BUDGET) both values are exact
-    integers with certified floors; otherwise they are carried in
-    log-space.  There the floor in ell is dropped, and the floor in N is
-    kept in ln C(N-s,R) until N reaches 2^53, beyond which its relative
-    effect is below float resolution.  exact_path says which, and
+    integers; otherwise they are carried in log-space.  There the floor in
+    ell is dropped, and the floor in N is kept in ln C(N-s,R) until N
+    reaches 2^53, beyond which its relative effect is below float
+    resolution.  exact_path says which, and
     downstream code branches on it; N and ell are None off the exact path.
     """
 
@@ -114,63 +106,19 @@ class ConstructionParameters(JsonRecord):
     degenerate_reason: str | None
 
 
-def _guarded_floor(numerator: int, denominator: mpmath.mpf) -> int:
-    """floor(numerator / denominator) with an integer-boundary guard."""
-    import mpmath
-
-    with mpmath.workdps(len(str(numerator)) + 30):
-        q = mpmath.mpf(numerator) / denominator
-        fl = mpmath.floor(q)
-        if q - fl < mpmath.mpf(10) ** (-10):
-            raise FloorAmbiguousError(
-                f"quotient {mpmath.nstr(q, 25)} too close to an integer boundary"
-            )
-        return int(fl)
-
-
-# Bound on the relative error of the float quotient C / ln(X) that
-# _floor_of_quotient takes, for ln X above 2: rounding X to a float moves
-# its log by 2^-53 (2^-54 of the log), math.log adds 1 ulp (2^-52) and the
-# division 2^-53, under 2^-51 in all; 2^-48 leaves a factor 8.
-_QUOTIENT_REL_ERR = 2.0**-48
-
-
-def _floor_of_quotient(C: int, X: int) -> tuple[int, float]:
-    """floor(C / ln X) and ln X, for integers C < 2^53 and X > e^2.
-
-    Both come from floats unless the quotient lies within 1e-10 plus its
-    error bound of an integer; then mpmath recomputes ln X and the floor,
-    and _guarded_floor raises FloorAmbiguousError if the quotient is within
-    1e-10 above one.
-    """
-    denom_log = math.log(X)
-    q = C / denom_log
-    ell = math.floor(q)
-    slack = q * _QUOTIENT_REL_ERR
-    if 1e-10 + slack <= q - ell <= 1.0 - slack:
-        return ell, denom_log
-    # mpmath is imported only here, on the rare slow path, so that importing
-    # the package does not pay for it.
-    import mpmath
-
-    with mpmath.workdps(len(str(C)) + 30):
-        denom = mpmath.log(mpmath.mpf(X))
-        return _guarded_floor(C, denom), float(denom)
-
-
 def construction_parameters(r: int, R: int) -> ConstructionParameters:
     """Evaluate the (N, ell) schedule of the coloring construction.
 
     This is the one place the schedule chooses between exact and log-space
     arithmetic.  On the exact path ell = floor(C / ln(C^2 C(N-s,R))) is
-    taken in floats from the log of the exact integer; mpmath recomputes it
-    only when the quotient lies within its float error margin of an integer
-    (see _floor_of_quotient).  On the log path ln N is unfloored and ell is
-    carried as ln ell.
+    taken in floats from the log of the exact integer; each of its 1070
+    cells has the quotient at least 2.0e-3 from an integer (nearest: 1.00202
+    at r = 10, R = 1), so the float floor is exact.  On the log path ln N is
+    unfloored and ell is carried as ln ell.
 
-    Needs r >= 2 and R >= 1, and for r >= 3 R <= FLOAT_R_MAX, beyond which
-    ln R! leaves float range; ValueError otherwise.  r = 2 is degenerate
-    (N <= s) at any R.
+    Needs r >= 2, R >= 1, r(r-1) within float range (r up to about 1.34e154)
+    and for r >= 3 R <= FLOAT_R_MAX, beyond which ln R! leaves float range;
+    ValueError otherwise.  r = 2 is degenerate (N <= s) at any R.
     """
     if r < 2 or R < 1:
         raise ValueError(f"need r >= 2 and R >= 1, got r={r}, R={R}")
@@ -179,6 +127,8 @@ def construction_parameters(r: int, R: int) -> ConstructionParameters:
             "the colouring schedule supports R <= 10**305 for r >= 3; "
             "its logs leave float range beyond"
         )
+    if r * (r - 1) > sys.float_info.max:
+        raise ValueError("r above about 1.34e154 takes r(r-1) out of float range")
     s = r + R
     log_C = log_binomial(s, R)
     log_N = math.log(r * (r - 1) / (2 * R)) + log_C
@@ -199,19 +149,22 @@ def construction_parameters(r: int, R: int) -> ConstructionParameters:
             r, R, s, exact, reported_N, None, log_N, None, log_C, None, True,
             f"N = {f'exp({log_N})' if N is None else N} <= s = {s}",
         )
+    # The denominator 2 ln C(s,R) + ln C(N-s,R) is positive, as C(s,R) >= s
+    # and N - s >= R: N > s needs r >= 3, and then for R >= 3, C(s,R) >= C(s,3)
+    # and R <= s-3 give N >= floor(s(s-1)(s-2)/(2R)) >= s(s-1)/2 >= 2s-3 >= s+R
+    # (R = 1, 2 by hand: N = floor(r(r^2-1)/2), floor(r(r^2-1)(r+2)/8)).
     if exact:
-        ell, denom_log = _floor_of_quotient(C, C * C * binomial(N - s, R))
+        denom_log = math.log(C * C * binomial(N - s, R))
+        ell = math.floor(C / denom_log)
         log_ell = math.log(ell) if ell >= 1 else None
     else:
         ell = None
         log_outside = log_binomial_outside(log_N, s, R) if N is None else log_binomial(N - s, R)
         denom_log = 2.0 * log_C + log_outside
-        log_ell = log_C - math.log(denom_log) if denom_log > 0 else None
+        log_ell = log_C - math.log(denom_log)
 
     reason = None
-    if denom_log <= 0:
-        reason = "nonpositive log denominator"
-    elif log_ell is None or log_ell < 0:
+    if log_ell is None or log_ell < 0:
         ell_text = "ell" if ell is None else f"ell = {ell}"
         reason = f"{ell_text} < 1 (single colour, construction vacuous)"
     return ConstructionParameters(

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -506,6 +507,11 @@ PINNED_OUTPUTS = {
         "construct recursive --n 8 --r 3 --big-r 1 --k 2 --c 1.0 --seed 11", 0,
         "6842890d0e325d8bb0cc731f51329d648e050933d7e825e11abbda415dd3409a",
     ),
+    # r(r-1) still fits a float; at 10**155 it does not (ERROR_PATHS).
+    "bounds-r-10^154": (
+        f"bounds --r {10**154} --big-r 3", 0,
+        "19cd647233ddbe8791cc27c08727fbec7d7d6b1d7ac6a1197d384e0e1b39bddc",
+    ),
     # 21 resampling rounds.
     "construct-coloring": (
         "construct coloring --n 9 --s 5 --r 3 --ell 3 --seed 7", 0,
@@ -574,6 +580,10 @@ ERROR_PATHS = {
     "table-bad-name": ("table --grid q=1;R=2", 2),
     "table-bad-int": ("table --grid r=x;R=2", 2),
     "table-repeated-name": ("table --grid r=3;R=1;r=4", 2),
+    # r(r-1) beyond float range; r = 10**154 still runs (PINNED_OUTPUTS).
+    "bounds-r-beyond-float": (f"bounds --r {10**155} --big-r 3", 2),
+    "certify-r-beyond-float": (f"certify-lll --r {10**155} --big-r 3", 2),
+    "table-r-beyond-float": (f"table --grid r={10**155};R=3", 2),
 }
 
 
@@ -602,7 +612,8 @@ class TestOutputContract:
         assert len(err.splitlines()) == 1 and err.endswith("\n")
 
     def test_import_leaves_mpmath_unloaded(self):
-        # mpmath is needed only on the slow path of the exact floors.
+        # The package imports only the stdlib (see the test below); mpmath
+        # serves the tests' references alone.
         src = os.path.dirname(os.path.dirname(turan_systems.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         # Nor fractions: binomial_ratio_check compares integers.
@@ -611,6 +622,23 @@ class TestOutputContract:
             "sys.exit('mpmath' in sys.modules or 'fractions' in sys.modules)"
         )
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_package_imports_only_the_stdlib(self):
+        package = os.path.dirname(turan_systems.__file__)
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                for module in modules:
+                    assert module.split(".")[0] in sys.stdlib_module_names, (name, module)
 
 
 class TestToyScript:

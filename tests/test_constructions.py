@@ -15,7 +15,6 @@ from turan_systems.combinatorics import binomial, enumerate_subsets, log_binomia
 from turan_systems import constructions
 from turan_systems.constructions import (
     ConstructionError,
-    FloorAmbiguousError,
     _draw,
     blowup,
     construction_parameters,
@@ -139,70 +138,28 @@ def _mpmath_ell(r, R):
         denom = mpmath.log(mpmath.mpf(C) ** 2 * mpmath.mpf(math.comb(N - s, R)))
         q = mpmath.mpf(C) / denom
         fl = mpmath.floor(q)
-        assert q - fl >= mpmath.mpf(10) ** (-10)
+        # Every quotient lies at least 2.0e-3 from an integer, the nearest
+        # at (10, 1): far beyond the error of the float path.
+        assert min(q - fl, fl + 1 - q) > mpmath.mpf("2e-3"), (r, R)
         return int(fl), float(denom)
-
-
-def _floor_near(C, q):
-    """The floor of C / ln X for an integer X with C / ln X within 1e-25 of q."""
-    with mpmath.workdps(200):
-        X = int(mpmath.nint(mpmath.exp(mpmath.mpf(C) / q)))
-    return constructions._floor_of_quotient(C, X)
 
 
 class TestExactPathFloor:
     CELLS = _exact_path_cells()
-
-    @pytest.fixture
-    def guarded_calls(self, monkeypatch):
-        calls = []
-        guarded = constructions._guarded_floor
-        monkeypatch.setattr(
-            constructions, "_guarded_floor", lambda *a: calls.append(a) or guarded(*a)
-        )
-        return calls
 
     def test_domain(self):
         assert len(self.CELLS) == 1070
         assert max(r for r, _ in self.CELLS) == 10
         assert max(R for _, R in self.CELLS) == 1020
 
-    def _check_all(self):
+    def test_float_floor_matches_mpmath_everywhere(self):
         with_ell = 0
         for r, R in self.CELLS:
             p = construction_parameters(r, R)
             ell, denom_log = _mpmath_ell(r, R)
             assert (p.ell, p.denominator_log) == (ell, denom_log), (r, R)
             with_ell += ell is not None
-        return with_ell
-
-    def test_float_floor_matches_mpmath_everywhere(self, guarded_calls):
-        assert self._check_all() == 50
-        assert not guarded_calls
-
-    def test_mpmath_path_matches_everywhere(self, monkeypatch, guarded_calls):
-        # A margin wider than any fraction sends every quotient to mpmath.
-        monkeypatch.setattr(constructions, "_QUOTIENT_REL_ERR", 1.0)
-        self._check_all()
-        assert len(guarded_calls) == 50
-
-    def test_within_guard_raises(self, guarded_calls):
-        with pytest.raises(FloorAmbiguousError):
-            _floor_near(1000, mpmath.mpf(3) + mpmath.mpf("5e-11"))
-        assert len(guarded_calls) == 1
-
-    def test_inside_margin_goes_to_mpmath(self, guarded_calls):
-        # Beyond the 1e-10 guard but inside the float error margin above it,
-        # and just below an integer, where a float could round up to it.
-        above = mpmath.mpf(3) + mpmath.mpf("1e-10") + mpmath.mpf("1e-15")
-        below = mpmath.mpf(4) - mpmath.mpf("1e-15")
-        assert _floor_near(1000, above)[0] == _floor_near(1000, below)[0] == 3
-        assert len(guarded_calls) == 2
-
-    def test_clear_quotient_stays_in_floats(self, guarded_calls):
-        ell, denom_log = _floor_near(1000, mpmath.mpf("3.5"))
-        assert ell == 3 and 1000 / denom_log == pytest.approx(3.5, rel=1e-15)
-        assert not guarded_calls
+        assert with_ell == 50
 
 
 class TestDependencyDegree:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import Iterator
 
 # log_binomial takes the log of the exact integer C(n, k) up to this n and
@@ -26,6 +27,14 @@ EXACT_LOG_N_MAX = 4096
 # accept: beyond about 1.17e305 the root behind alpha(R) leaves float range,
 # and so does the schedule's ln R! for r >= 3.
 FLOAT_R_MAX = 10**305
+
+# cover_masks refuses an (n, s, r) whose C(n,r) bitmaps of C(n,s) bits would
+# hold more than this many bits (2^30 bits, 128 MiB), before it builds any.
+COVER_BITS_BUDGET = 2**30
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when an exhaustive pass would exceed the configured budget."""
 
 
 class JsonRecord:
@@ -185,15 +194,86 @@ def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 break
 
 
+def _colex_descending(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The k-subsets of [n] in descending colex order, each in decreasing order.
+
+    These are the combinations of range(n-1, -1, -1), made at C level.
+    """
+    return itertools.combinations(range(n - 1, -1, -1), k)
+
+
+def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of [n] in colex order, as one list built at C level."""
+    subsets = list(map(itemgetter(slice(None, None, -1)), _colex_descending(n, k)))
+    subsets.reverse()
+    return subsets
+
+
 def member_ranks(n: int, s: int, r: int) -> list[list[int]]:
     """For each s-subset of [n] in colex order, the colex ranks of its r-subsets.
 
-    This is the incidence table that the solver's set cover and the
-    Moser-Tardos colourer share.  Colex rank is monotone in colex order, so
-    each list, in ascending rank, is the s-set's r-subsets in colex order.
+    This is the solver's branching table.  The combinations of a decreasing
+    s-set come in descending colex order, so each list, reversed, is the
+    s-set's r-subsets in ascending rank, that is in colex order.
     """
-    r_index = {e: j for j, e in enumerate(enumerate_subsets(n, r))}
-    return [
-        sorted(map(r_index.__getitem__, itertools.combinations(S, r)))
-        for S in enumerate_subsets(n, s)
-    ]
+    num_r = binomial(n, r)
+    rank = dict(zip(_colex_descending(n, r), range(num_r - 1, -1, -1))).__getitem__
+    table = [list(map(rank, itertools.combinations(S, r))) for S in _colex_descending(n, s)]
+    for row in table:
+        row.reverse()
+    table.reverse()
+    return table
+
+
+def _vertex_masks(n: int, s: int) -> list[int]:
+    """For each vertex t of [n], the bitmap over colex ranks of the s-subsets
+    of [n] that contain t.
+
+    The k-subsets of [m+1] are those of [m], followed by the (k-1)-subsets
+    of [m] with m added, so V_t(m+1, k) = V_t(m, k) | V_t(m, k-1) << C(m, k)
+    for t < m, and V_m(m+1, k) is the block of C(m, k-1) ones at C(m, k).
+    rows[k] holds V_t(m, k) for the current m, for the k from 1 to m+1
+    that the s-subsets of [n] still need.
+    """
+    rows: list[list[int]] = [[] for _ in range(s + 1)]
+    for m in range(n):
+        for k in range(min(s, m + 1), max(0, s - n + m), -1):
+            # [m] has no (m+1)-set: then V_t(m, k) is 0 and the shift is 0.
+            shift = math.comb(m, k)
+            below = rows[k - 1]
+            grown = [a | b << shift for a, b in zip(rows[k], below)] if shift else below[:m]
+            grown.append(((1 << math.comb(m, k - 1)) - 1) << shift)
+            rows[k] = grown
+        rows[0].append(0)  # the empty set contains no vertex
+    return rows[s]
+
+
+def cover_masks(n: int, s: int, r: int) -> list[int]:
+    """For each r-subset of [n] in colex order, the bitmap over colex ranks
+    of the s-subsets of [n] that contain it.
+
+    This is the one s-set/r-set incidence kernel: the solver's set cover
+    and the Moser-Tardos colourer both read it.  An r-set's mask is the AND
+    of its vertices' masks.  The k-sets with largest vertex v are the
+    (k-1)-subsets of [v] with v added, so each level k is one AND per
+    k-set with level k-1; level k needs only the k-subsets of
+    [n - r + k], the first C(n-r+k, k), which hold the k least vertices of
+    every r-set.  Needs 1 <= r < s <= n; BudgetExceededError, before
+    anything is built, when the C(n,r) bitmaps of C(n,s) bits exceed
+    COVER_BITS_BUDGET bits.
+    """
+    check_sizes(n, s, r)
+    bits = binomial(n, r) * binomial(n, s)
+    if bits > COVER_BITS_BUDGET:
+        raise BudgetExceededError(
+            f"C({n},{r}) cover bitmaps of C({n},{s}) bits take {bits} bits, "
+            f"beyond the budget of {COVER_BITS_BUDGET}"
+        )
+    vertex = _vertex_masks(n, s)
+    masks = [(1 << math.comb(n, s)) - 1]  # the empty set lies in every s-set
+    for k in range(1, r + 1):
+        masks = list(itertools.chain.from_iterable(
+            map(vertex[v].__and__, itertools.islice(masks, math.comb(v, k - 1)))
+            for v in range(k - 1, n - r + k)
+        ))
+    return masks

@@ -16,6 +16,8 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 from .combinatorics import (
     FLOAT_R_MAX,
@@ -23,11 +25,12 @@ from .combinatorics import (
     LogValue,
     binomial,
     check_sizes,
+    colex_subsets,
+    cover_masks,
     enumerate_subsets,
     exp_or_inf,
     log_binomial,
     log_binomial_series,
-    member_ranks,
     unrank_colex,
 )
 from .hypergraph import BudgetExceededError, UniformHypergraph
@@ -376,7 +379,7 @@ class ColoringOutcome(JsonRecord):
 
 def _color_class(N: int, r: int, coloring, color: int) -> UniformHypergraph:
     """The r-sets of [N] that coloring (indexed by colex rank) gives color."""
-    edges = [e for e, c in zip(enumerate_subsets(N, r), coloring) if c == color]
+    edges = itertools.compress(colex_subsets(N, r), map(color.__eq__, coloring))
     return UniformHypergraph.from_edges(N, r, edges)
 
 
@@ -392,13 +395,20 @@ def moser_tardos_color(
 
     Colours every r-set uniformly at random, then repeatedly picks the
     colex-least s-set missing some colour and redraws the colours of all
-    its r-subsets, in colex order.  Each search for a bad s-set starts
-    from the first s-set.  On success every colour class is a Turán
-    (N,s,r)-system by definition of "no bad event".
+    its r-subsets, in colex order.  On success every colour class is a
+    Turán (N,s,r)-system by definition of "no bad event".
+
+    An s-set is good when every colour covers it: when its bit is set in
+    the AND over the colours c of the OR of cover_masks(N, s, r) over the
+    r-sets of colour c.  The scan merges the r-sets block by block, the
+    block of vertex v being the r-sets whose largest vertex is v; after
+    block v the colours of every r-set inside [v+1] are final, so it tests
+    the first C(v+1, s) s-sets and stops at the lowest zero bit.
 
     ValueError for sizes outside 1 <= r < s <= N, ell < 1 or max_rounds < 0;
     BudgetExceededError, before anything is drawn, when the C(N,r) r-sets
-    or the C(N,s) s-sets of the member table exceed the budget.
+    or the C(N,s) s-sets exceed the materialization budget, or the cover
+    bitmaps COVER_BITS_BUDGET.
     """
     check_sizes(N, s, r)
     if ell < 1:
@@ -407,24 +417,35 @@ def moser_tardos_color(
         raise ValueError("max_rounds must be >= 0")
     _refuse_beyond_budget(N, r)
     _refuse_beyond_budget(N, s)
+    cover = cover_masks(N, s, r)
+    r_sets = colex_subsets(N, r)
 
     rng = random.Random(seed)
-    num_r = binomial(N, r)
+    num_r = len(r_sets)
     coloring = [rng.randrange(ell) for _ in range(num_r)]
 
-    # members[i]: the r-sets inside s-set i, in colex order.
-    members = member_ranks(N, s, r)
+    # blocks[v]: the ranks of the r-sets with largest vertex v, and the
+    # number of s-sets inside [v+1].
+    blocks = [
+        (range(math.comb(v, r), math.comb(v + 1, r)), math.comb(v + 1, s)) for v in range(N)
+    ]
 
     def violated() -> int | None:
-        for i, ranks in enumerate(members):
-            if len(set(map(coloring.__getitem__, ranks))) < ell:
+        acc = [0] * ell  # per colour, the OR of its r-sets' cover bitmaps
+        for ranks, num_s in blocks:
+            for j in ranks:
+                acc[coloring[j]] |= cover[j]
+            good = reduce(and_, acc)
+            i = (good ^ (good + 1)).bit_length() - 1  # lowest zero bit
+            if i < num_s:
                 return i
         return None
 
+    rank = dict(zip(r_sets, range(num_r))).__getitem__
     rounds = 0
     bad = violated()
     while bad is not None and rounds < max_rounds:
-        for j in members[bad]:
+        for j in sorted(map(rank, itertools.combinations(unrank_colex(bad, s, N), r))):
             coloring[j] = rng.randrange(ell)
         rounds += 1
         bad = violated()

@@ -21,6 +21,7 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from .combinatorics import (
+    BudgetExceededError,
     JsonRecord,
     binomial,
     check_sizes,
@@ -30,10 +31,6 @@ from .combinatorics import (
 )
 
 DEFAULT_EXHAUSTIVE_BUDGET = 10**9
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive pass would exceed the configured budget."""
 
 
 @dataclass(frozen=True)

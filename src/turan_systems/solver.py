@@ -11,6 +11,7 @@ uncovered s-set, which keeps node counts and witnesses deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -19,8 +20,21 @@ import time
 import warnings
 from dataclasses import dataclass
 
+try:
+    import fcntl
+except ImportError:  # Windows: cache writes are not serialised
+    fcntl = None
+
 from .bounds import counting_lower_T
-from .combinatorics import JsonRecord, binomial, check_sizes, member_ranks, rank_colex, unrank_colex
+from .combinatorics import (
+    JsonRecord,
+    binomial,
+    check_sizes,
+    cover_masks,
+    member_ranks,
+    rank_colex,
+    unrank_colex,
+)
 from .hypergraph import UniformHypergraph, is_turan_system
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -128,31 +142,26 @@ def _search(
     nodes.  Returns the ranks of the best system found, the number of
     nodes visited and whether the budget ran out.
 
-    Branches on the colex-least uncovered s-set with one child per r-subset
-    of it; prunes a node with d edges when d + ceil(uncovered / C(n-r, s-r))
-    reaches the incumbent.  That bound is kept as one threshold per depth:
-    a child of a node with d - 1 edges survives only if it covers at least
-    C(n,s) - (best - d - 1) * C(n-r, s-r) s-sets, so each node costs one OR
-    and one popcount.  At the root, the branch is fixed to the single edge
-    {0,...,r-1}, colex rank 0, which is safe because the root subproblem is
-    invariant under all vertex relabelings.  The search keeps its own stack,
-    so a deep search ends at the node budget, not at the interpreter's
-    recursion limit.
+    Its incidence is built once per call: the cover bitmap of each r-set
+    from combinatorics.cover_masks, refused with BudgetExceededError before
+    anything is built beyond COVER_BITS_BUDGET bits, and the branching
+    table from member_ranks.  Branches on the colex-least uncovered s-set
+    with one child per r-subset of it; prunes a node with d edges when
+    d + ceil(uncovered / C(n-r, s-r)) reaches the incumbent.  That bound
+    is kept as one threshold per depth: a child of a node with d - 1 edges
+    survives only if it covers at least C(n,s) - (best - d - 1) * C(n-r, s-r)
+    s-sets, so each node costs one OR and one popcount.  At the root, the
+    branch is fixed to the single edge {0,...,r-1}, colex rank 0, which is
+    safe because the root subproblem is invariant under all vertex
+    relabelings.  The search keeps its own stack, so a deep search ends at
+    the node budget, not at the interpreter's recursion limit.
     """
+    # cover_mask[j]: bitmap over s-set indices covered by r-set j.
+    cover_mask = cover_masks(n, s, r)
     # children[i]: r-set indices inside s-set i, in colex order.
     children = member_ranks(n, s, r)
     num_s = len(children)
-    num_r = binomial(n, r)
-    # cover_mask[j]: bitmap over s-set indices covered by r-set j.  Each is
-    # filled a byte at a time, so setup is linear in its output, and turned
-    # into an int in place, so the bytes and the ints never all coexist.
-    cover_mask: list = [bytearray(num_s // 8 + 1) for _ in range(num_r)]
-    for i, subs in enumerate(children):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for j in subs:
-            cover_mask[j][byte] |= bit
-    for j, bits in enumerate(cover_mask):
-        cover_mask[j] = int.from_bytes(bits, "little")
+    num_r = len(cover_mask)
     per_edge = binomial(n - r, s - r)
 
     best = len(incumbent)
@@ -328,9 +337,17 @@ class ValueCache:
         )
 
     def store(self, result: SolveResult) -> None:
+        """Add a proven result to the file.
+
+        The write holds an exclusive flock on the sidecar file `path`.lock,
+        and under it re-reads the file and merges this entry, so caches
+        that store concurrently on one path keep each other's entries.
+        Without fcntl (Windows) there is no lock and no re-read: the file
+        gets this cache's entries only.
+        """
         if not result.proven_optimal:
             raise ValueError("only proven results may be cached")
-        self._data[self._key(result.n, result.s, result.r)] = {
+        entry = {
             "optimum": result.optimum,
             "edges": [list(e) for e in result.witness.edges],
             "lower_bound": result.lower_bound,
@@ -338,20 +355,26 @@ class ValueCache:
             "proof": result.proof,
             "verified_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        # Write a temporary file beside the cache and rename it over the
-        # cache, so a crash or a concurrent writer never leaves it partial.
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(self.path)), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(self._data, fh, sort_keys=True, indent=1)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
+        lock = open(self.path + ".lock", "a") if fcntl else contextlib.nullcontext()
+        with lock:
+            if fcntl:
+                fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+                self._load()
+            self._data[self._key(result.n, result.s, result.r)] = entry
+            # Write a temporary file beside the cache and rename it over the
+            # cache, so a crash never leaves it partial.
+            fd, tmp_path = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(self.path)), suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(self._data, fh, sort_keys=True, indent=1)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp_path, self.path)
+            except BaseException:
+                os.unlink(tmp_path)
+                raise
 
 
 def solve_with_cache(

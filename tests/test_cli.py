@@ -530,6 +530,9 @@ ERROR_PATHS = {
     "coloring-budget": ("construct coloring --n 400 --s 4 --r 3 --ell 2 --seed 1", 4),
     # C(40,3) fits the materialization budget, the C(40,8) s-sets do not.
     "coloring-s-set-budget": ("construct coloring --n 40 --s 8 --r 3 --ell 2 --seed 1", 4),
+    # C(60,3) and C(60,4) fit the materialization budget; their cover
+    # bitmaps, 34220 of 487635 bits, do not fit COVER_BITS_BUDGET.
+    "coloring-cover-budget": ("construct coloring --n 60 --s 4 --r 3 --ell 2 --seed 1", 4),
     "coloring-negative-rounds": (
         "construct coloring --n 6 --s 4 --r 3 --ell 2 --seed 1 --max-rounds -1", 2,
     ),

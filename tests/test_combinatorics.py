@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turan_systems import combinatorics
 from turan_systems.combinatorics import (
     EXACT_LOG_N_MAX,
+    BudgetExceededError,
     binomial,
+    colex_subsets,
+    cover_masks,
     enumerate_subsets,
     exp_or_inf,
     log_binomial,
@@ -169,3 +173,33 @@ class TestMemberRanks:
                     ]
                     assert member_ranks(n, s, r) == expected, (n, s, r)
 
+
+
+class TestCoverMasks:
+    def test_matches_subset_test(self):
+        for n in range(2, 9):
+            for s in range(2, n + 1):
+                s_sets = list(enumerate_subsets(n, s))
+                for r in range(1, s):
+                    expected = [
+                        sum(1 << i for i, S in enumerate(s_sets) if set(R) <= set(S))
+                        for R in enumerate_subsets(n, r)
+                    ]
+                    assert cover_masks(n, s, r) == expected, (n, s, r)
+
+    def test_colex_subsets_match_enumeration(self):
+        for n in range(0, 9):
+            for k in range(0, n + 1):
+                assert colex_subsets(n, k) == list(enumerate_subsets(n, k)), (n, k)
+
+    def test_refused_beyond_bit_budget(self, monkeypatch):
+        # (7,4,3) takes C(7,3) * C(7,4) = 35 * 35 = 1225 bits.
+        monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1224)
+        with pytest.raises(BudgetExceededError, match="1225 bits"):
+            cover_masks(7, 4, 3)
+        monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1225)
+        assert len(cover_masks(7, 4, 3)) == 35
+
+    def test_sizes_checked(self):
+        with pytest.raises(ValueError):
+            cover_masks(6, 3, 3)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from turan_systems.bounds import bound_reports, closing_chain_check
 from turan_systems.cli import _dump
 from turan_systems.combinatorics import binomial, enumerate_subsets, log_binomial, rank_colex
-from turan_systems import constructions
+from turan_systems import combinatorics, constructions
 from turan_systems.constructions import (
     ConstructionError,
     _draw,
@@ -342,6 +342,25 @@ class TestMoserTardos:
         out = moser_tardos_color(N, s, r, ell, seed, max_rounds=max_rounds)
         assert out.to_json_dict() == _moser_tardos_reference(N, s, r, ell, seed, max_rounds)
         assert out.success == (max_rounds > 2)
+
+    # Larger instances that run out of rounds, so each round's scan resumes
+    # mid-way; no rounds at all; and single-vertex r-sets.
+    @pytest.mark.parametrize(
+        "N, s, r, ell, seed, max_rounds",
+        [(14, 6, 3, 5, 1, 50), (16, 5, 3, 3, 1, 50), (20, 5, 3, 3, 1, 50),
+         (16, 5, 3, 3, 2, 0), (9, 4, 1, 3, 5, 50), (9, 4, 1, 5, 5, 50)],
+    )
+    def test_large_instances_match_reference(self, N, s, r, ell, seed, max_rounds):
+        out = moser_tardos_color(N, s, r, ell, seed, max_rounds=max_rounds)
+        assert out.to_json_dict() == _moser_tardos_reference(N, s, r, ell, seed, max_rounds)
+
+    def test_cover_bit_budget_refusal(self, monkeypatch):
+        # (7,4,3) takes C(7,3) * C(7,4) = 1225 bits of cover bitmaps.
+        monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1224)
+        with pytest.raises(BudgetExceededError, match="cover bitmaps"):
+            moser_tardos_color(7, 4, 3, 2, seed=1)
+        monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1225)
+        assert moser_tardos_color(7, 4, 3, 2, seed=1).success
 
 
 def _moser_tardos_reference(N, s, r, ell, seed, max_rounds):

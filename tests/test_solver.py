@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turan_systems import solver
-from turan_systems.combinatorics import binomial, enumerate_subsets, unrank_colex
+from turan_systems import combinatorics, solver
+from turan_systems.combinatorics import (
+    BudgetExceededError,
+    binomial,
+    enumerate_subsets,
+    unrank_colex,
+)
 from turan_systems.constructions import trivial_prefix_system
 from turan_systems.hypergraph import UniformHypergraph, is_turan_system
 from turan_systems.solver import (
@@ -104,11 +109,12 @@ class TestSolveMinTuran:
         # The solver spends the 10 nodes at level 7, the first level its
         # bound leaves open, and sets up no other level: levels 8 to 40
         # take the bound only, and the witness is Turán's construction.
-        built = []
-        real = solver.member_ranks
+        built, covered = [], []
+        real, real_cover = solver.member_ranks, solver.cover_masks
         monkeypatch.setattr(solver, "member_ranks", lambda *a: built.append(a) or real(*a))
+        monkeypatch.setattr(solver, "cover_masks", lambda *a: covered.append(a) or real_cover(*a))
         res = solve_min_turan(40, 4, 3, node_budget=10)
-        assert built == [(7, 4, 3)]
+        assert built == covered == [(7, 4, 3)]
         assert res.budget_exhausted and not res.proven_optimal and res.proof is None
         assert res.nodes_explored == 11
         assert res.witness == UniformHypergraph.from_edges(40, 3, _turan_construction(40, 4, 3))
@@ -117,9 +123,22 @@ class TestSolveMinTuran:
 
     def test_level_closed_at_root_does_no_setup(self, monkeypatch):
         monkeypatch.setattr(solver, "member_ranks", None)
+        monkeypatch.setattr(solver, "cover_masks", None)
         for n, s, r in [(10, 5, 2), (11, 6, 2), (6, 4, 3), (9, 6, 1)]:
             res = solve_min_turan(n, s, r)
             assert res.nodes_explored == 0 and res.proof == "bound-met"
+
+
+    def test_level_beyond_cover_bit_budget_refused(self, monkeypatch):
+        # (8,4,3) searches level 7 only, whose bitmaps take
+        # C(7,3) * C(7,4) = 1225 bits; the refusal comes before any node.
+        monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1224)
+        monkeypatch.setattr(solver, "member_ranks", None)
+        with pytest.raises(BudgetExceededError, match="cover bitmaps"):
+            solve_min_turan(8, 4, 3)
+        monkeypatch.undo()
+        monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1225)
+        assert solve_min_turan(8, 4, 3).optimum == 20
 
 
 def reference_solve(n, s, r, node_budget, incumbent=None, bound=0):
@@ -468,7 +487,30 @@ class TestValueCache:
         assert sorted(json.loads(path.read_text())) == ["4,3,2", "5,4,3"]
         assert reloaded.get(4, 3, 2) is not None and reloaded.get(5, 4, 3) is not None
         assert reloaded.get(5, 3, 2) is None
-        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+        # No temporary file is left; the lock file stays where flock exists.
+        expected = ["cache.json", "cache.json.lock"] if solver.fcntl else ["cache.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == expected
+
+    @pytest.mark.skipif(solver.fcntl is None, reason="no fcntl: writes are not serialised")
+    def test_concurrent_caches_keep_both_entries(self, tmp_path):
+        path = str(tmp_path / "cache.json")
+        first, second = ValueCache(path), ValueCache(path)
+        first.store(solve_min_turan(5, 4, 3))
+        second.store(solve_min_turan(6, 4, 3))
+        assert sorted(json.loads((tmp_path / "cache.json").read_text())) == ["5,4,3", "6,4,3"]
+        reloaded = ValueCache(path)
+        assert reloaded.get(5, 4, 3) is not None and reloaded.get(6, 4, 3) is not None
+
+    @pytest.mark.skipif(solver.fcntl is None, reason="no fcntl: the file is not re-read")
+    def test_corrupt_file_read_under_lock_only_warns(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = ValueCache(str(path))
+        cache.store(solve_min_turan(5, 4, 3))
+        path.write_text("{not json")
+        with pytest.warns(UserWarning, match="corrupt"):
+            cache.store(solve_min_turan(6, 4, 3))
+        assert sorted(json.loads(path.read_text())) == ["6,4,3"]
+        assert ValueCache(str(path)).get(6, 4, 3) is not None
 
     def test_unwritable_cache_only_warns(self, tmp_path):
         cache = ValueCache(str(tmp_path / "no" / "such" / "cache.json"))

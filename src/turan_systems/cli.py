@@ -16,13 +16,13 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
 import time
 import warnings
 
 from . import __version__
 from .bounds import bound_reports, closing_chain_check
+from .combinatorics import _json_value
 from .constructions import (
     ConstructionError,
     blowup,
@@ -58,20 +58,10 @@ _EXIT_CODES = (
 )
 
 
-def _finite_or_null(obj):
-    """obj with every infinite or NaN float replaced by None."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return obj
-
-
 def _dump(obj: dict) -> str:
-    """Strict JSON: a float outside the finite range is written as null."""
-    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Strict JSON of obj, already in combinatorics._json_value form: a
+    non-finite float left in it raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -89,7 +79,7 @@ def _write_manifest(args: argparse.Namespace, text: str) -> None:
     }
     manifest = {
         "subcommand": args.command,
-        "parameters": params,
+        "parameters": _json_value(params),
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -203,7 +193,7 @@ def _bounds_rows(r: int, R: int) -> list[dict]:
 
 def _emit_rows(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(_dump({"rows": rows}))
+        sys.stdout.write(_dump({"rows": _json_value(rows)}))
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS)

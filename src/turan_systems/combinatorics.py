@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 # log_binomial takes the log of the exact integer C(n, k) up to this n and
 # Stirling's series beyond it.  This is the one exact-or-log cutoff for ln C.
@@ -40,10 +40,8 @@ class BudgetExceededError(RuntimeError):
 class JsonRecord:
     """Base of the dataclass records that are printed as JSON.
 
-    to_json_dict maps each field shown in repr to its value: tuples and
-    lists become lists, nested records their own dicts, and a LogValue
-    its log_magnitude, or None when it is zero.  A field marked
-    repr=False is left out.
+    to_json_dict maps each field shown in repr to its _json_value.  A
+    field marked repr=False is left out.
     """
 
     def to_json_dict(self) -> dict:
@@ -51,12 +49,19 @@ class JsonRecord:
 
 
 def _json_value(value):
+    """value in strict JSON form: lists for tuples and lists, dicts for dicts
+    and records, None for a non-finite float or a zero LogValue, and a
+    LogValue's log_magnitude by the float rule."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, (tuple, list)):
         return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
     if isinstance(value, JsonRecord):
         return value.to_json_dict()
     if isinstance(value, LogValue):
-        return None if value.is_zero else value.log_magnitude
+        return None if value.is_zero else _json_value(value.log_magnitude)
     return value
 
 
@@ -194,35 +199,30 @@ def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 break
 
 
-def _colex_descending(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The k-subsets of [n] in descending colex order, each in decreasing order.
-
-    These are the combinations of range(n-1, -1, -1), made at C level.
-    """
-    return itertools.combinations(range(n - 1, -1, -1), k)
-
-
 def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
-    """The k-subsets of [n] in colex order, as one list built at C level."""
-    subsets = list(map(itemgetter(slice(None, None, -1)), _colex_descending(n, k)))
+    """The k-subsets of [n] in colex order, as one list built at C level:
+    the combinations of range(n-1, -1, -1), both orders reversed."""
+    descending = itertools.combinations(range(n - 1, -1, -1), k)
+    subsets = list(map(itemgetter(slice(None, None, -1)), descending))
     subsets.reverse()
     return subsets
 
 
-def member_ranks(n: int, s: int, r: int) -> list[list[int]]:
-    """For each s-subset of [n] in colex order, the colex ranks of its r-subsets.
-
-    This is the solver's branching table.  The combinations of a decreasing
-    s-set come in descending colex order, so each list, reversed, is the
-    s-set's r-subsets in ascending rank, that is in colex order.
+def r_subset_ranks(n: int, s: int, r: int) -> Callable[[int], list[int]]:
+    """The map from the colex rank of an s-subset of [n] to the ascending
+    colex ranks of its r-subsets: the solver's branching rows and the
+    colourer's redraws.  The combinations of a decreasing s-set come in
+    descending colex order, so each list, reversed, needs no sort.
     """
-    num_r = binomial(n, r)
-    rank = dict(zip(_colex_descending(n, r), range(num_r - 1, -1, -1))).__getitem__
-    table = [list(map(rank, itertools.combinations(S, r))) for S in _colex_descending(n, s)]
-    for row in table:
+    descending = itertools.combinations(range(n - 1, -1, -1), r)
+    rank = dict(zip(descending, range(binomial(n, r) - 1, -1, -1))).__getitem__
+
+    def ranks(i: int) -> list[int]:
+        row = list(map(rank, itertools.combinations(unrank_colex(i, s, n)[::-1], r)))
         row.reverse()
-    table.reverse()
-    return table
+        return row
+
+    return ranks
 
 
 def _vertex_masks(n: int, s: int) -> list[int]:

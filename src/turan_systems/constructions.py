@@ -31,6 +31,7 @@ from .combinatorics import (
     exp_or_inf,
     log_binomial,
     log_binomial_series,
+    r_subset_ranks,
     unrank_colex,
 )
 from .hypergraph import BudgetExceededError, UniformHypergraph
@@ -405,23 +406,22 @@ def moser_tardos_color(
     block v the colours of every r-set inside [v+1] are final, so it tests
     the first C(v+1, s) s-sets and stops at the lowest zero bit.
 
-    ValueError for sizes outside 1 <= r < s <= N, ell < 1 or max_rounds < 0;
+    ValueError for sizes outside 1 <= r < s <= N, max_rounds < 0 or ell
+    outside 1 <= ell <= C(s,r), as an s-set shows at most C(s,r) colours;
     BudgetExceededError, before anything is drawn, when the C(N,r) r-sets
-    or the C(N,s) s-sets exceed the materialization budget, or the cover
-    bitmaps COVER_BITS_BUDGET.
+    exceed the materialization budget, or the cover bitmaps COVER_BITS_BUDGET.
     """
     check_sizes(N, s, r)
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    if not 1 <= ell <= binomial(s, r):
+        raise ValueError(f"ell must be between 1 and C({s},{r}) = {binomial(s, r)}")
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
     _refuse_beyond_budget(N, r)
-    _refuse_beyond_budget(N, s)
     cover = cover_masks(N, s, r)
-    r_sets = colex_subsets(N, r)
+    redraw = r_subset_ranks(N, s, r)
 
     rng = random.Random(seed)
-    num_r = len(r_sets)
+    num_r = len(cover)
     coloring = [rng.randrange(ell) for _ in range(num_r)]
 
     # blocks[v]: the ranks of the r-sets with largest vertex v, and the
@@ -441,11 +441,10 @@ def moser_tardos_color(
                 return i
         return None
 
-    rank = dict(zip(r_sets, range(num_r))).__getitem__
     rounds = 0
     bad = violated()
     while bad is not None and rounds < max_rounds:
-        for j in sorted(map(rank, itertools.combinations(unrank_colex(bad, s, N), r))):
+        for j in redraw(bad):
             coloring[j] = rng.randrange(ell)
         rounds += 1
         bad = violated()

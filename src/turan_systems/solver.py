@@ -31,7 +31,7 @@ from .combinatorics import (
     binomial,
     check_sizes,
     cover_masks,
-    member_ranks,
+    r_subset_ranks,
     rank_colex,
     unrank_colex,
 )
@@ -142,11 +142,11 @@ def _search(
     nodes.  Returns the ranks of the best system found, the number of
     nodes visited and whether the budget ran out.
 
-    Its incidence is built once per call: the cover bitmap of each r-set
-    from combinatorics.cover_masks, refused with BudgetExceededError before
-    anything is built beyond COVER_BITS_BUDGET bits, and the branching
-    table from member_ranks.  Branches on the colex-least uncovered s-set
-    with one child per r-subset of it; prunes a node with d edges when
+    Its cover bitmaps come once per call from combinatorics.cover_masks,
+    refused with BudgetExceededError beyond COVER_BITS_BUDGET bits before
+    anything is built.  Branches on the colex-least uncovered s-set with
+    one child per r-subset of it, from r_subset_ranks on the first branch
+    there; prunes a node with d edges when
     d + ceil(uncovered / C(n-r, s-r)) reaches the incumbent.  That bound
     is kept as one threshold per depth: a child of a node with d - 1 edges
     survives only if it covers at least C(n,s) - (best - d - 1) * C(n-r, s-r)
@@ -158,10 +158,13 @@ def _search(
     """
     # cover_mask[j]: bitmap over s-set indices covered by r-set j.
     cover_mask = cover_masks(n, s, r)
-    # children[i]: r-set indices inside s-set i, in colex order.
-    children = member_ranks(n, s, r)
-    num_s = len(children)
     num_r = len(cover_mask)
+    num_s = binomial(n, s)
+    subset_ranks = r_subset_ranks(n, s, r)
+    # children[i]: r-set indices inside s-set i, in colex order, built on
+    # first use.  Row 0 is the root's branch, edge {0,...,r-1} (rank 0): it
+    # lies in s-set 0, so s-set 0 is covered at every node below the root.
+    children = [[0]] + [None] * (num_s - 1)
     per_edge = binomial(n - r, s - r)
 
     best = len(incumbent)
@@ -183,7 +186,6 @@ def _search(
     # everything then only passes it if d < best.
     none = num_r
     cover_mask.append(0)
-    root_branch = [0]
     stack = [(0, iter([none]), none)]
     need = num_s - (best - 1) * per_edge
     while stack:
@@ -207,9 +209,11 @@ def _search(
                 need = num_s + per_edge
                 continue
             # colex-least uncovered s-set: the lowest zero bit of covered.
-            # Only the root's covered set is empty.
             i = (covered ^ (covered + 1)).bit_length() - 1
-            stack.append((covered, iter(children[i] if covered else root_branch), j))
+            row = children[i]
+            if not row:
+                row = children[i] = subset_ranks(i)
+            stack.append((covered, iter(row), j))
             need += per_edge
             break
         else:

@@ -95,7 +95,7 @@ class TestConstruct:
         code, _, err = run(
             [
                 "construct", "coloring",
-                "--n", "6", "--s", "4", "--r", "3", "--ell", "20",
+                "--n", "6", "--s", "4", "--r", "3", "--ell", "4",
                 "--seed", "1", "--max-rounds", "30",
             ],
             capsys,
@@ -525,10 +525,16 @@ PINNED_OUTPUTS = {
 ERROR_PATHS = {
     "construct-missing-option": ("construct prefix --n 6 --s 4", 2),
     "coloring-round-cap": (
-        "construct coloring --n 6 --s 4 --r 3 --ell 20 --seed 1 --max-rounds 30", 3,
+        "construct coloring --n 6 --s 4 --r 3 --ell 4 --seed 1 --max-rounds 30", 3,
     ),
+    # An s-set of (6,4,3) holds C(4,3) = 4 triples, so no more colours fit.
+    "coloring-ell-beyond-r-subsets": (
+        "construct coloring --n 6 --s 4 --r 3 --ell 5 --seed 1", 2,
+    ),
+    "coloring-ell-10^30": (f"construct coloring --n 6 --s 4 --r 3 --ell {10**30} --seed 1", 2),
     "coloring-budget": ("construct coloring --n 400 --s 4 --r 3 --ell 2 --seed 1", 4),
-    # C(40,3) fits the materialization budget, the C(40,8) s-sets do not.
+    # C(40,3) fits the materialization budget; its cover bitmaps, 9880 of
+    # C(40,8) = 76904685 bits (7.6e11 bits), do not fit COVER_BITS_BUDGET.
     "coloring-s-set-budget": ("construct coloring --n 40 --s 8 --r 3 --ell 2 --seed 1", 4),
     # C(60,3) and C(60,4) fit the materialization budget; their cover
     # bitmaps, 34220 of 487635 bits, do not fit COVER_BITS_BUDGET.

@@ -16,7 +16,7 @@ from turan_systems.combinatorics import (
     enumerate_subsets,
     exp_or_inf,
     log_binomial,
-    member_ranks,
+    r_subset_ranks,
     rank_colex,
     unrank_colex,
 )
@@ -162,17 +162,15 @@ class TestEnumerate:
             ]
 
 
-class TestMemberRanks:
+class TestRSubsetRanks:
     def test_matches_ranks_of_combinations(self):
         for n in range(2, 10):
             for s in range(2, n + 1):
                 for r in range(1, s):
-                    expected = [
-                        sorted(rank_colex(x) for x in itertools.combinations(S, r))
-                        for S in enumerate_subsets(n, s)
-                    ]
-                    assert member_ranks(n, s, r) == expected, (n, s, r)
-
+                    ranks = r_subset_ranks(n, s, r)
+                    for i, S in enumerate(enumerate_subsets(n, s)):
+                        expected = sorted(rank_colex(x) for x in itertools.combinations(S, r))
+                        assert ranks(i) == expected, (n, s, r, i)
 
 
 class TestCoverMasks:

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from turan_systems.bounds import bound_reports, closing_chain_check
 from turan_systems.cli import _dump
-from turan_systems.combinatorics import binomial, enumerate_subsets, log_binomial, rank_colex
+from turan_systems.combinatorics import (
+    _json_value,
+    binomial,
+    enumerate_subsets,
+    log_binomial,
+    rank_colex,
+)
 from turan_systems import combinatorics, constructions
 from turan_systems.constructions import (
     ConstructionError,
@@ -202,7 +208,7 @@ class TestScheduleOutputsPinned:
             if not p.degenerate:
                 h.update(_dump(lll_certificate_for(p).to_json_dict()).encode())
             rows = [[b.name, b.kind, b.value, list(b.assumptions)] for b in bound_reports(r, R)]
-            h.update(_dump({"rows": rows}).encode())
+            h.update(_dump({"rows": _json_value(rows)}).encode())
         assert h.hexdigest() == (
             "a2c767eda241e288013dfc3c14995d942c8f67cabd2fe5ccd18e3013092e89e3"
         )
@@ -310,8 +316,7 @@ class TestMoserTardos:
         assert a.coloring == b.coloring and a.rounds_used == b.rounds_used
 
     def test_round_cap_failure_carries_witness(self):
-        # ell = C(6,3) colours can never all appear among 4 triples.
-        out = moser_tardos_color(6, 4, 3, 20, seed=1, max_rounds=30)
+        out = moser_tardos_color(6, 4, 3, 4, seed=1, max_rounds=30)
         assert not out.success and out.failed_s_set is not None
 
     def test_class_sizes_partition(self):
@@ -324,7 +329,7 @@ class TestMoserTardos:
         N = data.draw(st.integers(2, 10))
         s = data.draw(st.integers(2, N))
         r = data.draw(st.integers(1, s - 1))
-        ell = data.draw(st.integers(1, 4))
+        ell = data.draw(st.integers(1, min(4, binomial(s, r))))
         seed = data.draw(st.integers(0, 2**32))
         max_rounds = data.draw(st.integers(0, 60))
         out = moser_tardos_color(N, s, r, ell, seed, max_rounds=max_rounds)
@@ -348,11 +353,25 @@ class TestMoserTardos:
     @pytest.mark.parametrize(
         "N, s, r, ell, seed, max_rounds",
         [(14, 6, 3, 5, 1, 50), (16, 5, 3, 3, 1, 50), (20, 5, 3, 3, 1, 50),
-         (16, 5, 3, 3, 2, 0), (9, 4, 1, 3, 5, 50), (9, 4, 1, 5, 5, 50)],
+         (16, 5, 3, 3, 2, 0), (9, 4, 1, 3, 5, 50), (9, 4, 1, 4, 5, 50)],
     )
     def test_large_instances_match_reference(self, N, s, r, ell, seed, max_rounds):
         out = moser_tardos_color(N, s, r, ell, seed, max_rounds=max_rounds)
         assert out.to_json_dict() == _moser_tardos_reference(N, s, r, ell, seed, max_rounds)
+
+    def test_more_colours_than_r_subsets_refused(self):
+        # An s-set of (6,4,3) holds C(4,3) = 4 triples, so 4 colours at most.
+        with pytest.raises(ValueError, match=r"C\(4,3\) = 4"):
+            moser_tardos_color(6, 4, 3, 5, seed=1)
+        with pytest.raises(ValueError, match=r"C\(4,3\) = 4"):
+            moser_tardos_color(6, 4, 3, 10**30, seed=1)
+        assert moser_tardos_color(6, 4, 3, 4, seed=1, max_rounds=0).rounds_used == 0
+
+    def test_s_sets_beyond_materialization_budget_admitted(self):
+        # C(25,12) = 5200300 s-sets exceed the materialization budget; the
+        # 25 cover bitmaps of that many bits fit COVER_BITS_BUDGET.
+        out = moser_tardos_color(25, 12, 1, 1, seed=1)
+        assert out.success and out.rounds_used == 0
 
     def test_cover_bit_budget_refusal(self, monkeypatch):
         # (7,4,3) takes C(7,3) * C(7,4) = 1225 bits of cover bitmaps.

@@ -110,8 +110,8 @@ class TestSolveMinTuran:
         # bound leaves open, and sets up no other level: levels 8 to 40
         # take the bound only, and the witness is Turán's construction.
         built, covered = [], []
-        real, real_cover = solver.member_ranks, solver.cover_masks
-        monkeypatch.setattr(solver, "member_ranks", lambda *a: built.append(a) or real(*a))
+        real, real_cover = solver.r_subset_ranks, solver.cover_masks
+        monkeypatch.setattr(solver, "r_subset_ranks", lambda *a: built.append(a) or real(*a))
         monkeypatch.setattr(solver, "cover_masks", lambda *a: covered.append(a) or real_cover(*a))
         res = solve_min_turan(40, 4, 3, node_budget=10)
         assert built == covered == [(7, 4, 3)]
@@ -122,18 +122,32 @@ class TestSolveMinTuran:
         assert res.lower_bound_source == "averaging"
 
     def test_level_closed_at_root_does_no_setup(self, monkeypatch):
-        monkeypatch.setattr(solver, "member_ranks", None)
+        monkeypatch.setattr(solver, "r_subset_ranks", None)
         monkeypatch.setattr(solver, "cover_masks", None)
         for n, s, r in [(10, 5, 2), (11, 6, 2), (6, 4, 3), (9, 6, 1)]:
             res = solve_min_turan(n, s, r)
             assert res.nodes_explored == 0 and res.proof == "bound-met"
 
+    def test_rows_built_on_demand(self, monkeypatch):
+        # Ten nodes below the root branch on at most ten s-sets; row 0, the
+        # root's, is seeded.  A full table would hold all C(16,8) = 12870.
+        rows = []
+
+        def spy(*a):
+            ranks = real(*a)
+            return lambda i: rows.append(i) or ranks(i)
+
+        real = solver.r_subset_ranks
+        monkeypatch.setattr(solver, "r_subset_ranks", spy)
+        _, nodes, out = _search(16, 8, 4, range(495), 0, 10)
+        assert out and nodes == 11
+        assert 0 < len(rows) <= 11 and len(set(rows)) == len(rows) and 0 not in rows
 
     def test_level_beyond_cover_bit_budget_refused(self, monkeypatch):
         # (8,4,3) searches level 7 only, whose bitmaps take
         # C(7,3) * C(7,4) = 1225 bits; the refusal comes before any node.
         monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1224)
-        monkeypatch.setattr(solver, "member_ranks", None)
+        monkeypatch.setattr(solver, "r_subset_ranks", None)
         with pytest.raises(BudgetExceededError, match="cover bitmaps"):
             solve_min_turan(8, 4, 3)
         monkeypatch.undo()

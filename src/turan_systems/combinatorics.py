@@ -28,6 +28,10 @@ EXACT_LOG_N_MAX = 4096
 # and so does the schedule's ln R! for r >= 3.
 FLOAT_R_MAX = 10**305
 
+# The most sets that a construction, or cover_masks, materializes one by one;
+# read by refuse_beyond_budget only.
+DEFAULT_MATERIALIZE_BUDGET = 5_000_000
+
 # cover_masks refuses an (n, s, r) whose C(n,r) bitmaps of C(n,s) bits would
 # hold more than this many bits (2^30 bits, 128 MiB), before it builds any.
 COVER_BITS_BUDGET = 2**30
@@ -69,6 +73,14 @@ def check_sizes(n: int, s: int, r: int) -> None:
     """The domain 1 <= r < s <= n of a Turán (n,s,r)-system; ValueError otherwise."""
     if not 1 <= r < s <= n:
         raise ValueError(f"need 1 <= r < s <= n, got r={r}, s={s}, n={n}")
+
+
+def refuse_beyond_budget(n: int, k: int) -> None:
+    """BudgetExceededError when C(n,k) exceeds DEFAULT_MATERIALIZE_BUDGET."""
+    if binomial(n, k) > DEFAULT_MATERIALIZE_BUDGET:
+        raise BudgetExceededError(
+            f"C({n},{k}) exceeds materialization budget {DEFAULT_MATERIALIZE_BUDGET}"
+        )
 
 
 def exp_or_inf(x: float) -> float:
@@ -259,10 +271,11 @@ def cover_masks(n: int, s: int, r: int) -> list[int]:
     k-set with level k-1; level k needs only the k-subsets of
     [n - r + k], the first C(n-r+k, k), which hold the k least vertices of
     every r-set.  Needs 1 <= r < s <= n; BudgetExceededError, before
-    anything is built, when the C(n,r) bitmaps of C(n,s) bits exceed
-    COVER_BITS_BUDGET bits.
+    anything is built, when the C(n,r) bitmaps exceed the materialization
+    budget or their C(n,r) * C(n,s) bits exceed COVER_BITS_BUDGET.
     """
     check_sizes(n, s, r)
+    refuse_beyond_budget(n, r)
     bits = binomial(n, r) * binomial(n, s)
     if bits > COVER_BITS_BUDGET:
         raise BudgetExceededError(

@@ -32,11 +32,11 @@ from .combinatorics import (
     log_binomial,
     log_binomial_series,
     r_subset_ranks,
+    refuse_beyond_budget,
     unrank_colex,
 )
-from .hypergraph import BudgetExceededError, UniformHypergraph
+from .hypergraph import UniformHypergraph
 
-DEFAULT_MATERIALIZE_BUDGET = 5_000_000
 # Draws that recursive_system takes before it gives up.
 RECURSION_MAX_RETRIES = 1000
 
@@ -48,14 +48,6 @@ EXACT_N_BUDGET = 512
 
 class ConstructionError(RuntimeError):
     """A randomized construction failed within its retry/round caps."""
-
-
-def _refuse_beyond_budget(n: int, k: int) -> None:
-    """BudgetExceededError when C(n,k) exceeds DEFAULT_MATERIALIZE_BUDGET."""
-    if binomial(n, k) > DEFAULT_MATERIALIZE_BUDGET:
-        raise BudgetExceededError(
-            f"C({n},{k}) exceeds materialization budget {DEFAULT_MATERIALIZE_BUDGET}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +62,7 @@ def trivial_prefix_system(n: int, s: int, r: int) -> UniformHypergraph:
     prefix in at least r points and contains an edge.  Size C(n-s+r, r).
     """
     check_sizes(n, s, r)
-    _refuse_beyond_budget(n - (s - r), r)
+    refuse_beyond_budget(n - (s - r), r)
     return UniformHypergraph.from_edges(n, r, enumerate_subsets(n - (s - r), r))
 
 
@@ -408,15 +400,15 @@ def moser_tardos_color(
 
     ValueError for sizes outside 1 <= r < s <= N, max_rounds < 0 or ell
     outside 1 <= ell <= C(s,r), as an s-set shows at most C(s,r) colours;
-    BudgetExceededError, before anything is drawn, when the C(N,r) r-sets
-    exceed the materialization budget, or the cover bitmaps COVER_BITS_BUDGET.
+    BudgetExceededError from cover_masks, before anything is drawn, when
+    the C(N,r) r-sets exceed the materialization budget or their cover
+    bitmaps COVER_BITS_BUDGET.
     """
     check_sizes(N, s, r)
     if not 1 <= ell <= binomial(s, r):
         raise ValueError(f"ell must be between 1 and C({s},{r}) = {binomial(s, r)}")
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
-    _refuse_beyond_budget(N, r)
     cover = cover_masks(N, s, r)
     redraw = r_subset_ranks(N, s, r)
 
@@ -501,7 +493,7 @@ def blowup(A: UniformHypergraph, m: int) -> tuple[UniformHypergraph, BlowupRepor
         raise ValueError("blowup requires r >= 2")
     N, r = A.n, A.r
     n = m * N
-    _refuse_beyond_budget(n, r)
+    refuse_beyond_budget(n, r)
     edge_set = set(A.edges)
     edges = []
     for e in enumerate_subsets(n, r):
@@ -623,11 +615,11 @@ def recursive_system(
     until |G| is at most its expected value, for at most
     RECURSION_MAX_RETRIES draws.  Each draw makes one pass over the
     (k-R)-sets and one over the k-sets of [n], and keeps at most C(n,r)
-    r-sets; each of those counts must lie within DEFAULT_MATERIALIZE_BUDGET.
+    r-sets; each of those counts must lie within the materialization budget.
     """
     _validate_recursion_params(n, r, R, k, c)
     for size in (k - R, k, r):
-        _refuse_beyond_budget(n, size)
+        refuse_beyond_budget(n, size)
     expected, _ = expected_recursive_size(n, r, R, k, c)
     rng = random.Random(seed)
     smallest = math.inf

@@ -3,15 +3,18 @@
 Minimum Turán systems are minimum set covers: the C(n,s) s-sets must each
 be covered by some r-set inside them.  The solver proves T(m,s,r) for
 m = s, ..., n in turn: each level's lower bound comes from counting or
-from averaging over the level below, its first incumbent is the smaller
-of the prefix system and a Turán construction, and only a level where
-the two differ is searched.  The search branches on the colex-least
-uncovered s-set, which keeps node counts and witnesses deterministic.
+from averaging over the level below, and its first incumbent is the
+smaller of the prefix system and a Turán construction.  A level where
+that incumbent misses the bound also gets a greedy set cover, kept when
+strictly smaller, and is searched only if the bound is still missed.  The
+search branches on the colex-least uncovered s-set, which keeps node
+counts and witnesses deterministic.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 import itertools
 import json
 import os
@@ -131,63 +134,96 @@ def _first_incumbent(n: int, s: int, r: int) -> list[int] | range:
     return list(map(rank_colex, edges))
 
 
+def _greedy_cover(cover_mask: list[int], num_s: int) -> list[int]:
+    """Colex ranks of the greedy set cover of the num_s s-sets.
+
+    Repeatedly takes the r-set that covers the most uncovered s-sets, the
+    lowest colex rank on a tie.  Lazily: the heap holds each r-set keyed
+    by its gain when last counted, an upper bound on its gain now, as
+    rank - gain * C(n,r), so the larger gain and then the lower rank come
+    first.  An r-set whose key is still current at the top beats every
+    other, which is what a full scan would pick.  Every r-set starts with
+    the same gain, C(n-r, s-r), so the first heap is the ranks in order.
+    """
+    num_r = len(cover_mask)
+    gain = cover_mask[0].bit_count()
+    heap = list(range(-gain * num_r, (1 - gain) * num_r))
+    uncovered = (1 << num_s) - 1
+    chosen = []
+    while uncovered:
+        j = heap[0] % num_r
+        key = j - (cover_mask[j] & uncovered).bit_count() * num_r
+        if key == heap[0]:
+            heapq.heappop(heap)
+            chosen.append(j)
+            uncovered &= ~cover_mask[j]
+        else:
+            heapq.heapreplace(heap, key)
+    return chosen
+
+
 def _search(
-    n: int, s: int, r: int, incumbent: list[int] | range, bound: int, node_budget: int
+    n: int,
+    s: int,
+    r: int,
+    cover_mask: list[int],
+    incumbent: list[int] | range,
+    bound: int,
+    node_budget: int,
 ) -> tuple[list[int] | range, int, bool]:
     """Branch and bound for an (n,s,r) system smaller than `incumbent`.
 
-    `incumbent` holds colex ranks of r-sets forming a Turán system.  The
-    search stops when it exhausts its tree, when it finds a system of
-    `bound` edges or fewer, or when it has visited more than `node_budget`
-    nodes.  Returns the ranks of the best system found, the number of
-    nodes visited and whether the budget ran out.
+    `cover_mask` is cover_masks(n, s, r), which the search reads and does
+    not change.  `incumbent` holds colex ranks of r-sets forming a Turán
+    system.  The search stops when it exhausts its tree, when it finds a
+    system of `bound` edges or fewer, or when it has visited more than
+    `node_budget` nodes.  Returns the ranks of the best system found, the
+    number of nodes visited and whether the budget ran out.
 
-    Its cover bitmaps come once per call from combinatorics.cover_masks,
-    refused with BudgetExceededError beyond COVER_BITS_BUDGET bits before
-    anything is built.  Branches on the colex-least uncovered s-set with
-    one child per r-subset of it, from r_subset_ranks on the first branch
-    there; prunes a node with d edges when
-    d + ceil(uncovered / C(n-r, s-r)) reaches the incumbent.  That bound
-    is kept as one threshold per depth: a child of a node with d - 1 edges
-    survives only if it covers at least C(n,s) - (best - d - 1) * C(n-r, s-r)
-    s-sets, so each node costs one OR and one popcount.  At the root, the
-    branch is fixed to the single edge {0,...,r-1}, colex rank 0, which is
-    safe because the root subproblem is invariant under all vertex
-    relabelings.  The search keeps its own stack, so a deep search ends at
-    the node budget, not at the interpreter's recursion limit.
+    Branches on the colex-least uncovered s-set with one child per
+    r-subset of it, from r_subset_ranks on the first branch there; prunes
+    a node with d edges when d + ceil(uncovered / C(n-r, s-r)) reaches the
+    incumbent.  That bound is kept as one threshold per depth: a child of
+    a node with d - 1 edges survives only if it covers at least
+    C(n,s) - (best - d - 1) * C(n-r, s-r) s-sets, so each node costs one
+    OR and one popcount.  At the root, the branch is fixed to the single
+    edge {0,...,r-1}, colex rank 0, which is safe because the root
+    subproblem is invariant under all vertex relabelings.  The search
+    keeps its own stack, so a deep search ends at the node budget, not at
+    the interpreter's recursion limit.
     """
-    # cover_mask[j]: bitmap over s-set indices covered by r-set j.
-    cover_mask = cover_masks(n, s, r)
-    num_r = len(cover_mask)
     num_s = binomial(n, s)
+    per_edge = binomial(n - r, s - r)
+    best = len(incumbent)
+    # The root, node 1, has no edges; it survives the threshold below when
+    # ceil(num_s / per_edge) < best.
+    need = num_s - (best - 1) * per_edge
+    if node_budget < 1 or need > 0:
+        return incumbent, 1, node_budget < 1
+    nodes = 1
+    exhausted = False
+
     subset_ranks = r_subset_ranks(n, s, r)
     # children[i]: r-set indices inside s-set i, in colex order, built on
     # first use.  Row 0 is the root's branch, edge {0,...,r-1} (rank 0): it
     # lies in s-set 0, so s-set 0 is covered at every node below the root.
     children = [[0]] + [None] * (num_s - 1)
-    per_edge = binomial(n - r, s - r)
-
-    best = len(incumbent)
-    nodes = 0
-    exhausted = False
 
     # Depth-first search with an explicit stack, so depth is not limited by
-    # the interpreter's recursion limit.  stack[d] is an open node with d - 1
-    # edges: its covered set, the iterator over its remaining children, which
-    # have d edges, and the r-set that opened it.  A child that needs no
-    # branching is finished inside the loop over its siblings.  The bottom
-    # frame's one child is the root, via the r-set `none`, whose mask is
-    # empty; the edges on the current path open stack[2:].
+    # the interpreter's recursion limit.  stack[d] is an open node with d
+    # edges: its covered set, the iterator over its remaining children,
+    # which have d + 1 edges, and the r-set that opened it.  A child that
+    # needs no branching is finished inside the loop over its siblings.
+    # The bottom frame is the root, with mask 0; the edges on the current
+    # path open stack[1:].
     #
     # A child at depth d survives only if it covers at least
     # need = num_s - (best - d - 1) * per_edge s-sets, the same test as
     # d + ceil(uncovered / per_edge) < best.  need moves by per_edge with
     # each push and pop and is reset when best falls; a child that covers
     # everything then only passes it if d < best.
-    none = num_r
-    cover_mask.append(0)
-    stack = [(0, iter([none]), none)]
-    need = num_s - (best - 1) * per_edge
+    stack = [(0, iter(children[0]), None)]
+    need += per_edge
     while stack:
         base, rest, _ = stack[-1]
         for j in rest:
@@ -201,8 +237,8 @@ def _search(
             if count < need:
                 continue
             if count == num_s:
-                best = len(stack) - 1
-                incumbent = [frame[2] for frame in stack[2:]] + [j]
+                best = len(stack)
+                incumbent = [frame[2] for frame in stack[1:]] + [j]
                 if best <= bound:
                     stack.clear()
                     break
@@ -234,8 +270,12 @@ def solve_min_turan(
     system leaves an (m-1,s,r) system, and each edge survives m - r of the
     m deletions.  T(m-1) is level m-1's optimum when it was proven, its
     lower bound otherwise.  A level whose first incumbent (`_first_incumbent`)
-    meets its bound is closed with no setup; any other is searched by
-    `_search` until the two meet or its tree is exhausted.  The levels share
+    meets its bound is closed with no setup.  On any other, while budget
+    remains, `cover_masks` is built once: `_greedy_cover` reads it, and
+    replaces the incumbent when strictly smaller; if greedy meets the bound
+    the level is closed with no node, else `_search` reads the same masks
+    until incumbent and bound meet or its tree is exhausted.  So a budget
+    of 0 still proves the levels that greedy closes.  The levels share
     `node_budget`; once it has run out, the remaining levels take the bound
     only.  Nothing is kept between calls.
     """
@@ -249,10 +289,15 @@ def solve_min_turan(
         bound, source = (averaging, "averaging") if averaging > counting else (counting, "counting")
         incumbent = _first_incumbent(m, s, r)
         if len(incumbent) > bound and not out_of_budget:
-            incumbent, used, out_of_budget = _search(
-                m, s, r, incumbent, bound, node_budget - nodes
-            )
-            nodes += used
+            cover_mask = cover_masks(m, s, r)
+            greedy = _greedy_cover(cover_mask, binomial(m, s))
+            if len(greedy) < len(incumbent):
+                incumbent = greedy
+            if len(incumbent) > bound:
+                incumbent, used, out_of_budget = _search(
+                    m, s, r, cover_mask, incumbent, bound, node_budget - nodes
+                )
+                nodes += used
         if len(incumbent) == bound:
             proof = "bound-met"
         else:

@@ -568,6 +568,10 @@ ERROR_PATHS = {
     "solve-bad-parameters": ("solve --n 4 --s 5 --r 2", 2),
     "solve-negative-budget": ("solve --n 8 --s 4 --r 3 --node-budget -1", 2),
     "solve-r0": ("solve --n 9 --s 4 --r 0", 2),
+    # Level 26 needs a search (bound 2, prefix 14); its C(26,13) = 10400600
+    # r-sets exceed the materialization budget, though their cover bitmaps,
+    # 2.7e8 bits, fit COVER_BITS_BUDGET.
+    "solve-r-sets-budget": ("solve --n 26 --s 25 --r 13 --node-budget 1000", 4),
     "bounds-R-beyond-root": (f"bounds --r 3 --big-r {10**306}", 2),
     "bounds-R-zero": ("bounds --r 1 --big-r 0", 2),
     "certify-degenerate": ("certify-lll --r 2 --big-r 1", 3),

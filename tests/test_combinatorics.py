@@ -198,6 +198,17 @@ class TestCoverMasks:
         monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1225)
         assert len(cover_masks(7, 4, 3)) == 35
 
+    def test_refused_beyond_r_set_budget(self, monkeypatch):
+        # (7,4,3) has C(7,3) = 35 r-sets; the refusal comes before any
+        # vertex bitmap is built.
+        monkeypatch.setattr(combinatorics, "DEFAULT_MATERIALIZE_BUDGET", 34)
+        monkeypatch.setattr(combinatorics, "_vertex_masks", None)
+        with pytest.raises(BudgetExceededError, match=r"C\(7,3\) exceeds"):
+            cover_masks(7, 4, 3)
+        monkeypatch.undo()
+        monkeypatch.setattr(combinatorics, "DEFAULT_MATERIALIZE_BUDGET", 35)
+        assert len(cover_masks(7, 4, 3)) == 35
+
     def test_sizes_checked(self):
         with pytest.raises(ValueError):
             cover_masks(6, 3, 3)

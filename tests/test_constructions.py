@@ -59,7 +59,7 @@ class TestPrefixSystem:
 
     def test_budget_refusal(self, monkeypatch):
         # The (8,4,3) prefix has C(7,3) = 35 edges, the (7,4,3) one C(6,3) = 20.
-        monkeypatch.setattr(constructions, "DEFAULT_MATERIALIZE_BUDGET", 30)
+        monkeypatch.setattr(combinatorics, "DEFAULT_MATERIALIZE_BUDGET", 30)
         with pytest.raises(BudgetExceededError, match=r"C\(7,3\)"):
             trivial_prefix_system(8, 4, 3)
         assert len(trivial_prefix_system(7, 4, 3)) == 20
@@ -440,7 +440,7 @@ class TestBlowup:
 
     def test_budget_refusal(self, monkeypatch):
         A = trivial_prefix_system(30, 10, 5)
-        monkeypatch.setattr(constructions, "DEFAULT_MATERIALIZE_BUDGET", 10**4)
+        monkeypatch.setattr(combinatorics, "DEFAULT_MATERIALIZE_BUDGET", 10**4)
         with pytest.raises(BudgetExceededError):
             blowup(A, 3)
 
@@ -491,7 +491,7 @@ class TestRecursiveSystem:
 
     def test_budget_refusal(self, monkeypatch):
         # C(8,1) = 8 and C(8,2) = 28 fit a budget of 30, C(8,3) = 56 does not.
-        monkeypatch.setattr(constructions, "DEFAULT_MATERIALIZE_BUDGET", 30)
+        monkeypatch.setattr(combinatorics, "DEFAULT_MATERIALIZE_BUDGET", 30)
         with pytest.raises(BudgetExceededError, match=r"C\(8,3\)"):
             recursive_system(8, 3, 1, 2, c=1.0, seed=11)
         G, _ = recursive_system(6, 3, 1, 2, c=1.0, seed=11)  # C(6,3) = 20

@@ -8,6 +8,7 @@ from turan_systems import combinatorics, solver
 from turan_systems.combinatorics import (
     BudgetExceededError,
     binomial,
+    cover_masks,
     enumerate_subsets,
     unrank_colex,
 )
@@ -15,6 +16,7 @@ from turan_systems.constructions import trivial_prefix_system
 from turan_systems.hypergraph import UniformHypergraph, is_turan_system
 from turan_systems.solver import (
     ValueCache,
+    _greedy_cover,
     _search,
     _turan_construction,
     solve_min_turan,
@@ -26,7 +28,8 @@ from turan_systems.solver import (
 def prefix_search(n, s, r, budget):
     """The search kernel from the prefix incumbent with no bound, as the
     reference loop runs it: (optimum, witness, nodes, budget ran out)."""
-    ranks, nodes, out = _search(n, s, r, range(binomial(n - s + r, r)), 0, budget)
+    prefix = range(binomial(n - s + r, r))
+    ranks, nodes, out = _search(n, s, r, cover_masks(n, s, r), prefix, 0, budget)
     witness = UniformHypergraph.from_edges(n, r, [unrank_colex(j, r, n) for j in ranks])
     return len(ranks), witness, nodes, out
 
@@ -72,16 +75,17 @@ class TestSolveMinTuran:
         # The branching order fixes node counts and witnesses.  From the
         # prefix incumbent with no bound, the kernel gives the figures of
         # the recursive form of the same search; the solver's figures add
-        # the levels below n and stop where the bound is met.
+        # the levels below n, start from the greedy incumbent where it is
+        # smaller, and stop where the bound is met.
         for (n, s, r, budget), (optimum, kernel_nodes, nodes) in {
             (6, 4, 3, None): (6, 166, 0),
             (7, 4, 3, None): (12, 114374, 113722),
             (7, 3, 2, 10): (15, 11, None),
             (6, 4, 2, 37): (3, 38, 0),
-            (8, 5, 4, None): (14, 201527, 201857),
-            (8, 6, 4, None): (6, 27182, 25955),
+            (8, 5, 4, None): (14, 201527, 0),
+            (8, 6, 4, None): (6, 27182, 0),
             (9, 5, 2, None): (6, 10422, 0),
-            (7, 5, 3, None): (5, 472, 494),
+            (7, 5, 3, None): (5, 472, 412),
         }.items():
             budget = solver.DEFAULT_NODE_BUDGET if budget is None else budget
             assert prefix_search(n, s, r, budget)[::2] == (optimum, kernel_nodes)
@@ -139,7 +143,7 @@ class TestSolveMinTuran:
 
         real = solver.r_subset_ranks
         monkeypatch.setattr(solver, "r_subset_ranks", spy)
-        _, nodes, out = _search(16, 8, 4, range(495), 0, 10)
+        _, nodes, out = _search(16, 8, 4, cover_masks(16, 8, 4), range(495), 0, 10)
         assert out and nodes == 11
         assert 0 < len(rows) <= 11 and len(set(rows)) == len(rows) and 0 not in rows
 
@@ -154,16 +158,65 @@ class TestSolveMinTuran:
         monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1225)
         assert solve_min_turan(8, 4, 3).optimum == 20
 
+    def test_search_leaves_cover_masks_unchanged(self):
+        masks = cover_masks(7, 4, 3)
+        before = list(masks)
+        _, nodes, out = _search(7, 4, 3, masks, range(20), 0, 1000)
+        assert out and nodes == 1001 and masks == before
+        _search(7, 4, 3, masks, range(20), 0, solver.DEFAULT_NODE_BUDGET)
+        assert masks == before
 
-def reference_solve(n, s, r, node_budget, incumbent=None, bound=0):
-    """The search as it was written before the per-depth threshold.
+    def test_benchmark_instances_pinned(self):
+        # (optimum, nodes, proof) of the solve benchmark's six instances.
+        # (8,5,4) closes at the root: greedy's 14 edges meet the bound.
+        for (n, s, r, budget), want in {
+            (9, 7, 5, None): (8, 1269431, "exhausted"),
+            (10, 5, 2, None): (8, 0, "bound-met"),
+            (11, 6, 2, None): (7, 0, "bound-met"),
+            (7, 4, 3, None): (12, 113722, "exhausted"),
+            (8, 5, 4, None): (14, 0, "bound-met"),
+            (8, 4, 3, 1_000_000): (20, 113722, "bound-met"),
+        }.items():
+            res = solve_min_turan(n, s, r, node_budget=budget or solver.DEFAULT_NODE_BUDGET)
+            assert (res.optimum, res.nodes_explored, res.proof) == want
+            assert is_turan_system(res.witness, s).is_turan
 
-    Every node stores its r-set in a path array and takes the ceiling bound
-    from the complement of its covered set.  It starts from `incumbent`, a
-    list of r-sets (the prefix system by default), and stops once it finds
-    a system of at most `bound` edges.  Returns (optimum, witness, nodes,
-    budget ran out) and the node numbers at which the incumbent improved.
-    """
+    def test_t953_proven_by_greedy(self):
+        # T(9,5,3) = 12.  Averaging from T(8,5,3) = 8 gives ceil(9 * 8 / 6)
+        # = 12, which greedy meets at level 9; the 2,847 nodes are level
+        # 8's, where greedy's 9 edges miss the bound 8.
+        res = solve_min_turan(9, 5, 3)
+        assert (res.optimum, res.nodes_explored, res.proof) == (12, 2847, "bound-met")
+        assert (res.lower_bound, res.lower_bound_source) == (12, "averaging")
+        assert is_turan_system(res.witness, 5).is_turan
+        # The witness is the 12 lines of the affine plane AG(2,3), vertex v
+        # at (v // 3, v % 3), whose largest cap has 4 points: a triple is a
+        # line when both coordinate sums are 0 mod 3.
+        for e in res.witness.edges:
+            assert sum(v // 3 for v in e) % 3 == sum(v % 3 for v in e) % 3 == 0
+
+    def test_greedy_closes_level_without_rows(self, monkeypatch):
+        # Level 22's bound is C(22,11) / C(21,11) = 2 against a prefix of
+        # 12; greedy takes {0,...,10} and {11,...,21}, so no row is built.
+        built = []
+        real = solver.r_subset_ranks
+        monkeypatch.setattr(solver, "r_subset_ranks", lambda *a: built.append(a) or real(*a))
+        res = solve_min_turan(22, 21, 11)
+        assert (res.optimum, res.nodes_explored, res.proof) == (2, 0, "bound-met")
+        assert res.witness.edges == (tuple(range(11)), tuple(range(11, 22)))
+        assert built == []
+
+    def test_zero_budget_proves_greedy_levels(self):
+        # Level 6 of (6,5,3) needs a search from the prefix (4 edges
+        # against the bound 2); greedy meets the bound, so no node is spent.
+        res = solve_min_turan(6, 5, 3, node_budget=0)
+        assert (res.optimum, res.nodes_explored, res.proof) == (2, 0, "bound-met")
+        assert res.proven_optimal and is_turan_system(res.witness, 5).is_turan
+
+
+def reference_incidence(n, s, r):
+    """The r-sets of [n] in colex order, their ranks, each one's bitmap over
+    the s-sets that contain it, and each s-set's r-subsets' ranks."""
     s_sets = list(enumerate_subsets(n, s))
     r_rank = {}
     r_sets = []
@@ -177,7 +230,34 @@ def reference_solve(n, s, r, node_budget, incumbent=None, bound=0):
         children.append(subs)
         for j in subs:
             cover_mask[j] |= 1 << i
-    num_s = len(s_sets)
+    return r_sets, r_rank, cover_mask, children
+
+
+def reference_greedy(n, s, r):
+    """Greedy set cover by full scans: each step takes the r-set of largest
+    gain, the lowest rank on a tie.  Returns the r-sets in the order taken."""
+    r_sets, _, cover_mask, _ = reference_incidence(n, s, r)
+    uncovered = (1 << binomial(n, s)) - 1
+    chosen = []
+    while uncovered:
+        gains = [(mask & uncovered).bit_count() for mask in cover_mask]
+        j = gains.index(max(gains))
+        chosen.append(r_sets[j])
+        uncovered &= ~cover_mask[j]
+    return chosen
+
+
+def reference_solve(n, s, r, node_budget, incumbent=None, bound=0):
+    """The search as it was written before the per-depth threshold.
+
+    Every node stores its r-set in a path array and takes the ceiling bound
+    from the complement of its covered set.  It starts from `incumbent`, a
+    list of r-sets (the prefix system by default), and stops once it finds
+    a system of at most `bound` edges.  Returns (optimum, witness, nodes,
+    budget ran out) and the node numbers at which the incumbent improved.
+    """
+    r_sets, r_rank, cover_mask, children = reference_incidence(n, s, r)
+    num_s = binomial(n, s)
     all_covered = (1 << num_s) - 1
     per_edge = binomial(n - r, s - r)
 
@@ -249,7 +329,9 @@ def reference_construction(n, s, r):
 def reference_levels(n, s, r, node_budget):
     """solve_min_turan's levels written out over reference_solve: each
     level's bound from counting and averaging, its first incumbent the
-    smaller of the prefix system and reference_construction."""
+    smaller of the prefix system and reference_construction, and, on a
+    level that this misses the bound and budget remains, reference_greedy
+    where it is smaller still."""
     below = nodes = 0
     out = False
     for m in range(s, n + 1):
@@ -261,6 +343,10 @@ def reference_levels(n, s, r, node_budget):
         built = reference_construction(m, s, r)
         if built is not None and len(built) < len(incumbent):
             incumbent = built
+        if len(incumbent) > bound and not out:
+            greedy = reference_greedy(m, s, r)
+            if len(greedy) < len(incumbent):
+                incumbent = greedy
         best, witness = len(incumbent), UniformHypergraph.from_edges(m, r, incumbent)
         if best > bound and not out:
             (best, witness, used, out), _ = reference_solve(
@@ -317,6 +403,17 @@ class TestSearchEquivalence:
         for n, s, r in SMALL_INSTANCES:
             want, _ = reference_solve(n, s, r, REFERENCE_CAP)
             assert prefix_search(n, s, r, REFERENCE_CAP) == want
+
+
+class TestGreedyEquivalence:
+    """The lazy greedy against full scans, r-set for r-set."""
+
+    def test_matches_full_scan(self):
+        for n, s, r in SMALL_INSTANCES + [(9, 7, 5), (9, 5, 3), (10, 6, 3)]:
+            ranks = _greedy_cover(cover_masks(n, s, r), binomial(n, s))
+            want = reference_greedy(n, s, r)
+            assert [unrank_colex(j, r, n) for j in ranks] == want
+            assert is_turan_system(UniformHypergraph.from_edges(n, r, want), s).is_turan
 
 
 class TestLevelEquivalence:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import sys
@@ -74,6 +73,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _write_manifest(args: argparse.Namespace, text: str) -> None:
     """The manifest beside args.out, with the digest of the text written there."""
+    # Imported here: only construct writes a manifest, and hashlib costs
+    # every other command a few milliseconds of start-up.
+    import hashlib
+
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in {"func", "out"}
     }

@@ -63,7 +63,7 @@ def trivial_prefix_system(n: int, s: int, r: int) -> UniformHypergraph:
     """
     check_sizes(n, s, r)
     refuse_beyond_budget(n - (s - r), r)
-    return UniformHypergraph.from_edges(n, r, enumerate_subsets(n - (s - r), r))
+    return UniformHypergraph.from_edges(n, r, colex_subsets(n - (s - r), r))
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +494,18 @@ def blowup(A: UniformHypergraph, m: int) -> tuple[UniformHypergraph, BlowupRepor
     N, r = A.n, A.r
     n = m * N
     refuse_beyond_budget(n, r)
-    edge_set = set(A.edges)
+    # The projection of an r-set is the mask of its parts: it has fewer
+    # than r bits when the set meets some part twice.  The r-sets come
+    # lazily, as increasing tuples in lex order, which the loader puts in
+    # colex order: a colex list would hold all C(n,r) of them at once.
+    edge_masks = set(A.masks)
+    part = [1 << v % N for v in range(n)]
     edges = []
-    for e in enumerate_subsets(n, r):
-        parts = tuple(sorted(v % N for v in e))
-        if len(set(parts)) < r or parts in edge_set:
+    for e in itertools.combinations(range(n), r):
+        projection = 0
+        for v in e:
+            projection |= part[v]
+        if projection.bit_count() < r or projection in edge_masks:
             edges.append(e)
     B = UniformHypergraph.from_edges(n, r, edges)
     report = BlowupReport(

@@ -4,7 +4,9 @@ A Turán (n,s,r)-system is an r-graph on n vertices in which every s-subset
 of the vertices contains at least one edge.  The verifier here decides that
 property exhaustively, by one depth-first search for the colex-least s-set
 that contains no edge (a deterministic first witness), or by seeded uniform
-sampling for large n.  The search reads an index of the edge masks by
+sampling for large n.  A system is held as its sorted edge masks, which
+is all the verifier reads; the edges as vertex tuples are built only when
+something reads them.  The search reads an index of the edge masks by
 least vertex, built once per system on first use; sampling looks r-subsets
 up in the sorted masks, or reads the same index when a set has more
 r-subsets than the system has edges.
@@ -15,9 +17,10 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations
+from operator import lt
 from typing import Iterable
 
 from .combinatorics import (
@@ -33,47 +36,58 @@ from .combinatorics import (
 DEFAULT_EXHAUSTIVE_BUDGET = 10**9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UniformHypergraph(JsonRecord):
-    """An r-graph on vertex set {0, ..., n-1}; edges kept in colex order.
+    """An r-graph on vertex set {0, ..., n-1}, held as its edge bitmasks.
 
-    Immutable after construction; edge bitmasks are precomputed, in
+    The state is n, r and ``masks``, the distinct edge bitmasks in
     ascending order (the colex order of the edges), because mask inclusion
-    and lookup are the hot paths of verification.  The constructor is the
-    one loader (see __post_init__); from_edges and from_json call it.
+    and lookup are all that verification reads.  Equality and hash compare
+    (n, r, masks), the same relation as comparing edge sets.  ``edges``,
+    the same edges as increasing vertex tuples in colex order, is decoded
+    from the masks on first read and kept, unless the loader was given
+    such tuples.  Immutable.  The constructor is the one loader; from_edges
+    and from_json call it.
     """
 
     n: int
     r: int
-    edges: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        """Check and normalise the fields: this is the one loader.
+    def __init__(self, n: int, r: int, edges: Iterable[Iterable[int]]) -> None:
+        """Check the edges and store their masks: this is the one loader.
 
         n and r are ints with n >= 0 and r >= 1.  Each edge is an iterable
         of r distinct int vertices in range(n), in any order; bools and
         other non-int vertices are rejected.  Repeated edges collapse into
-        one.  Any violation raises ValueError.  The edges are stored as
-        sorted tuples in colex order, with their bitmasks in ``masks``.
+        one.  Any violation raises ValueError; the checks run in the order
+        sizes, types, range, repeats.
 
         Each check is one pass over all edges or all vertices in C-level
         maps and sets; the only Python loop runs over the distinct
-        vertices, to build their bits.
+        vertices, to build their bits.  No edge is sorted, and only an edge
+        without a length is copied: the order of the vertices in an edge
+        does not change its mask.  Edges given as increasing tuples, as the
+        constructions build them, are kept as ``edges``, in colex order;
+        from any other input ``edges`` is decoded on first read.
         """
-        n, r, edges = self.n, self.r, self.edges
         if type(n) is not int or type(r) is not int:
             raise ValueError(f"n and r must be integers, got n={n!r}, r={r!r}")
         if n < 0 or r < 1:
             raise ValueError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
         try:
-            tuples = list(map(tuple, map(sorted, edges)))
+            rows = list(edges)
+            try:
+                sizes = set(map(len, rows))
+            except TypeError:
+                # Edges without a length, such as generators, are read once.
+                rows = list(map(tuple, rows))
+                sizes = set(map(len, rows))
         except TypeError as exc:
             raise ValueError(f"edges must be iterables of vertices: {exc}") from None
-        sizes = set(map(len, tuples))
         if sizes - {r}:
             raise ValueError(f"every edge needs {r} vertices, got sizes {sorted(sizes)}")
-        vertices = list(chain.from_iterable(tuples))
+        vertices = list(chain.from_iterable(rows))
         types = set(map(type, vertices)) - {int}
         if types:
             names = sorted(t.__name__ for t in types)
@@ -89,13 +103,24 @@ class UniformHypergraph(JsonRecord):
         bit = {v: 1 << v for v in present}
         masks = list(map(sum, zip(*[map(bit.__getitem__, vertices)] * r)))
         if set(map(int.bit_count, masks)) - {r}:
-            bad = next(e for e, m in zip(tuples, masks) if m.bit_count() != r)
-            raise ValueError(f"edge {bad} repeats a vertex")
-        by_mask = dict(zip(masks, tuples))
+            bad = next(e for e, m in zip(rows, masks) if m.bit_count() != r)
+            raise ValueError(f"edge {tuple(sorted(bad))} repeats a vertex")
         # Among sets of one size, colex order is the numeric order of masks.
-        ordered = sorted(by_mask)
-        object.__setattr__(self, "edges", tuple(map(by_mask.__getitem__, ordered)))
-        object.__setattr__(self, "masks", tuple(ordered))
+        if set(map(type, rows)) <= {tuple} and all(
+            all(map(lt, vertices[i::r], vertices[i + 1::r])) for i in range(r - 1)
+        ):
+            # Increasing tuples, as the constructions build them, are the
+            # edges already: they are put in colex order rather than decoded.
+            by_mask = dict(zip(masks, rows))
+            masks = sorted(by_mask)
+            self.__dict__["edges"] = tuple(map(by_mask.__getitem__, masks))
+        else:
+            # Sorted before the repeats go: a canonical file lists its edges
+            # in colex order, which the sort passes in one run.
+            masks = dict.fromkeys(sorted(masks))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "masks", tuple(masks))
 
     @staticmethod
     def from_edges(
@@ -105,7 +130,22 @@ class UniformHypergraph(JsonRecord):
         return UniformHypergraph(n, r, edges)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.masks)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as increasing vertex tuples in colex order, decoded
+        from the masks on first read and kept; verification never reads
+        them."""
+        edges = []
+        for m in self.masks:
+            edge = []
+            while m:
+                low = m & -m
+                edge.append(low.bit_length() - 1)
+                m ^= low
+            edges.append(tuple(edge))
+        return tuple(edges)
 
     @cached_property
     def _masks_by_least_vertex(self) -> tuple[tuple[int, ...], ...]:
@@ -283,7 +323,7 @@ def sample_verify(
 def density(H: UniformHypergraph) -> tuple[int, int, float]:
     """Edge density |H| / C(n,r) as an exact pair and as a float."""
     denom = binomial(H.n, H.r)
-    return len(H.edges), denom, len(H.edges) / denom
+    return len(H), denom, len(H) / denom
 
 
 __all__ = [

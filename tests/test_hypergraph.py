@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turan_systems.bounds import counting_lower_T
@@ -335,3 +335,93 @@ class TestLoaderAgainstReference:
             UniformHypergraph.from_edges(n, r, edges)
         with pytest.raises(ValueError):
             UniformHypergraph(n, r, edges)
+
+
+@st.composite
+def wide_inputs(draw):
+    """(n, r, edges): as loader_inputs, but n reaches past one 64-bit word
+    and r stays small; edges are lists of r distinct vertices in shuffled
+    order, some repeated in another order, possibly none at all."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(65, 130)))
+    r = draw(st.integers(1, min(n, 5)))
+    edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
+    edges = draw(st.lists(edge, max_size=30))
+    for e in draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []:
+        edges.append(draw(st.permutations(e)))
+    return n, r, edges
+
+
+class TestMasksAreTheState:
+    @given(wide_inputs())
+    @example((130, 1, [[129], [0], [64], [129]]))
+    @example((130, 3, [[129, 0, 64], [64, 129, 0], [1, 2, 3]]))
+    @example((70, 2, []))
+    @settings(max_examples=300, deadline=None)
+    def test_decoded_edges_match_eager_normalisation(self, system):
+        n, r, edges = system
+        expected_edges, expected_masks = reference_from_edges(n, r, edges)
+        H = UniformHypergraph(n, r, edges)
+        assert H.masks == expected_masks and len(H) == len(expected_masks)
+        # Rows given as lists are never the edges (an empty system is).
+        assert ("edges" in vars(H)) == (not edges)
+        assert H.edges == expected_edges
+        assert vars(H)["edges"] is H.edges
+        # Increasing tuples are kept, in colex order, not decoded.
+        rows = [tuple(sorted(e)) for e in edges]
+        G = UniformHypergraph(n, r, rows)
+        assert vars(G)["edges"] == expected_edges and G.masks == expected_masks
+
+    @pytest.mark.parametrize("edges, kept", [
+        ([(2, 3), (0, 1), (0, 1)], True),
+        ([(1, 0), (2, 3)], False),
+        ([[0, 1], [2, 3]], False),
+    ])
+    def test_increasing_tuples_are_kept(self, edges, kept):
+        # Increasing tuples, in any order and repeated, are the edges: they
+        # are put in colex order, not decoded.  Other rows are decoded.
+        H = UniformHypergraph(4, 2, edges)
+        assert ("edges" in vars(H)) == kept
+        assert H.edges == ((0, 1), (2, 3))
+
+    @given(wide_inputs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equality_and_hash_follow_edge_sets(self, system, data):
+        n, r, edges = system
+        H = UniformHypergraph(n, r, edges)
+        same = [data.draw(st.permutations(e)) for e in data.draw(st.permutations(edges))]
+        other = data.draw(st.lists(st.sampled_from(edges), max_size=len(edges))) if edges else []
+        for rows in (same, other):
+            G = UniformHypergraph(n, r, rows)
+            assert (G == H) == (set(G.edges) == set(H.edges))
+            if G == H:
+                assert hash(G) == hash(H)
+        assert UniformHypergraph(n + 1, r, edges) != H
+
+    @pytest.mark.parametrize("s", [3, 5])
+    def test_verification_reads_no_edges(self, s):
+        # s = 3 looks the r-subsets up in the masks; s = 5 has more
+        # r-subsets than edges and reads the index.
+        text = UniformHypergraph.from_edges(6, 2, [(0, 1), (2, 3), (4, 5)]).to_json()
+        H = UniformHypergraph.from_json(text)
+        is_turan_system(H, s)
+        sample_verify(H, s, trials=50, seed=1)
+        density(H)
+        assert "edges" not in vars(H)
+
+
+class TestLoaderMessages:
+    # Rows whose vertices cannot be compared reach the type check: nothing
+    # sorts an edge before its vertices are known to be ints.
+    @pytest.mark.parametrize("edges, message", [
+        ([[None, 1]], "vertices must be integers, got NoneType"),
+        ([["a", 1]], "vertices must be integers, got str"),
+        ([[0, [1]]], "vertices must be integers, got list"),
+        ([[0, 1], [None, [1]]], "vertices must be integers, got NoneType, list"),
+        ([[None, 1, 2]], "every edge needs 2 vertices, got sizes [3]"),
+        ([1, 2], "edges must be iterables of vertices: 'int' object is not iterable"),
+        ([[3, 1], [2, 2]], "edge (2, 2) repeats a vertex"),
+    ])
+    def test_pinned(self, edges, message):
+        with pytest.raises(ValueError) as info:
+            UniformHypergraph(4, 2, edges)
+        assert str(info.value) == message

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # log_binomial takes the log of the exact integer C(n, k) up to this n and
 # Stirling's series beyond it.  This is the one exact-or-log cutoff for ln C.
@@ -260,15 +260,47 @@ def _vertex_masks(n: int, s: int) -> list[int]:
     return rows[s]
 
 
+def cover_union(n: int, s: int, masks: Iterable[int]) -> int:
+    """The bitmap over colex ranks of the s-subsets of [n] that contain at
+    least one of the given sets, each given as its bitmask: the OR of the
+    sets' cover bitmaps, each the AND of its vertices' masks.
+
+    The exhaustive verifier's kernel.  Each set is decoded top vertex
+    first.  Two sets share the vertices above the highest bit where their
+    masks differ, and ands[d] keeps the AND over the d top vertices of the
+    set before, so each set starts from the AND of the vertices it shares
+    with the one before.  In ascending (colex) order, consecutive sets
+    share most of their top vertices.
+    """
+    vertex = _vertex_masks(n, s)
+    ands = [(1 << math.comb(n, s)) - 1] * (n + 1)
+    union = prev = 0
+    for m in masks:
+        split = (m ^ prev).bit_length()
+        d = (m >> split).bit_count()
+        acc = ands[d]
+        rest = m & ((1 << split) - 1)
+        while rest:
+            v = rest.bit_length() - 1
+            acc &= vertex[v]
+            d += 1
+            ands[d] = acc
+            rest ^= 1 << v
+        union |= acc
+        prev = m
+    return union
+
+
 def cover_masks(n: int, s: int, r: int) -> list[int]:
     """For each r-subset of [n] in colex order, the bitmap over colex ranks
     of the s-subsets of [n] that contain it.
 
     This is the one s-set/r-set incidence kernel: the solver's set cover
-    and the Moser-Tardos colourer both read it.  An r-set's mask is the AND
-    of its vertices' masks.  The k-sets with largest vertex v are the
-    (k-1)-subsets of [v] with v added, so each level k is one AND per
-    k-set with level k-1; level k needs only the k-subsets of
+    and the Moser-Tardos colourer both read it, and the exhaustive
+    verifier's cover_union is built on the same vertex masks.  An r-set's
+    mask is the AND of its vertices' masks.  The k-sets with largest
+    vertex v are the (k-1)-subsets of [v] with v added, so each level k is
+    one AND per k-set with level k-1; level k needs only the k-subsets of
     [n - r + k], the first C(n-r+k, k), which hold the k least vertices of
     every r-set.  Needs 1 <= r < s <= n; BudgetExceededError, before
     anything is built, when the C(n,r) bitmaps exceed the materialization

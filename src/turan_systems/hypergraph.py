@@ -2,14 +2,23 @@
 
 A Turán (n,s,r)-system is an r-graph on n vertices in which every s-subset
 of the vertices contains at least one edge.  The verifier here decides that
-property exhaustively, by one depth-first search for the colex-least s-set
-that contains no edge (a deterministic first witness), or by seeded uniform
-sampling for large n.  A system is held as its sorted edge masks, which
-is all the verifier reads; the edges as vertex tuples are built only when
-something reads them.  The search reads an index of the edge masks by
-least vertex, built once per system on first use; sampling looks r-subsets
-up in the sorted masks, or reads the same index when a set has more
-r-subsets than the system has edges.
+property exhaustively, by finding the colex-least s-set that contains no
+edge (a deterministic first witness), or by seeded uniform sampling for
+large n.  A system is held as its sorted edge masks, which is all the
+verifier reads; the edges as vertex tuples are built only when something
+reads them.
+
+The exhaustive check takes one of two paths.  When the n vertex bitmaps
+over the C(n,s) s-sets hold at most BITMAP_VERIFY_BITS (2^20) bits, it ORs
+the edges' cover bitmaps, each the AND of its vertices' bitmaps
+(combinatorics.cover_union, on the vertex bitmaps that the solver's and
+the colourer's cover_masks is built on), so an edge costs about one AND
+and one OR.  Above the limit those bitmaps would grow with C(n,s), up to
+n * 10^9 bits at the exhaustive budget, so a depth-first search runs
+there, reading an index of the edge masks by least vertex, built once per
+system on first use.  Sampling looks r-subsets up in the sorted masks, or
+reads the same index when a set has more r-subsets than the system has
+edges.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from operator import lt
 from typing import Iterable
 
@@ -29,11 +38,17 @@ from .combinatorics import (
     binomial,
     check_sizes,
     check_subset,
+    cover_union,
     rank_colex,
     unrank_colex,
 )
 
 DEFAULT_EXHAUSTIVE_BUDGET = 10**9
+
+# is_turan_system ORs cover bitmaps when its n vertex bitmaps of C(n,s) bits
+# hold at most this many bits in all (2^20 bits, 128 KiB), and searches depth
+# first above it.
+BITMAP_VERIFY_BITS = 2**20
 
 
 @dataclass(frozen=True, init=False)
@@ -110,10 +125,15 @@ class UniformHypergraph(JsonRecord):
             all(map(lt, vertices[i::r], vertices[i + 1::r])) for i in range(r - 1)
         ):
             # Increasing tuples, as the constructions build them, are the
-            # edges already: they are put in colex order rather than decoded.
-            by_mask = dict(zip(masks, rows))
-            masks = sorted(by_mask)
-            self.__dict__["edges"] = tuple(map(by_mask.__getitem__, masks))
+            # edges already: they are put in colex order rather than decoded,
+            # and kept as they are when they come in colex order.
+            if all(map(lt, masks, islice(masks, 1, None))):
+                edges = tuple(rows)
+            else:
+                by_mask = dict(zip(masks, rows))
+                masks = sorted(by_mask)
+                edges = tuple(map(by_mask.__getitem__, masks))
+            self.__dict__["edges"] = edges
         else:
             # Sorted before the repeats go: a canonical file lists its edges
             # in colex order, which the sort passes in one run.
@@ -230,14 +250,17 @@ def is_turan_system(
 ) -> VerifyReport:
     """Exhaustively decide whether H is a Turán (n,s,r)-system.
 
-    Searches depth first for an s-set that contains no edge, choosing the
-    largest vertex first and trying each vertex in ascending order, so the
-    first set found, the witness, is the colex-least uncovered s-set and
-    failure reports are reproducible.  A vertex v added below every vertex
-    chosen so far can only complete an edge whose least vertex is v, so a
-    partial set is pruned as soon as one of those edges lies inside it.
-    ``sets_checked`` is the number of s-sets up to and including the
-    witness in colex order, or C(n,s) when there is none.
+    The witness is the colex-least uncovered s-set, so failure reports are
+    reproducible, and ``sets_checked`` is the number of s-sets up to and
+    including it in colex order, or C(n,s) when there is none.
+
+    When the n vertex bitmaps over the C(n,s) s-sets fit in
+    BITMAP_VERIFY_BITS (2^20 bits), the edges' cover bitmaps are ORed
+    (combinatorics.cover_union) and the witness is the s-set whose colex
+    rank is the lowest zero bit of the union.  Above that limit a
+    depth-first search finds it: the bitmaps would grow with C(n,s), up to
+    10^9 bits each at the default budget, and the search holds only the
+    set it is building.
     """
     check_sizes(H.n, s, H.r)
     if budget < 0:
@@ -248,6 +271,29 @@ def is_turan_system(
             f"C({H.n},{s}) = {total} exceeds exhaustive budget {budget}; "
             "use sample_verify instead"
         )
+    if H.n * total <= BITMAP_VERIFY_BITS:
+        union = cover_union(H.n, s, H.masks)
+        # The lowest zero bit of the union is the colex rank of the least
+        # uncovered s-set, or C(n,s) when every s-set is covered.
+        i = (~union & (union + 1)).bit_length() - 1
+        witness = unrank_colex(i, s, H.n) if i < total else None
+    else:
+        witness = _least_uncovered(H, s)
+    if witness is None:
+        return VerifyReport(True, None, total, "exhaustive", s)
+    return VerifyReport(False, witness, rank_colex(witness) + 1, "exhaustive", s)
+
+
+def _least_uncovered(H: UniformHypergraph, s: int) -> tuple[int, ...] | None:
+    """The colex-least s-set that contains no edge of H, or None, by
+    depth-first search.
+
+    The search chooses the largest vertex first and tries each vertex in
+    ascending order, so the first set found is the colex-least one.  A
+    vertex v added below every vertex chosen so far can only complete an
+    edge whose least vertex is v, so a partial set is pruned as soon as
+    one of those edges lies inside it.
+    """
     by_least = H._masks_by_least_vertex
     # Depth d holds the d largest vertices chosen so far: chosen[d-1] is the
     # smallest of them and union[d] their mask.  candidate[d] is the next
@@ -266,7 +312,7 @@ def is_turan_system(
         v = candidate[d]
         if v >= (chosen[d - 1] if d else H.n):
             if d == 0:
-                return VerifyReport(True, None, total, "exhaustive", s)
+                return None
             d -= 1
             candidate[d] += 1
             continue
@@ -278,10 +324,7 @@ def is_turan_system(
         else:
             chosen[d] = v
             if d == s - 1:
-                witness = tuple(reversed(chosen))
-                return VerifyReport(
-                    False, witness, rank_colex(witness) + 1, "exhaustive", s
-                )
+                return tuple(reversed(chosen))
             d += 1
             union[d] = m
             candidate[d] = first[d]

@@ -13,6 +13,7 @@ from turan_systems.combinatorics import (
     binomial,
     colex_subsets,
     cover_masks,
+    cover_union,
     enumerate_subsets,
     exp_or_inf,
     log_binomial,
@@ -212,3 +213,23 @@ class TestCoverMasks:
     def test_sizes_checked(self):
         with pytest.raises(ValueError):
             cover_masks(6, 3, 3)
+
+
+class TestCoverUnion:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_subset_test(self, data):
+        # Sets of mixed sizes, in any order: ascending order only shares
+        # more partial ANDs.
+        n = data.draw(st.integers(1, 9))
+        s = data.draw(st.integers(1, n))
+        subset = st.lists(st.integers(0, n - 1), max_size=s, unique=True)
+        sets = data.draw(st.lists(subset, max_size=12))
+        if data.draw(st.booleans()):
+            sets.sort(key=lambda R: sum(1 << v for v in R))
+        expected = sum(
+            1 << i for i, S in enumerate(enumerate_subsets(n, s))
+            if any(set(R) <= set(S) for R in sets)
+        )
+        masks = [sum(1 << v for v in R) for R in sets]
+        assert cover_union(n, s, masks) == expected

@@ -7,10 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turan_systems.bounds import counting_lower_T
-from turan_systems.combinatorics import check_subset, enumerate_subsets
+from turan_systems.combinatorics import check_subset, enumerate_subsets, rank_colex
 from turan_systems.hypergraph import (
+    BITMAP_VERIFY_BITS,
     BudgetExceededError,
     UniformHypergraph,
+    _least_uncovered,
     contains_edge,
     density,
     is_turan_system,
@@ -50,9 +52,9 @@ class TestContainsEdge:
     def test_index_built_on_first_use_and_kept(self):
         H = UniformHypergraph.from_json(matching_4_3_2().to_json())
         assert "_masks_by_least_vertex" not in vars(H)
-        assert is_turan_system(H, 3).is_turan
-        index = vars(H)["_masks_by_least_vertex"]
         assert contains_edge(H, (0, 1, 2))
+        index = vars(H)["_masks_by_least_vertex"]
+        assert not contains_edge(H, (0, 2))
         assert vars(H)["_masks_by_least_vertex"] is index
         assert index == ((0b11,), (), (0b1100,), ())
 
@@ -169,6 +171,28 @@ class TestVerifierAgainstBruteForce:
                 break
         expected.update(mode="exhaustive", s=s, trials=None, seed=None)
         assert is_turan_system(H, s).to_json_dict() == expected
+        # These inputs all take the bitmap path; the search must agree too.
+        witness = None if expected["is_turan"] else tuple(expected["witness"])
+        assert _least_uncovered(H, s) == witness
+
+    @pytest.mark.parametrize("n, bitmaps", [(19, True), (20, False)])
+    @pytest.mark.parametrize("hole", [None, (1, 3, 5, 8, 11, 14, 17)])
+    def test_both_sides_of_the_bitmap_limit(self, n, bitmaps, hole):
+        # Complete 3-graphs checked on 7-sets: 19 * C(19,7) = 957,372 bits
+        # lie within the limit and 20 * C(20,7) = 1,550,400 beyond it.  A
+        # hole without its triples is the only uncovered 7-set.
+        s, r = 7, 3
+        assert (n * math.comb(n, s) <= BITMAP_VERIFY_BITS) == bitmaps
+        edges = set(itertools.combinations(range(n), r))
+        if hole:
+            edges -= set(itertools.combinations(hole, r))
+        H = UniformHypergraph(n, r, edges)
+        report = is_turan_system(H, s)
+        # Only the search reads the index by least vertex.
+        assert ("_masks_by_least_vertex" in vars(H)) == (not bitmaps)
+        assert report.witness == _least_uncovered(H, s) == hole
+        checked = rank_colex(hole) + 1 if hole else math.comb(n, s)
+        assert report.sets_checked == checked
 
     @given(random_systems(), st.integers(1, 60), st.integers(0, 1000))
     @settings(max_examples=150, deadline=None)
@@ -373,15 +397,19 @@ class TestMasksAreTheState:
 
     @pytest.mark.parametrize("edges, kept", [
         ([(2, 3), (0, 1), (0, 1)], True),
+        ([(0, 1), (2, 3)], True),
         ([(1, 0), (2, 3)], False),
         ([[0, 1], [2, 3]], False),
     ])
     def test_increasing_tuples_are_kept(self, edges, kept):
         # Increasing tuples, in any order and repeated, are the edges: they
-        # are put in colex order, not decoded.  Other rows are decoded.
+        # are put in colex order, not decoded; in colex order already, they
+        # are kept as they come.  Other rows are decoded.
         H = UniformHypergraph(4, 2, edges)
         assert ("edges" in vars(H)) == kept
         assert H.edges == ((0, 1), (2, 3))
+        if kept:
+            assert all(any(e is row for row in edges) for e in H.edges)
 
     @given(wide_inputs(), st.data())
     @settings(max_examples=200, deadline=None)

@@ -397,9 +397,9 @@ class TestMasksAreTheState:
 
     @pytest.mark.parametrize("edges, kept", [
         ([(2, 3), (0, 1), (0, 1)], True),
-        ([(0, 1), (2, 3)], True),
         ([(1, 0), (2, 3)], False),
         ([[0, 1], [2, 3]], False),
+        ([(0, 1), (2, 3)], True),
     ])
     def test_increasing_tuples_are_kept(self, edges, kept):
         # Increasing tuples, in any order and repeated, are the edges: they

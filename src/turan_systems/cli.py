@@ -7,6 +7,11 @@ main maps the exception to its code and prints it as one stderr line.
 Every randomized subcommand requires an explicit --seed so reruns are
 byte-identical; each construct run writes a manifest side file recording
 the full parameter map.
+
+Start-up loads no package module: each subcommand imports what it runs,
+when it runs.  --version, --help and usage errors load none; verify loads
+combinatorics and hypergraph; construct those and constructions; bounds,
+table and certify-lll those and bounds; solve all five.
 """
 
 from __future__ import annotations
@@ -18,28 +23,12 @@ import json
 import sys
 import time
 import warnings
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bounds import bound_reports, closing_chain_check
-from .combinatorics import _json_value
-from .constructions import (
-    ConstructionError,
-    blowup,
-    construction_parameters,
-    lll_certificate_for,
-    lll_condition,
-    moser_tardos_color,
-    recursive_system,
-    trivial_prefix_system,
-)
-from .hypergraph import (
-    DEFAULT_EXHAUSTIVE_BUDGET,
-    BudgetExceededError,
-    UniformHypergraph,
-    is_turan_system,
-    sample_verify,
-)
-from .solver import DEFAULT_NODE_BUDGET, ValueCache, solve_with_cache
+
+if TYPE_CHECKING:
+    from .hypergraph import UniformHypergraph
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -47,14 +36,25 @@ EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_BUDGET = 4
 
-# The exit code of each exception a subcommand may raise, first match wins;
-# main catches exactly these classes.
-_EXIT_CODES = (
-    (BudgetExceededError, EXIT_BUDGET),
-    (ConstructionError, EXIT_CONSTRUCTION),
-    (ValueError, EXIT_USAGE),
-    (OSError, EXIT_USAGE),
-)
+
+def _exit_code(exc: Exception) -> int | None:
+    """The exit code of an exception a subcommand raised, or None for one
+    that main does not map (any other RuntimeError)."""
+    # Imported only on failure: both subclass RuntimeError, which main
+    # catches, so a command that succeeds never loads constructions for them.
+    from .combinatorics import BudgetExceededError
+    from .constructions import ConstructionError
+
+    # First match wins.
+    for kind, code in (
+        (BudgetExceededError, EXIT_BUDGET),
+        (ConstructionError, EXIT_CONSTRUCTION),
+        (ValueError, EXIT_USAGE),
+        (OSError, EXIT_USAGE),
+    ):
+        if isinstance(exc, kind):
+            return code
+    return None
 
 
 def _dump(obj: dict) -> str:
@@ -77,6 +77,8 @@ def _write_manifest(args: argparse.Namespace, text: str) -> None:
     # every other command a few milliseconds of start-up.
     import hashlib
 
+    from .combinatorics import _json_value
+
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in {"func", "out"}
     }
@@ -95,6 +97,8 @@ def _write_manifest(args: argparse.Namespace, text: str) -> None:
 def _load_system(path: str) -> UniformHypergraph:
     """The system in a JSON file; an unreadable or malformed file is one
     ValueError whose message starts with "cannot parse"."""
+    from .hypergraph import UniformHypergraph
+
     try:
         with open(path) as fh:
             return UniformHypergraph.from_json(fh.read())
@@ -116,6 +120,14 @@ _CONSTRUCT_REQUIRED = {
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from .constructions import (
+        ConstructionError,
+        blowup,
+        moser_tardos_color,
+        recursive_system,
+        trivial_prefix_system,
+    )
+
     missing = [
         "--" + name.replace("_", "-")
         for name in _CONSTRUCT_REQUIRED[args.kind]
@@ -147,9 +159,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .hypergraph import DEFAULT_EXHAUSTIVE_BUDGET, is_turan_system, sample_verify
+
     H = _load_system(args.input)
     if args.mode == "exhaustive":
-        report = is_turan_system(H, args.s, budget=args.budget)
+        budget = DEFAULT_EXHAUSTIVE_BUDGET if args.budget is None else args.budget
+        report = is_turan_system(H, args.s, budget=budget)
     elif args.seed is None:
         raise ValueError("sample mode requires --seed")
     else:
@@ -162,12 +177,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import DEFAULT_NODE_BUDGET, ValueCache, solve_with_cache
+
+    node_budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
     # Cache warnings (unreadable or unwritable file, dropped entries) do not
     # change the result; each becomes one line on stderr.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = solve_with_cache(
-            args.n, args.s, args.r, cache=ValueCache(), node_budget=args.node_budget
+            args.n, args.s, args.r, cache=ValueCache(), node_budget=node_budget
         )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -181,6 +199,8 @@ _CSV_COLUMNS = ["r", "R", "bound_name", "kind", "value", "assumptions"]
 
 
 def _bounds_rows(r: int, R: int) -> list[dict]:
+    from .bounds import bound_reports
+
     return [
         {
             "r": r,
@@ -195,6 +215,8 @@ def _bounds_rows(r: int, R: int) -> list[dict]:
 
 
 def _emit_rows(rows: list[dict], fmt: str) -> None:
+    from .combinatorics import _json_value
+
     if fmt == "json":
         sys.stdout.write(_dump({"rows": _json_value(rows)}))
     else:
@@ -214,6 +236,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_certify_lll(args: argparse.Namespace) -> int:
+    from .bounds import closing_chain_check
+    from .constructions import (
+        ConstructionError,
+        construction_parameters,
+        lll_certificate_for,
+        lll_condition,
+    )
+
     if (args.n is None) != (args.ell is None):
         raise ValueError("certify-lll: --n and --ell go together; give both or neither")
     if args.n is not None:
@@ -297,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_EXHAUSTIVE_BUDGET)
+    p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="exact T(n,s,r) by branch and bound")
@@ -305,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument(
-        "--node-budget", type=int, dest="node_budget", default=DEFAULT_NODE_BUDGET,
+        "--node-budget", type=int, dest="node_budget",
         help="search nodes allowed over all levels",
     )
     p.set_defaults(func=cmd_solve)
@@ -335,9 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(exc, file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        return code
 
 
 if __name__ == "__main__":

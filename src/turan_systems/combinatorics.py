@@ -270,14 +270,20 @@ def cover_union(n: int, s: int, masks: Iterable[int]) -> int:
     masks differ, and ands[d] keeps the AND over the d top vertices of the
     set before, so each set starts from the AND of the vertices it shares
     with the one before.  In ascending (colex) order, consecutive sets
-    share most of their top vertices.
+    share most of their top vertices.  A set that shares none with the one
+    before starts a new block of top vertex; there, the union is compared
+    with the full bitmap and the masks left unread once it is full, so
+    ascending masks cost at most n such compares.
     """
     vertex = _vertex_masks(n, s)
-    ands = [(1 << math.comb(n, s)) - 1] * (n + 1)
+    full = (1 << math.comb(n, s)) - 1
+    ands = [full] * (n + 1)
     union = prev = 0
     for m in masks:
         split = (m ^ prev).bit_length()
         d = (m >> split).bit_count()
+        if not d and union == full:
+            break
         acc = ands[d]
         rest = m & ((1 << split) - 1)
         while rest:

@@ -26,6 +26,31 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+# What the installed `turan` script runs, then one more line on stdout:
+# the package modules loaded by the time it exits.
+_FRESH_TURAN = """\
+import sys
+from turan_systems.cli import main
+try:
+    sys.exit(main(sys.argv[1:]))
+finally:
+    print("\\n" + " ".join(m for m in sys.modules if m.startswith("turan_systems.")))
+"""
+
+
+def run_fresh(args):
+    """Exit code, stdout and stderr of `turan args` in a fresh interpreter
+    that imports the package from this checkout, and the package modules
+    it loaded."""
+    src = os.path.dirname(os.path.dirname(turan_systems.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_TURAN, *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    out, _, modules = proc.stdout[:-1].rpartition("\n")
+    return (proc.returncode, out, proc.stderr), set(modules.split())
+
+
 class TestConstruct:
     def test_prefix_to_stdout(self, capsys):
         code, out, _ = run(
@@ -629,16 +654,46 @@ class TestOutputContract:
         assert got == code and out == ""
         assert len(err.splitlines()) == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("command, code", [
+        ("verify --input {dir}/big.json --s 3", 1),
+        ERROR_PATHS["verify-negative-budget"],
+        ERROR_PATHS["solve-negative-budget"],
+        ERROR_PATHS["coloring-round-cap"],
+        ERROR_PATHS["certify-degenerate"],
+        ERROR_PATHS["verify-budget"],
+        ERROR_PATHS["prefix-budget"],
+    ], ids=["verified-false", "verify-negative-budget", "solve-negative-budget",
+            "coloring-round-cap", "certify-degenerate", "verify-budget", "prefix-budget"])
+    def test_exit_code_in_a_fresh_interpreter(self, files, capsys, command, code):
+        # In this process the test modules have loaded the package already;
+        # a fresh interpreter maps each exception with nothing loaded but
+        # the modules its command ran.
+        argv = command.format(dir=files).split()
+        got, _ = run_fresh(argv)
+        assert got == run(argv, capsys)
+        assert got[0] == code
+        assert len(got[2].splitlines()) == (0 if code == 1 else 1)
+
+    def test_unmapped_runtime_error_propagates(self, monkeypatch):
+        def fail(args):
+            raise RuntimeError("not an exit code")
+
+        monkeypatch.setattr(cli, "cmd_bounds", fail)
+        with pytest.raises(RuntimeError, match="not an exit code"):
+            cli.main(["bounds", "--r", "3", "--big-r", "1"])
+
     def test_import_leaves_mpmath_unloaded(self):
         # The package imports only the stdlib (see the test below); mpmath
         # serves the tests' references alone.
         src = os.path.dirname(os.path.dirname(turan_systems.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         # Nor fractions: binomial_ratio_check compares integers.  Nor
-        # hashlib, which only the construct manifest needs.
+        # hashlib, which only the construct manifest needs.  Nor any module
+        # of the package: each command imports what it runs.
         code = (
             "import sys, turan_systems.cli; "
-            "sys.exit(any(m in sys.modules for m in ('mpmath', 'fractions', 'hashlib')))"
+            "sys.exit(any(m in sys.modules for m in ('mpmath', 'fractions', 'hashlib')) or "
+            "[m for m in sys.modules if m.startswith('turan_systems.')] != ['turan_systems.cli'])"
         )
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -658,6 +713,45 @@ class TestOutputContract:
                     continue
                 for module in modules:
                     assert module.split(".")[0] in sys.stdlib_module_names, (name, module)
+
+
+# The package modules each command loads besides the package and cli, and
+# its exit code; "{sys}" is the prefix (6,4,3) system file.
+_VERIFY = {"combinatorics", "hypergraph"}
+_CONSTRUCT = _VERIFY | {"constructions"}
+_BOUNDS = _CONSTRUCT | {"bounds"}
+_SOLVE = _BOUNDS | {"solver"}
+MODULES_LOADED = {
+    "version": ("--version", 0, set()),
+    "help": ("--help", 0, set()),
+    "verify-help": ("verify --help", 0, set()),
+    "usage-error": ("verify --s 4", 2, set()),
+    "verify-exhaustive": ("verify --input {sys} --s 4", 0, _VERIFY),
+    "verify-sampled": ("verify --input {sys} --s 4 --mode sample --trials 20 --seed 5", 0, _VERIFY),
+    "construct-prefix": ("construct prefix --n 6 --s 4 --r 3", 0, _CONSTRUCT),
+    "construct-coloring": ("construct coloring --n 9 --s 5 --r 3 --ell 3 --seed 7", 0, _CONSTRUCT),
+    "construct-blowup": ("construct blowup --input {sys} --m 2", 0, _CONSTRUCT),
+    "construct-recursive": (
+        "construct recursive --n 8 --r 3 --big-r 1 --k 2 --c 1.0 --seed 11", 0, _CONSTRUCT,
+    ),
+    "bounds": ("bounds --r 10 --big-r 2", 0, _BOUNDS),
+    "table": ("table --grid r=4,5;R=1,2", 0, _BOUNDS),
+    "certify-lll": ("certify-lll --r 10 --big-r 2", 0, _BOUNDS),
+    "solve": ("solve --n 6 --s 4 --r 3", 0, _SOLVE),
+}
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "command, code, modules", MODULES_LOADED.values(), ids=MODULES_LOADED.keys()
+    )
+    def test_command_loads_only_what_it_runs(self, tmp_path, capsys, command, code, modules):
+        path = tmp_path / "sys.json"
+        run(["construct", "prefix", "--n", "6", "--s", "4", "--r", "3", "--out", str(path)],
+            capsys)
+        (got, _, _), loaded = run_fresh(command.format(sys=path).split())
+        assert got == code
+        assert loaded == {f"turan_systems.{m}" for m in modules | {"cli"}}
 
 
 class TestToyScript:

@@ -233,3 +233,19 @@ class TestCoverUnion:
         )
         masks = [sum(1 << v for v in R) for R in sets]
         assert cover_union(n, s, masks) == expected
+
+    def test_stops_once_the_union_is_full(self):
+        # Every s-set of the complete (19,7,3) system holds the triple of its
+        # three least vertices, whose top vertex is at most n - s + r - 1 = 14,
+        # and {12, ..., 18} holds none with a lower one: the union fills in
+        # the block of top vertex 14.  The kernel reads the first mask of the
+        # next block, which is how it sees the block end, and no mask after.
+        n, s, r = 19, 7, 3
+        last_top = n - s + r - 1
+
+        def masks():
+            for m in sorted(sum(1 << v for v in R) for R in itertools.combinations(range(n), r)):
+                yield m
+                assert m.bit_length() - 1 <= last_top, "read a mask after the union was full"
+
+        assert cover_union(n, s, masks()) == (1 << binomial(n, s)) - 1

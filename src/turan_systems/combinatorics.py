@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 # log_binomial takes the log of the exact integer C(n, k) up to this n and
@@ -211,13 +210,23 @@ def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 break
 
 
-def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
-    """The k-subsets of [n] in colex order, as one list built at C level:
-    the combinations of range(n-1, -1, -1), both orders reversed."""
-    descending = itertools.combinations(range(n - 1, -1, -1), k)
-    subsets = list(map(itemgetter(slice(None, None, -1)), descending))
-    subsets.reverse()
-    return subsets
+def colex_masks(n: int, k: int) -> list[int]:
+    """The bitmasks of the k-subsets of [n] in ascending order, which is
+    their colex order; the first C(m, k) of them are those of [m].
+
+    Built at C level by the block recurrence of cover_masks: the j-sets
+    with largest vertex v are the (j-1)-subsets of [v] with v added, and
+    level j needs only the j-subsets of [n - k + j].
+    """
+    if k < 0 or k > n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    masks = [0]  # the empty set
+    for j in range(1, k + 1):
+        masks = list(itertools.chain.from_iterable(
+            map((1 << v).__or__, itertools.islice(masks, math.comb(v, j - 1)))
+            for v in range(j - 1, n - k + j)
+        ))
+    return masks
 
 
 def r_subset_ranks(n: int, s: int, r: int) -> Callable[[int], list[int]]:

@@ -17,7 +17,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_
+from operator import and_, lshift
 
 from .combinatorics import (
     FLOAT_R_MAX,
@@ -25,7 +25,7 @@ from .combinatorics import (
     LogValue,
     binomial,
     check_sizes,
-    colex_subsets,
+    colex_masks,
     cover_masks,
     enumerate_subsets,
     exp_or_inf,
@@ -63,7 +63,7 @@ def trivial_prefix_system(n: int, s: int, r: int) -> UniformHypergraph:
     """
     check_sizes(n, s, r)
     refuse_beyond_budget(n - (s - r), r)
-    return UniformHypergraph.from_edges(n, r, colex_subsets(n - (s - r), r))
+    return UniformHypergraph._from_masks(n, r, colex_masks(n - (s - r), r))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +372,8 @@ class ColoringOutcome(JsonRecord):
 
 def _color_class(N: int, r: int, coloring, color: int) -> UniformHypergraph:
     """The r-sets of [N] that coloring (indexed by colex rank) gives color."""
-    edges = itertools.compress(colex_subsets(N, r), map(color.__eq__, coloring))
-    return UniformHypergraph.from_edges(N, r, edges)
+    masks = itertools.compress(colex_masks(N, r), map(color.__eq__, coloring))
+    return UniformHypergraph._from_masks(N, r, masks)
 
 
 def moser_tardos_color(
@@ -496,18 +496,20 @@ def blowup(A: UniformHypergraph, m: int) -> tuple[UniformHypergraph, BlowupRepor
     refuse_beyond_budget(n, r)
     # The projection of an r-set is the mask of its parts: it has fewer
     # than r bits when the set meets some part twice.  The r-sets come
-    # lazily, as increasing tuples in lex order, which the loader puts in
-    # colex order: a colex list would hold all C(n,r) of them at once.
+    # lazily, as tuples of vertex bits in lex order, and the masks kept are
+    # sorted into colex order once: a colex list would hold all C(n,r) of
+    # them at once.
     edge_masks = set(A.masks)
-    part = [1 << v % N for v in range(n)]
-    edges = []
-    for e in itertools.combinations(range(n), r):
+    part = {1 << v: 1 << v % N for v in range(n)}  # vertex bit: part bit
+    masks = []
+    for e in itertools.combinations(part, r):
         projection = 0
-        for v in e:
-            projection |= part[v]
+        for b in e:
+            projection |= part[b]
         if projection.bit_count() < r or projection in edge_masks:
-            edges.append(e)
-    B = UniformHypergraph.from_edges(n, r, edges)
+            masks.append(sum(e))
+    masks.sort()
+    B = UniformHypergraph._from_masks(n, r, masks)
     report = BlowupReport(
         m=m,
         N=N,
@@ -606,6 +608,32 @@ def _draw(
     return sampled, unhit, size_s_star, size_s_star + size_t_star
 
 
+def _extension_masks(
+    n: int, r: int, R: int, k: int,
+    sampled: tuple[tuple[int, ...], ...], unhit: list[tuple[int, ...]],
+) -> list[int]:
+    """The edge masks of S* and T*, in ascending order.
+
+    The t-subsets of range(v+1, b) are the first C(b-1-v, t) masks of
+    colex_masks, shifted up by v+1: for a sampled D, v = max D (-1 for the
+    empty D), b = n and t = r-k+R; for an unhit k-set Y, v = max Y, b = n-R
+    and t = r-k.  Each is ORed with the mask of D or Y.  A j-set has its
+    maximum at j-1 or above, so the first C(b-j, t) masks cover every set.
+    """
+    masks: list[int] = []
+    for sets, j, b, t in ((sampled, k - R, n, r - k + R), (unhit, k, n - R, r - k)):
+        if not sets:
+            continue
+        head = colex_masks(b - j, t)
+        for S in sets:
+            top = S[-1] + 1 if S else 0
+            tails = itertools.islice(head, math.comb(max(0, b - top), t))
+            own = sum(map((1).__lshift__, S))
+            masks.extend(map(own.__or__, map(lshift, tails, itertools.repeat(top))))
+    masks.sort()
+    return masks
+
+
 def recursive_system(
     n: int,
     r: int,
@@ -633,13 +661,8 @@ def recursive_system(
     for attempt in range(RECURSION_MAX_RETRIES):
         sampled, unhit, size_s_star, size = _draw(n, r, R, k, c, rng)
         if size <= expected + 1e-9:
-            # Only the accepted draw's edges are built: S*, then T*.
-            G = UniformHypergraph.from_edges(n, r, itertools.chain(
-                (D + x for D in sampled for x in
-                 itertools.combinations(range(max(D, default=-1) + 1, n), r - k + R)),
-                (Y + Z for Y in unhit for Z in
-                 itertools.combinations(range(Y[-1] + 1, n - R), r - k)),
-            ))
+            # Only the accepted draw's edges are built, as masks.
+            G = UniformHypergraph._from_masks(n, r, _extension_masks(n, r, R, k, sampled, unhit))
             sample = RecursionSample(
                 n=n, r=r, R=R, k=k, c=c,
                 p=c / binomial(k, R),

@@ -6,7 +6,11 @@ property exhaustively, by finding the colex-least s-set that contains no
 edge (a deterministic first witness), or by seeded uniform sampling for
 large n.  A system is held as its sorted edge masks, which is all the
 verifier reads; the edges as vertex tuples are built only when something
-reads them.
+reads them.  Edges from outside (files, callers, the solver) come in
+through one loader, the constructor, which checks vertices; the masks that
+the package's constructions build come in through one mask entry,
+UniformHypergraph._from_masks, which checks the same invariants on the
+masks.
 
 The exhaustive check takes one of two paths.  When the n vertex bitmaps
 over the C(n,s) s-sets hold at most BITMAP_VERIFY_BITS (2^20) bits, it ORs
@@ -61,8 +65,10 @@ class UniformHypergraph(JsonRecord):
     (n, r, masks), the same relation as comparing edge sets.  ``edges``,
     the same edges as increasing vertex tuples in colex order, is decoded
     from the masks on first read and kept, unless the loader was given
-    such tuples.  Immutable.  The constructor is the one loader; from_edges
-    and from_json call it.
+    such tuples.  Immutable.  The constructor is the one loader for outside
+    edges; from_edges and from_json call it.  _from_masks is the one entry
+    for masks built by the constructions, with the same invariants:
+    r-uniform, in range, distinct and in colex order.
     """
 
     n: int
@@ -83,7 +89,7 @@ class UniformHypergraph(JsonRecord):
         vertices, to build their bits.  No edge is sorted, and only an edge
         without a length is copied: the order of the vertices in an edge
         does not change its mask.  Edges given as increasing tuples, as the
-        constructions build them, are kept as ``edges``, in colex order;
+        solver builds its witnesses, are kept as ``edges``, in colex order;
         from any other input ``edges`` is decoded on first read.
         """
         if type(n) is not int or type(r) is not int:
@@ -124,7 +130,7 @@ class UniformHypergraph(JsonRecord):
         if set(map(type, rows)) <= {tuple} and all(
             all(map(lt, vertices[i::r], vertices[i + 1::r])) for i in range(r - 1)
         ):
-            # Increasing tuples, as the constructions build them, are the
+            # Increasing tuples, as the solver builds its witnesses, are the
             # edges already: they are put in colex order rather than decoded,
             # and kept as they are when they come in colex order.
             if all(map(lt, masks, islice(masks, 1, None))):
@@ -141,6 +147,36 @@ class UniformHypergraph(JsonRecord):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "masks", tuple(masks))
+
+    @staticmethod
+    def _from_masks(n: int, r: int, masks: Iterable[int]) -> "UniformHypergraph":
+        """The r-graph on {0, ..., n-1} with the given edge masks: the entry
+        for edges that the package's constructions build as masks.
+
+        n and r are as the loader takes them.  The masks must be ints in
+        strictly ascending order, hence distinct and in colex order, each
+        with r bits and below 2^n: the loader's invariants, checked on the
+        masks in C-level passes.  Any violation raises ValueError.
+        ``edges`` is decoded on first read.
+        """
+        masks = tuple(masks)
+        if type(n) is not int or type(r) is not int or n < 0 or r < 1:
+            raise ValueError(f"need integers n >= 0 and r >= 1, got n={n!r}, r={r!r}")
+        types = set(map(type, masks)) - {int}
+        if types:
+            names = sorted(t.__name__ for t in types)
+            raise ValueError(f"edge masks must be integers, got {', '.join(names)}")
+        if not all(map(lt, masks, islice(masks, 1, None))):
+            raise ValueError("edge masks must be strictly ascending")
+        if set(map(int.bit_count, masks)) - {r}:
+            raise ValueError(f"every edge mask needs {r} bits")
+        if masks and (masks[0] < 0 or masks[-1].bit_length() > n):
+            raise ValueError(f"edge masks must lie below 2^{n}")
+        H = object.__new__(UniformHypergraph)
+        object.__setattr__(H, "n", n)
+        object.__setattr__(H, "r", r)
+        object.__setattr__(H, "masks", masks)
+        return H
 
     @staticmethod
     def from_edges(

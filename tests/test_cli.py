@@ -515,7 +515,8 @@ class TestParser:
 
 
 # sha256 of stdout and the exit code of commands whose output is pinned
-# byte for byte; "{sys}" is the prefix (6,4,3) system file.
+# byte for byte; "{sys}" is the prefix (6,4,3) system file, and "{dir}" the
+# directory that holds it.
 PINNED_OUTPUTS = {
     "solve": (
         "solve --n 8 --s 4 --r 3", 0,
@@ -546,6 +547,19 @@ PINNED_OUTPUTS = {
     "construct-coloring": (
         "construct coloring --n 9 --s 5 --r 3 --ell 3 --seed 7", 0,
         "28a14ab3e5185077246b91f6b1bc9072eb82221ea3275d170f00786c29d9e077",
+    ),
+    "construct-prefix": (
+        "construct prefix --n 10 --s 5 --r 3", 0,
+        "acdab6e6394c62de8ac47c0615cca9d7bed5de3db3071a09863a70ba876b4a57",
+    ),
+    "construct-blowup": (
+        "construct blowup --input {dir}/sys.json --m 2", 0,
+        "d41dbc396961fa44d3e2bbb6c26f003b77b7a2d51c782a436798a59a4e286040",
+    ),
+    # k = R: the one initial segment drawn is the empty set.
+    "construct-recursive-k-equals-R": (
+        "construct recursive --n 9 --r 3 --big-r 2 --k 2 --c 1.0 --seed 3", 0,
+        "8c99c1b7ad2ae5d43845eea2c7a75ebcb89ca9d409df6439fac8908f08626249",
     ),
 }
 
@@ -644,7 +658,7 @@ class TestOutputContract:
         "command, code, digest", PINNED_OUTPUTS.values(), ids=PINNED_OUTPUTS.keys()
     )
     def test_output_bytes_pinned(self, files, capsys, command, code, digest):
-        got, out, err = run(command.format(sys=files / "sys.json").split(), capsys)
+        got, out, err = run(command.format(sys=files / "sys.json", dir=files).split(), capsys)
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

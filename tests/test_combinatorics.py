@@ -11,7 +11,7 @@ from turan_systems.combinatorics import (
     EXACT_LOG_N_MAX,
     BudgetExceededError,
     binomial,
-    colex_subsets,
+    colex_masks,
     cover_masks,
     cover_union,
     enumerate_subsets,
@@ -186,10 +186,19 @@ class TestCoverMasks:
                     ]
                     assert cover_masks(n, s, r) == expected, (n, s, r)
 
-    def test_colex_subsets_match_enumeration(self):
-        for n in range(0, 9):
+    def test_colex_masks_match_enumeration(self):
+        for n in range(0, 10):
             for k in range(0, n + 1):
-                assert colex_subsets(n, k) == list(enumerate_subsets(n, k)), (n, k)
+                masks = colex_masks(n, k)
+                assert masks == [sum(1 << v for v in S) for S in enumerate_subsets(n, k)], (n, k)
+                # The masks of the k-subsets of [m] come first.
+                for m in range(k, n + 1):
+                    assert masks[:math.comb(m, k)] == colex_masks(m, k), (n, k, m)
+
+    @pytest.mark.parametrize("n, k", [(3, 4), (3, -1)])
+    def test_colex_masks_refuse_sizes_outside_range(self, n, k):
+        with pytest.raises(ValueError):
+            colex_masks(n, k)
 
     def test_refused_beyond_bit_budget(self, monkeypatch):
         # (7,4,3) takes C(7,3) * C(7,4) = 35 * 35 = 1225 bits.

@@ -570,3 +570,64 @@ class TestExpectedSize:
         var = sum((x - mean) ** 2 for x in sizes) / (len(sizes) - 1)
         sem = math.sqrt(var / len(sizes))
         assert abs(mean - expected) <= 3 * sem
+
+
+def loaded_again(G):
+    """G through the edge loader, from its decoded edges."""
+    return UniformHypergraph(G.n, G.r, G.edges)
+
+
+def recursive_edges(n, r, R, k, sampled):
+    """The edges of the recursion for the sampled segments, as tuples: S*,
+    then T*."""
+    sampled = set(sampled)
+    unhit = [Y for Y in itertools.combinations(range(n), k)
+             if sampled.isdisjoint(itertools.combinations(Y, k - R))]
+    return [D + x for D in sampled
+            for x in itertools.combinations(range(max(D, default=-1) + 1, n), r - k + R)] + [
+        Y + Z for Y in unhit for Z in itertools.combinations(range(Y[-1] + 1, n - R), r - k)]
+
+
+class TestMaskParity:
+    """Every construction hands its masks to the mask entry; the system is
+    the one that the edge loader builds from the same edges as tuples."""
+
+    @pytest.mark.parametrize("n, s, r", [(20, 7, 4), (24, 8, 4), (6, 6, 2), (5, 2, 1)])
+    def test_prefix(self, n, s, r):
+        H = trivial_prefix_system(n, s, r)
+        assert H.masks == loaded_again(H).masks
+        assert H == UniformHypergraph(n, r, itertools.combinations(range(n - s + r), r))
+
+    @pytest.mark.parametrize("N, s, r, ell, seed", [
+        (9, 5, 3, 3, 1), (9, 5, 3, 3, 2), (10, 6, 3, 4, 3), (10, 6, 3, 4, 4), (6, 4, 3, 1, 0),
+    ])
+    def test_coloring_classes(self, N, s, r, ell, seed):
+        o = moser_tardos_color(N, s, r, ell, seed)
+        assert o.success
+        for color in range(ell):
+            C = o.color_class(color)
+            assert C.masks == loaded_again(C).masks
+            edges = [e for e in enumerate_subsets(N, r) if o.coloring[rank_colex(e)] == color]
+            assert C == UniformHypergraph(N, r, edges)
+        assert o.least_class == o.color_class(o.least_color)
+
+    @pytest.mark.parametrize("n, s, r, m", [(7, 4, 3, 3), (6, 4, 3, 4), (4, 3, 2, 1), (5, 4, 3, 2)])
+    def test_blowup(self, n, s, r, m):
+        A = solve_min_turan(n, s, r).witness
+        B, _ = blowup(A, m)
+        assert B.masks == loaded_again(B).masks
+        edges = [e for e in itertools.combinations(range(m * n), r)
+                 if len({v % n for v in e}) < r or tuple(sorted({v % n for v in e})) in A.edges]
+        assert B == UniformHypergraph(m * n, r, edges)
+
+    @pytest.mark.parametrize("n, r, R, k, c, seed", [
+        (12, 4, 1, 2, 1.0, 1), (12, 4, 1, 2, 1.0, 2), (14, 5, 2, 3, 1.5, 3),
+        (9, 3, 2, 2, 1.0, 3), (9, 3, 2, 2, 0.5, 4), (10, 4, 2, 2, 0.3, 5),  # k = R
+        (8, 3, 1, 2, 0.0, 9), (10, 4, 2, 3, 0.0, 1),  # c = 0: nothing is sampled
+        (4, 3, 1, 2, 1.0, 0), (5, 3, 2, 2, 0.5, 1), (7, 4, 3, 3, 0.0, 2),  # n = r + R
+    ])
+    def test_recursive(self, n, r, R, k, c, seed):
+        G, sample = recursive_system(n, r, R, k, c, seed)
+        assert G.masks == loaded_again(G).masks
+        assert G == UniformHypergraph(n, r, recursive_edges(n, r, R, k, sample.sampled))
+        assert len(G) == sample.size_total

@@ -437,6 +437,36 @@ class TestMasksAreTheState:
         assert "edges" not in vars(H)
 
 
+class TestMaskEntry:
+    @given(wide_inputs())
+    @example((70, 2, []))
+    @settings(max_examples=200, deadline=None)
+    def test_same_system_as_the_loader(self, system):
+        n, r, edges = system
+        H = UniformHypergraph(n, r, edges)
+        G = UniformHypergraph._from_masks(n, r, list(H.masks))
+        assert "edges" not in vars(G)
+        assert G == H and hash(G) == hash(H)
+        assert G.edges == H.edges and G.to_json() == H.to_json()
+
+    @pytest.mark.parametrize("n, r, masks", [
+        (4, 2, [0b1100, 0b0011]),  # descending
+        (4, 2, [0b0011, 0b0011]),  # repeated
+        (4, 2, [0b0011, 0b0111]),  # three bits
+        (4, 2, [0b0001]),  # one bit
+        (4, 2, [0b0011, 0b10001]),  # vertex 4 is outside range(4)
+        (4, 2, [-0b0011, 0b0011]),  # negative
+        (4, 2, [3.0]),
+        (4, 2, [True]),
+        (4, 0, [0]),
+        (-1, 2, []),
+        (4.0, 2, [0b0011]),
+    ])
+    def test_invalid_masks_raise_value_error(self, n, r, masks):
+        with pytest.raises(ValueError):
+            UniformHypergraph._from_masks(n, r, masks)
+
+
 class TestLoaderMessages:
     # Rows whose vertices cannot be compared reach the type check: nothing
     # sorts an edge before its vertices are known to be ints.

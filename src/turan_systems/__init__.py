@@ -5,8 +5,8 @@ modules, and each public name below imports its module on first access
 and is then kept in the package globals.  So ``turan --version`` loads
 only the package and ``cli``, and each ``turan`` subcommand loads the
 modules it runs: verify combinatorics and hypergraph; construct those and
-constructions; bounds, table and certify-lll those and bounds; solve all
-five.
+constructions; bounds, table and certify-lll combinatorics and bounds;
+solve combinatorics, hypergraph, bounds and solver.
 """
 
 import importlib
@@ -35,19 +35,19 @@ _HOME = {
         )),
         ("constructions", (
             "ColoringOutcome",
-            "ConstructionParameters",
-            "LllCertificate",
             "RecursionSample",
             "blowup",
-            "construction_parameters",
             "expected_recursive_size",
-            "lll_certificate_for",
-            "lll_condition",
             "moser_tardos_color",
             "recursive_system",
             "trivial_prefix_system",
         )),
         ("bounds", (
+            "ConstructionParameters",
+            "LllCertificate",
+            "construction_parameters",
+            "lll_certificate_for",
+            "lll_condition",
             "BoundReport",
             "RecursionTrace",
             "RootResult",

@@ -11,7 +11,8 @@ the full parameter map.
 Start-up loads no package module: each subcommand imports what it runs,
 when it runs.  --version, --help and usage errors load none; verify loads
 combinatorics and hypergraph; construct those and constructions; bounds,
-table and certify-lll those and bounds; solve all five.
+table and certify-lll combinatorics and bounds; solve combinatorics,
+hypergraph, bounds and solver.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ def _exit_code(exc: Exception) -> int | None:
     """The exit code of an exception a subcommand raised, or None for one
     that main does not map (any other RuntimeError)."""
     # Imported only on failure: both subclass RuntimeError, which main
-    # catches, so a command that succeeds never loads constructions for them.
-    from .combinatorics import BudgetExceededError
-    from .constructions import ConstructionError
+    # catches, and both live in combinatorics, so no failure loads more.
+    from .combinatorics import BudgetExceededError, ConstructionError
 
     # First match wins.
     for kind, code in (
@@ -120,13 +120,8 @@ _CONSTRUCT_REQUIRED = {
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    from .constructions import (
-        ConstructionError,
-        blowup,
-        moser_tardos_color,
-        recursive_system,
-        trivial_prefix_system,
-    )
+    from .combinatorics import ConstructionError
+    from .constructions import blowup, moser_tardos_color, recursive_system, trivial_prefix_system
 
     missing = [
         "--" + name.replace("_", "-")
@@ -236,13 +231,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_certify_lll(args: argparse.Namespace) -> int:
-    from .bounds import closing_chain_check
-    from .constructions import (
-        ConstructionError,
+    from .bounds import (
+        closing_chain_check,
         construction_parameters,
         lll_certificate_for,
         lll_condition,
     )
+    from .combinatorics import ConstructionError
 
     if (args.n is None) != (args.ell is None):
         raise ValueError("certify-lll: --n and --ell go together; give both or neither")

@@ -6,9 +6,10 @@ through this module, so the conventions here are global: vertices are
 colexicographic order is the single canonical order for ranking,
 enumeration and serialization.  LogValue carries a nonnegative real as
 its natural log and does no arithmetic; the choice between exact and log
-values is made by the callers (construction_parameters for the colouring
-schedule, lll_certificate_for for its certificate, EXACT_LOG_N_MAX for
-ln C).
+values is made by the callers (bounds.construction_parameters for the
+colouring schedule, bounds.lll_certificate_for for its certificate,
+EXACT_LOG_N_MAX for ln C).  The errors that the CLI maps to exit codes
+live here too, so mapping them loads no other module.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ COVER_BITS_BUDGET = 2**30
 
 class BudgetExceededError(RuntimeError):
     """Raised when an exhaustive pass would exceed the configured budget."""
+
+
+class ConstructionError(RuntimeError):
+    """A randomized construction failed within its retry/round caps."""
 
 
 class JsonRecord:
@@ -177,17 +182,33 @@ def unrank_colex(index: int, k: int, n: int) -> tuple[int, ...]:
     """Inverse of rank_colex on [0, C(n,k))."""
     if index < 0 or index >= binomial(n, k):
         raise ValueError(f"rank {index} out of range for C({n},{k})")
+    comb = math.comb
     result = [0] * k
     remaining = index
     v = n
     for i in range(k, 0, -1):
-        # Largest v with C(v, i) <= remaining: it lies below the previous v,
-        # so walk down from there.
+        # The largest v with C(v, i) <= remaining lies below the previous v:
+        # step down 1, 2, 4, ... from there until C(v, i) fits, then bisect
+        # the last step, so each vertex takes O(log n) binomials.  C(i-1, i)
+        # is 0, so no step goes below i-1.  Every vertex from hi up to the
+        # previous v is too large.
+        hi, step = v, 1
         v -= 1
-        c = math.comb(v, i)
+        c = comb(v, i)
         while c > remaining:
-            v -= 1
-            c = math.comb(v, i)
+            hi = v
+            v -= step
+            step += step
+            if v < i - 1:
+                v = i - 1
+            c = comb(v, i)
+        while hi - v > 1:
+            mid = (v + hi) >> 1
+            c_mid = comb(mid, i)
+            if c_mid <= remaining:
+                v, c = mid, c_mid
+            else:
+                hi = mid
         result[i - 1] = v
         remaining -= c
     return tuple(result)
@@ -210,23 +231,32 @@ def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 break
 
 
+def _colex_blocks(n: int, k: int, empty: int, add: Callable) -> list[int]:
+    """One value per k-subset of [n] in colex order, from the value of the
+    empty set, built at C level by the block recurrence: the j-sets with
+    largest vertex v are the (j-1)-subsets of [v] with v added, so level j
+    maps add(v) over the first C(v, j-1) values of level j-1.  Level j
+    needs only the j-subsets of [n - k + j], the j least vertices of every
+    k-set.
+    """
+    values = [empty]
+    for j in range(1, k + 1):
+        values = list(itertools.chain.from_iterable(
+            map(add(v), itertools.islice(values, math.comb(v, j - 1)))
+            for v in range(j - 1, n - k + j)
+        ))
+    return values
+
+
 def colex_masks(n: int, k: int) -> list[int]:
     """The bitmasks of the k-subsets of [n] in ascending order, which is
     their colex order; the first C(m, k) of them are those of [m].
 
-    Built at C level by the block recurrence of cover_masks: the j-sets
-    with largest vertex v are the (j-1)-subsets of [v] with v added, and
-    level j needs only the j-subsets of [n - k + j].
+    Built by the block recurrence, adding vertex v as its bit.
     """
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    masks = [0]  # the empty set
-    for j in range(1, k + 1):
-        masks = list(itertools.chain.from_iterable(
-            map((1 << v).__or__, itertools.islice(masks, math.comb(v, j - 1)))
-            for v in range(j - 1, n - k + j)
-        ))
-    return masks
+    return _colex_blocks(n, k, 0, lambda v: (1 << v).__or__)
 
 
 def r_subset_ranks(n: int, s: int, r: int) -> Callable[[int], list[int]]:
@@ -313,13 +343,11 @@ def cover_masks(n: int, s: int, r: int) -> list[int]:
     This is the one s-set/r-set incidence kernel: the solver's set cover
     and the Moser-Tardos colourer both read it, and the exhaustive
     verifier's cover_union is built on the same vertex masks.  An r-set's
-    mask is the AND of its vertices' masks.  The k-sets with largest
-    vertex v are the (k-1)-subsets of [v] with v added, so each level k is
-    one AND per k-set with level k-1; level k needs only the k-subsets of
-    [n - r + k], the first C(n-r+k, k), which hold the k least vertices of
-    every r-set.  Needs 1 <= r < s <= n; BudgetExceededError, before
-    anything is built, when the C(n,r) bitmaps exceed the materialization
-    budget or their C(n,r) * C(n,s) bits exceed COVER_BITS_BUDGET.
+    mask is the AND of its vertices' masks, built by the block recurrence
+    with one AND per set and level.  Needs 1 <= r < s <= n;
+    BudgetExceededError, before anything is built, when the C(n,r) bitmaps
+    exceed the materialization budget or their C(n,r) * C(n,s) bits exceed
+    COVER_BITS_BUDGET.
     """
     check_sizes(n, s, r)
     refuse_beyond_budget(n, r)
@@ -330,10 +358,5 @@ def cover_masks(n: int, s: int, r: int) -> list[int]:
             f"beyond the budget of {COVER_BITS_BUDGET}"
         )
     vertex = _vertex_masks(n, s)
-    masks = [(1 << math.comb(n, s)) - 1]  # the empty set lies in every s-set
-    for k in range(1, r + 1):
-        masks = list(itertools.chain.from_iterable(
-            map(vertex[v].__and__, itertools.islice(masks, math.comb(v, k - 1)))
-            for v in range(k - 1, n - r + k)
-        ))
-    return masks
+    # The empty set lies in every s-set.
+    return _colex_blocks(n, r, (1 << math.comb(n, s)) - 1, lambda v: vertex[v].__and__)

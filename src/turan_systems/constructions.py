@@ -1,10 +1,11 @@
 """Executable constructions of Turán systems.
 
-Three families live here:
+Four constructions live here, each building a system:
 
+* the prefix system, all r-subsets of the first n-(s-r) vertices,
 * the random-coloring construction (local-lemma style), run at toy scale
-  with Moser-Tardos resampling and certified arithmetically at true scale
-  in log-space,
+  with Moser-Tardos resampling; its (N, ell) schedule and local-lemma
+  certificate at true scale are arithmetic only and live in bounds,
 * the blowup that lifts a system on [N] to [mN],
 * the initial-segment recursion behind the mu(r+R, r) recursion bound.
 """
@@ -14,23 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, lshift
 
 from .combinatorics import (
-    FLOAT_R_MAX,
+    ConstructionError,
     JsonRecord,
-    LogValue,
     binomial,
     check_sizes,
     colex_masks,
     cover_masks,
     enumerate_subsets,
-    exp_or_inf,
-    log_binomial,
-    log_binomial_series,
     r_subset_ranks,
     refuse_beyond_budget,
     unrank_colex,
@@ -39,15 +35,6 @@ from .hypergraph import UniformHypergraph
 
 # Draws that recursive_system takes before it gives up.
 RECURSION_MAX_RETRIES = 1000
-
-# construction_parameters takes N and ell as exact integers while
-# ln N <= ln EXACT_N_BUDGET, and carries ell as ln ell beyond.  log_binomial
-# has its own cutoff, EXACT_LOG_N_MAX.
-EXACT_N_BUDGET = 512
-
-
-class ConstructionError(RuntimeError):
-    """A randomized construction failed within its retry/round caps."""
 
 
 # ---------------------------------------------------------------------------
@@ -64,286 +51,6 @@ def trivial_prefix_system(n: int, s: int, r: int) -> UniformHypergraph:
     check_sizes(n, s, r)
     refuse_beyond_budget(n - (s - r), r)
     return UniformHypergraph._from_masks(n, r, colex_masks(n - (s - r), r))
-
-
-# ---------------------------------------------------------------------------
-# Parameters of the random-coloring construction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstructionParameters(JsonRecord):
-    """N and ell for the coloring construction at given (r, R).
-
-    N = floor(r(r-1) C(s,R) / (2R)) and
-    ell = floor(C(s,R) / ln(C(s,R)^2 C(N-s,R))), with s = r + R.
-
-    When magnitudes allow (N <= EXACT_N_BUDGET) both values are exact
-    integers; otherwise they are carried in log-space.  There the floor in
-    ell is dropped, and the floor in N is kept in ln C(N-s,R) until N
-    reaches 2^53, beyond which its relative effect is below float
-    resolution.  exact_path says which, and
-    downstream code branches on it; N and ell are None off the exact path.
-    """
-
-    r: int
-    R: int
-    s: int
-    exact_path: bool
-    N: int | None
-    ell: int | None
-    log_N: float
-    log_ell: float | None
-    log_binom_sR: float
-    # ln(C(s,R)^2 * C(N-s,R)) == the denominator of ell == a certified
-    # lower bound on C(s,R)/ell.
-    denominator_log: float | None
-    degenerate: bool
-    degenerate_reason: str | None
-
-
-def construction_parameters(r: int, R: int) -> ConstructionParameters:
-    """Evaluate the (N, ell) schedule of the coloring construction.
-
-    This is the one place the schedule chooses between exact and log-space
-    arithmetic.  On the exact path ell = floor(C / ln(C^2 C(N-s,R))) is
-    taken in floats from the log of the exact integer; each of its 1070
-    cells has the quotient at least 2.0e-3 from an integer (nearest: 1.00202
-    at r = 10, R = 1), so the float floor is exact.  On the log path ln N is
-    unfloored and ell is carried as ln ell.
-
-    Needs r >= 2, R >= 1, r(r-1) within float range (r up to about 1.34e154)
-    and for r >= 3 R <= FLOAT_R_MAX, beyond which ln R! leaves float range;
-    ValueError otherwise.  r = 2 is degenerate (N <= s) at any R.
-    """
-    if r < 2 or R < 1:
-        raise ValueError(f"need r >= 2 and R >= 1, got r={r}, R={R}")
-    if r > 2 and R > FLOAT_R_MAX:
-        raise ValueError(
-            "the colouring schedule supports R <= 10**305 for r >= 3; "
-            "its logs leave float range beyond"
-        )
-    if r * (r - 1) > sys.float_info.max:
-        raise ValueError("r above about 1.34e154 takes r(r-1) out of float range")
-    s = r + R
-    log_C = log_binomial(s, R)
-    log_N = math.log(r * (r - 1) / (2 * R)) + log_C
-    exact = log_N <= math.log(EXACT_N_BUDGET) + 1e-9
-    # The floored N, wherever the floor moves it by more than float
-    # resolution; the exact path reports it and takes ln N from it.
-    C = N = None
-    if log_N < 53 * math.log(2):
-        C = binomial(s, R)
-        N = r * (r - 1) * C // (2 * R)
-        if exact:
-            log_N = math.log(N)
-    reported_N = N if exact else None
-
-    too_small = N <= s if N is not None else log_N <= math.log(s)
-    if too_small:
-        return ConstructionParameters(
-            r, R, s, exact, reported_N, None, log_N, None, log_C, None, True,
-            f"N = {f'exp({log_N})' if N is None else N} <= s = {s}",
-        )
-    # The denominator 2 ln C(s,R) + ln C(N-s,R) is positive, as C(s,R) >= s
-    # and N - s >= R: N > s needs r >= 3, and then for R >= 3, C(s,R) >= C(s,3)
-    # and R <= s-3 give N >= floor(s(s-1)(s-2)/(2R)) >= s(s-1)/2 >= 2s-3 >= s+R
-    # (R = 1, 2 by hand: N = floor(r(r^2-1)/2), floor(r(r^2-1)(r+2)/8)).
-    if exact:
-        denom_log = math.log(C * C * binomial(N - s, R))
-        ell = math.floor(C / denom_log)
-        log_ell = math.log(ell) if ell >= 1 else None
-    else:
-        ell = None
-        log_outside = log_binomial_outside(log_N, s, R) if N is None else log_binomial(N - s, R)
-        denom_log = 2.0 * log_C + log_outside
-        log_ell = log_C - math.log(denom_log)
-
-    reason = None
-    if log_ell is None or log_ell < 0:
-        ell_text = "ell" if ell is None else f"ell = {ell}"
-        reason = f"{ell_text} < 1 (single colour, construction vacuous)"
-    return ConstructionParameters(
-        r, R, s, exact, reported_N, ell, log_N, log_ell, log_C, denom_log,
-        reason is not None, reason,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Local-lemma certificate
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LllCertificate(JsonRecord):
-    """Arithmetic of the symmetric local-lemma check for the bad events.
-
-    p is the probability that a fixed s-set misses some colour, Delta the
-    dependency degree (s-sets sharing >= r vertices, loops included).  The
-    certificate evaluates both e*p*Delta < 1 with the sharp p bound
-    ell*(1-1/ell)^C(s,r) and the sufficient form
-    e^{C(s,R)/ell} > e*ell*Delta.
-    """
-
-    log_N: LogValue
-    s: int
-    r: int
-    R: int
-    log_ell: LogValue
-    log_p_bound: LogValue
-    log_delta: LogValue
-    delta_exact: int | None
-    delta_is_upper_bound: bool
-    delta_upper_valid: bool
-    condition_holds: bool
-    exponential_condition_holds: bool
-    ratio_C_over_ell: float
-
-
-def log_binomial_outside(log_N: float, s: int, R: int) -> float:
-    """ln C(N-s, R), the number of R-sets of [N] that miss a fixed s-set,
-    for N carried as ln N.
-
-    The Stirling series of log_binomial with ln(N-s) = ln N + ln(1 - s/N);
-    once N is beyond float range that is R ln N - ln R!.
-    """
-    log_M = log_N + math.log1p(-s * math.exp(-log_N))
-    return log_binomial_series(log_M, R * math.exp(-log_M), R)
-
-
-def dependency_degree(N: int, s: int, r: int) -> int:
-    """Exact Delta = sum_{i=r}^{s} C(s,i) C(N-s,s-i)."""
-    return sum(binomial(s, i) * binomial(N - s, s - i) for i in range(r, s + 1))
-
-
-def _int_str_digit_limit() -> int:
-    """The longest int that str() converts, in digits; 0 means no limit.
-
-    Python before 3.10.7 has no such limit and no sys.get_int_max_str_digits.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    return get_limit() if get_limit else 0
-
-
-def _delta_too_long(digit_limit: int) -> str:
-    return (
-        f"delta_exact would have more than {digit_limit} digits, too many to print; "
-        "an explicit N (certify-lll --n/--ell) computes Delta exactly, while the "
-        "schedule path (no --n/--ell) bounds it in log space"
-    )
-
-
-def lll_condition(
-    N: int,
-    s: int,
-    r: int,
-    ell: int,
-    ratio_C_over_ell: float | None = None,
-) -> LllCertificate:
-    """Evaluate the local-lemma condition at explicit integers N and ell.
-
-    Delta is the exact dependency degree.  That needs N >= s and
-    R <= sys.maxsize, since math.comb takes no larger terms, and a Delta
-    short enough for str() to print; ell must be >= 1.  ValueError
-    otherwise.
-
-    ratio_C_over_ell, when given, is a certified lower bound on
-    C(s,R)/ell; construction_parameters supplies its denominator for this
-    so no catastrophic log cancellation occurs at true scale.
-    """
-    R = s - r
-    if not (0 < r < s):
-        raise ValueError(f"need 0 < r < s, got r={r}, s={s}")
-    if R > sys.maxsize:
-        raise ValueError(
-            f"an explicit N supports R <= {sys.maxsize}; "
-            "the exact dependency degree needs binomials beyond math.comb"
-        )
-    if N < s:
-        raise ValueError(f"an explicit N needs N >= s = {s}, got N = {N}")
-    digit_limit = _int_str_digit_limit()
-    # Delta <= C(N,s) < 2^(s * N.bit_length()) and 10^L > 2^(3L), so a
-    # Delta with at most 3L bits there is short enough to print.
-    check_digits = digit_limit and s * N.bit_length() > 3 * digit_limit
-    if check_digits:
-        # Delta's largest term bounds it from below: refuse before the
-        # s - r + 1 exact binomials when that term alone is too long to
-        # print.  C(s,i) C(N-s,s-i) is unimodal in i, with its mode at
-        # floor((s+1)^2/(N+2)) (the hypergeometric mode).
-        i = max(r, (s + 1) ** 2 // (N + 2))
-        log_term = log_binomial(s, i) + log_binomial(N - s, s - i)
-        if log_term > digit_limit * math.log(10) * (1 + 1e-12):
-            raise ValueError(_delta_too_long(digit_limit))
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    delta_exact = dependency_degree(N, s, r)
-    if check_digits and delta_exact >= 10**digit_limit:
-        raise ValueError(_delta_too_long(digit_limit))
-    log_delta = math.log(delta_exact)
-    return _certificate(math.log(N), s, r, math.log(ell), log_delta, delta_exact, ratio_C_over_ell)
-
-
-def lll_certificate_for(params: ConstructionParameters) -> LllCertificate:
-    """Certificate at the construction's own (N, ell) schedule.
-
-    The certificate's one exact-or-log branch: an exact N gives the exact
-    Delta through lll_condition, an N carried as ln N the bound
-    Delta <= 2 C(s,R) C(N-s,R), valid when 3 <= R <= s/2 and N >= C(s,3)
-    (the delta_upper_valid flag).  floor(ell) <= C/denominator, so the
-    denominator is a certified lower bound on C(s,R)/ell, free of
-    true-scale cancellation.
-    """
-    if params.degenerate:
-        raise ValueError(f"degenerate parameters: {params.degenerate_reason}")
-    s, r, R = params.s, params.r, params.R
-    if params.exact_path:
-        return lll_condition(params.N, s, r, params.ell, params.denominator_log)
-    log_delta = math.log(2.0) + params.log_binom_sR + log_binomial_outside(params.log_N, s, R)
-    return _certificate(
-        params.log_N, s, r, params.log_ell, log_delta, None, params.denominator_log
-    )
-
-
-def _certificate(
-    log_N: float, s: int, r: int, log_ell: float, log_delta: float,
-    delta_exact: int | None, ratio_C_over_ell: float | None,
-) -> LllCertificate:
-    """The bad-event bound p, both conditions and the record, from logs."""
-    R = s - r
-    log_C = log_binomial(s, R)
-    delta_upper_valid = 3 <= R <= s / 2 and log_N >= log_binomial(s, min(3, s)) - 1e-12
-
-    C_over_ell = exp_or_inf(log_C - log_ell)
-    # x: the certified lower bound on C(s,R)/ell when one is given.
-    x = C_over_ell if ratio_C_over_ell is None else ratio_C_over_ell
-
-    # Sharp bad-event probability bound ell (1 - 1/ell)^{C(s,R)}, whose log
-    # is ln ell - (C/ell) g with g = -ell ln(1 - 1/ell); zero for one colour.
-    if log_ell == 0.0:
-        log_p = LogValue.zero()
-        condition_holds = True
-    else:
-        u = math.exp(-log_ell)
-        g = -math.log1p(-u) / u if u else 1.0
-        log_p = LogValue(log_ell - C_over_ell * g)
-        condition_holds = 1.0 + log_p.log_magnitude + log_delta < 0
-    exponential_condition_holds = x > 1.0 + log_ell + log_delta
-
-    return LllCertificate(
-        log_N=LogValue(log_N),
-        s=s,
-        r=r,
-        R=R,
-        log_ell=LogValue(log_ell),
-        log_p_bound=log_p,
-        log_delta=LogValue(log_delta),
-        delta_exact=delta_exact,
-        delta_is_upper_bound=delta_exact is None,
-        delta_upper_valid=delta_upper_valid,
-        condition_holds=condition_holds,
-        exponential_condition_holds=exponential_condition_holds,
-        ratio_C_over_ell=x,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ the edges' cover bitmaps, each the AND of its vertices' bitmaps
 the colourer's cover_masks is built on), so an edge costs about one AND
 and one OR.  Above the limit those bitmaps would grow with C(n,s), up to
 n * 10^9 bits at the exhaustive budget, so a depth-first search runs
-there, reading an index of the edge masks by least vertex, built once per
-system on first use and keyed by the least vertices that occur.  One
+there, grouping the edge masks by least vertex for its own use.  One
 covered-set test serves contains_edge and sampling: it looks r-subsets up
-in the sorted masks, or reads the same index when a set has more r-subsets
-than the system has edges.
+in the sorted masks, or scans all masks when a set has more r-subsets than
+the system has edges.  A system holds nothing besides n, r and its masks
+(and its edges, once read).
 """
 
 from __future__ import annotations
@@ -191,19 +191,6 @@ class UniformHypergraph(JsonRecord):
             edges.append(tuple(edge))
         return tuple(edges)
 
-    @cached_property
-    def _masks_by_least_vertex(self) -> dict[int, tuple[int, ...]]:
-        """Edge masks grouped by least vertex, in ascending order, keyed by
-        the least vertices that occur, so its size is O(|E|) whatever n is.
-
-        Built on first use and kept, so the loader never pays for it; the
-        exhaustive search and _covered read it.
-        """
-        by_least: dict[int, list[int]] = {}
-        for em in self.masks:
-            by_least.setdefault((em & -em).bit_length() - 1, []).append(em)
-        return {v: tuple(ems) for v, ems in by_least.items()}
-
     # --- serialization (canonical JSON) ---
 
     def to_json_dict(self) -> dict:
@@ -258,11 +245,14 @@ def _covered(H: UniformHypergraph, S: tuple[int, ...]) -> bool:
     """True iff some edge of H lies inside the vertex set S.
 
     Where S has no more r-subsets than H has edges, each r-subset is looked
-    up by bisection in the sorted masks; otherwise only the edges whose
-    least vertex lies in S are tested, from the index by least vertex.
+    up by bisection in the sorted masks; otherwise every edge mask is
+    tested for inclusion in S, in one C-level scan.  A vertex of S above
+    every edge lies in none, so its bit, which may not fit in memory at
+    huge n, is never built.
     """
     masks = H.masks
-    bits = [1 << v for v in S]
+    top = masks[-1].bit_length() if masks else 0
+    bits = [1 << v for v in S if v < top]
     if binomial(len(S), H.r) <= len(masks):
         for sub in combinations(bits, H.r):
             m = sum(sub)
@@ -271,8 +261,7 @@ def _covered(H: UniformHypergraph, S: tuple[int, ...]) -> bool:
                 return True
         return False
     m = sum(bits)
-    by_least = H._masks_by_least_vertex
-    return any(em & m == em for v in S for em in by_least.get(v, ()))
+    return not all(map(int.__ne__, map(m.__and__, masks), masks))
 
 
 def is_turan_system(
@@ -322,9 +311,12 @@ def _least_uncovered(H: UniformHypergraph, s: int) -> tuple[int, ...] | None:
     ascending order, so the first set found is the colex-least one.  A
     vertex v added below every vertex chosen so far can only complete an
     edge whose least vertex is v, so a partial set is pruned as soon as
-    one of those edges lies inside it.
+    one of those edges lies inside it.  The edges are grouped by least
+    vertex on each call, in O(|E|), keyed by the least vertices that occur.
     """
-    by_least = H._masks_by_least_vertex
+    by_least: dict[int, list[int]] = {}
+    for em in H.masks:
+        by_least.setdefault((em & -em).bit_length() - 1, []).append(em)
     # Depth d holds the d largest vertices chosen so far: chosen[d-1] is the
     # smallest of them and union[d] their mask.  candidate[d] is the next
     # vertex to try at depth d; it leaves room for s-1-d vertices below it.

@@ -326,7 +326,12 @@ class ValueCache:
     Entries are never trusted blindly: hits re-verify the stored witness
     exhaustively before reuse, so a tampered or stale file degrades to a
     cache miss.  An entry also records the proof of its optimum; one
-    without it, or whose proof does not match its bound, is dropped.
+    without it, or whose proof does not match its bound, is dropped.  The
+    counting bound is recomputed: an entry is dropped when its source is
+    counting and its bound differs from it, or its source is averaging and
+    its bound is not above it, as the solver names averaging only then.
+    What is still taken from the file is an averaging bound's value and
+    an exhausted proof, which would take the levels below to re-derive.
     """
 
     def __init__(self, path: str | None = None):
@@ -365,6 +370,12 @@ class ValueCache:
             matching = "bound-met" if lower_bound == optimum else "exhausted"
             if source not in ("counting", "averaging") or lower_bound > optimum or proof != matching:
                 raise ValueError("proof record does not match the optimum")
+            counting = counting_lower_T(n, s, r)
+            if lower_bound < counting or (lower_bound == counting) != (source == "counting"):
+                raise ValueError(
+                    f"lower bound {lower_bound} from {source} does not fit "
+                    f"the recomputed counting bound {counting}"
+                )
         except (KeyError, TypeError, ValueError) as exc:
             warnings.warn(f"dropping malformed cache entry ({n},{s},{r}): {exc}")
             return None

@@ -15,16 +15,16 @@ from turan_systems.bounds import (
     segment_split_plan,
     limit_alpha_root,
     closing_chain_check,
+    construction_parameters,
     descent_certificate,
     descent_schedule,
+    lll_certificate_for,
 )
 from turan_systems.combinatorics import binomial
 from turan_systems.constructions import (
     _draw,
     blowup,
-    construction_parameters,
     expected_recursive_size,
-    lll_certificate_for,
     moser_tardos_color,
     recursive_system,
 )

@@ -18,6 +18,7 @@ from turan_systems.bounds import (
     limit_alpha_root,
     gap_log_binomial_mu_bound,
     closing_chain_check,
+    construction_parameters,
     descent_certificate,
     descent_schedule,
 )
@@ -314,10 +315,8 @@ class TestChainCheck:
 
     def test_schedule_N_near_optimal(self):
         # Perturbing N by x2 or /2 must not beat the schedule's N by > 1%.
-        import turan_systems.constructions as cons
-
         r, R = 10**6, 10**3
-        params = cons.construction_parameters(r, R)
+        params = construction_parameters(r, R)
         base = closing_chain_check(r, R).lhs
         for shift in (math.log(2), -math.log(2)):
             log_N = params.log_N + shift

@@ -2,6 +2,7 @@ import ast
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import time
 import pytest
 
 import turan_systems
-from turan_systems import cli, constructions
+from turan_systems import bounds, cli
 from turan_systems.hypergraph import UniformHypergraph, is_turan_system
 
 
@@ -251,6 +252,22 @@ class TestVerify:
         b = run(argv, capsys)
         assert a == b and a[0] == 0
 
+    def test_sample_mode_at_huge_n(self, tmp_path, capsys):
+        # Unranking steps down by doubling strides, so the sampled 3-sets of
+        # [10^20] take microseconds; none of them builds a vertex bit near
+        # 10^20, which would not fit in memory.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**20, "r": 2, "edges": [[0, 1]]}))
+        argv = ["verify", "--input", str(path), "--s", "3",
+                "--mode", "sample", "--trials", "3", "--seed", "1"]
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 1 and not err
+        report = json.loads(out)
+        assert not report["is_turan"] and report["sets_checked"] == 1
+        assert len(report["witness"]) == 3 and report["witness"][-1] < 10**20
+
     def test_unparsable_input_exit2(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{oops")
@@ -297,6 +314,25 @@ class TestSolve:
         assert code == 0 and not err
         assert (obj["optimum"], obj["proof"], obj["lower_bound"]) == (20, "bound-met", 20)
         assert obj["lower_bound_source"] == "averaging" and obj["proven_optimal"]
+
+    def test_tampered_cache_bound_dropped_and_resolved(self, tmp_path, capsys):
+        # A valid 21-edge Turán witness claimed optimal by a counting bound
+        # of 21: the counting bound is 14 and T(8,4,3) = 20.
+        argv = ["solve", "--n", "8", "--s", "4", "--r", "3"]
+        code, out, _ = run(argv, capsys)
+        edges = json.loads(out)["witness"]["edges"]
+        edges.append(next(e for e in map(list, itertools.combinations(range(8), 3))
+                          if e not in edges))
+        (tmp_path / "cache.json").write_text(json.dumps({"8,4,3": {
+            "optimum": 21, "edges": edges, "lower_bound": 21,
+            "lower_bound_source": "counting", "proof": "bound-met",
+        }}))
+        code, out, err = run(argv, capsys)
+        obj = json.loads(out)
+        assert code == 0 and obj["nodes_explored"] > 0
+        assert (obj["optimum"], obj["proof"], obj["proven_optimal"]) == (20, "bound-met", True)
+        assert err.startswith("warning: dropping") and "counting bound 14" in err
+        assert len(err.splitlines()) == 1
 
     def test_node_budget_exhausted_exit4_with_witness(self, capsys):
         # (10,4,3) has bound 43 against Turán's 45 and needs a real search;
@@ -453,7 +489,7 @@ class TestCertifyLll:
     def test_unprintable_delta_refused_quickly(self, capsys, monkeypatch):
         # delta_exact here has over 4300 digits, more than Python prints by
         # default; the refusal comes before its 2501 exact binomials.
-        monkeypatch.setattr(constructions, "_int_str_digit_limit", lambda: 4300)
+        monkeypatch.setattr(bounds, "_int_str_digit_limit", lambda: 4300)
         argv = ["certify-lll", "--r", "3", "--big-r", "2500", "--n", "125000", "--ell", "2"]
         start = time.perf_counter()
         code, out, err = run(argv, capsys)
@@ -733,8 +769,8 @@ class TestOutputContract:
 # its exit code; "{sys}" is the prefix (6,4,3) system file.
 _VERIFY = {"combinatorics", "hypergraph"}
 _CONSTRUCT = _VERIFY | {"constructions"}
-_BOUNDS = _CONSTRUCT | {"bounds"}
-_SOLVE = _BOUNDS | {"solver"}
+_BOUNDS = {"combinatorics", "bounds"}
+_SOLVE = _VERIFY | {"bounds", "solver"}
 MODULES_LOADED = {
     "version": ("--version", 0, set()),
     "help": ("--help", 0, set()),

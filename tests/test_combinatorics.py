@@ -136,6 +136,39 @@ class TestColex:
                 for i in range(binomial(n, k)):
                     assert unrank_colex(i, k, n) == unrank_upward(i, k, n)
 
+    def test_unrank_matches_downward_walk(self):
+        # Reference: the walk that unrank_colex replaced, which steps each v
+        # down by one from the previous v.
+        def unrank_walk(index, k, n):
+            result = [0] * k
+            remaining = index
+            v = n
+            for i in range(k, 0, -1):
+                v -= 1
+                c = math.comb(v, i)
+                while c > remaining:
+                    v -= 1
+                    c = math.comb(v, i)
+                result[i - 1] = v
+                remaining -= c
+            return tuple(result)
+
+        for n in range(0, 30):
+            for k in range(0, n + 1):
+                total = binomial(n, k)
+                # Every rank up to 2^8 sets, a stride of ranks beyond.
+                for i in range(0, total, max(1, total // 256)):
+                    assert unrank_colex(i, k, n) == unrank_walk(i, k, n)
+                assert unrank_colex(total - 1, k, n) == unrank_walk(total - 1, k, n)
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_unrank_at_huge_n(self, k):
+        # O(k log n) binomials: the walk down from n = 10^20 never ends.
+        n = 10**20
+        for i in (0, 1, binomial(n, k) // 3, binomial(n, k) - 1):
+            S = unrank_colex(i, k, n)
+            assert rank_colex(S) == i and S[-1] < n
+
     @given(st.integers(1, 14), st.data())
     @settings(max_examples=100, deadline=None)
     def test_rank_monotone_in_colex(self, n, data):

@@ -9,26 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turan_systems.bounds import bound_reports, closing_chain_check
+from turan_systems.bounds import (
+    bound_reports,
+    closing_chain_check,
+    construction_parameters,
+    dependency_degree,
+    lll_certificate_for,
+    lll_condition,
+    log_binomial_outside,
+)
 from turan_systems.cli import _dump
 from turan_systems.combinatorics import (
+    ConstructionError,
     _json_value,
     binomial,
     enumerate_subsets,
     log_binomial,
     rank_colex,
 )
-from turan_systems import combinatorics, constructions
+from turan_systems import bounds, combinatorics
 from turan_systems.constructions import (
-    ConstructionError,
     _draw,
     blowup,
-    construction_parameters,
-    dependency_degree,
     expected_recursive_size,
-    lll_certificate_for,
-    lll_condition,
-    log_binomial_outside,
     moser_tardos_color,
     recursive_system,
     trivial_prefix_system,
@@ -266,20 +269,20 @@ class TestLllCondition:
         # and its largest term 50, so only the check on the exact Delta sees
         # it; at N = 220 the largest term (i = 13) alone has 51 digits and is
         # refused before the sum, though the i = r term has 47.
-        monkeypatch.setattr(constructions, "_int_str_digit_limit", lambda: 50)
+        monkeypatch.setattr(bounds, "_int_str_digit_limit", lambda: 50)
         if not sum_runs:
-            monkeypatch.setattr(constructions, "dependency_degree", None)
+            monkeypatch.setattr(bounds, "dependency_degree", None)
         with pytest.raises(ValueError, match="delta_exact would have more than 50 digits"):
             lll_condition(N, 53, 2, 2)
 
     def test_delta_at_digit_limit_kept(self, monkeypatch):
-        monkeypatch.setattr(constructions, "_int_str_digit_limit", lambda: 50)
+        monkeypatch.setattr(bounds, "_int_str_digit_limit", lambda: 50)
         cert = lll_condition(207, 53, 2, 2)
         assert len(str(cert.delta_exact)) == 50
 
     def test_digit_limit_absent_means_none(self, monkeypatch):
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-        assert constructions._int_str_digit_limit() == 0
+        assert bounds._int_str_digit_limit() == 0
 
     def test_exponential_condition_implies_symmetric_condition(self):
         for (r, R) in [(10**6, 10**3), (10**4, 10**2)]:

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from turan_systems.bounds import counting_lower_T
+from turan_systems import hypergraph
 from turan_systems.combinatorics import check_subset, enumerate_subsets, rank_colex
 from turan_systems.hypergraph import (
     BITMAP_VERIFY_BITS,
@@ -49,31 +50,30 @@ class TestContainsEdge:
         S = tuple(sorted(data.draw(st.permutations(range(n)))[:k]))
         assert contains_edge(H, S) == (not uncovered(S, edges))
 
+    # These tests keep the names they had when a system kept an index by
+    # least vertex; each checks that a system holds only n, r and its masks.
     def test_index_built_on_first_use_and_kept(self):
         H = UniformHypergraph.from_json(matching_4_3_2().to_json())
-        assert "_masks_by_least_vertex" not in vars(H)
+        assert set(vars(H)) == {"n", "r", "masks"}
         assert contains_edge(H, (0, 1, 2))
-        index = vars(H)["_masks_by_least_vertex"]
         assert not contains_edge(H, (0, 2))
-        assert vars(H)["_masks_by_least_vertex"] is index
-        # Keyed by the least vertices that occur, not by every vertex.
-        assert index == {0: (0b11,), 2: (0b1100,)}
+        assert set(vars(H)) == {"n", "r", "masks"}
 
     def test_index_does_not_grow_with_n(self):
-        # One edge among 10^6 vertices: the index holds one entry, where one
-        # list per vertex took hundreds of milliseconds and tens of MB.
+        # One edge among 10^6 vertices: no table over the vertices is built,
+        # where one list per vertex took hundreds of milliseconds and tens of MB.
         H = UniformHypergraph(10**6, 2, [[0, 1]])
         assert contains_edge(H, (0, 1, 5))
         assert not contains_edge(H, (2, 5, 10**6 - 1))
-        assert vars(H)["_masks_by_least_vertex"] == {0: (0b11,)}
+        assert set(vars(H)) == {"n", "r", "masks"}
 
     def test_sampling_reads_the_same_index(self):
-        # C(3,2) = 3 r-subsets per set against one edge: sampling tests the
-        # set against the index rather than looking its pairs up.
+        # C(3,2) = 3 r-subsets per set against one edge: sampling scans the
+        # masks rather than looking the set's pairs up.
         H = UniformHypergraph(10**4, 2, [[5, 7]])
         report = sample_verify(H, 3, trials=3, seed=1)
         assert not report.is_turan
-        assert vars(H)["_masks_by_least_vertex"] == {5: (0b10100000,)}
+        assert set(vars(H)) == {"n", "r", "masks"}
 
 
 class TestExhaustiveVerify:
@@ -194,7 +194,7 @@ class TestVerifierAgainstBruteForce:
 
     @pytest.mark.parametrize("n, bitmaps", [(19, True), (20, False)])
     @pytest.mark.parametrize("hole", [None, (1, 3, 5, 8, 11, 14, 17)])
-    def test_both_sides_of_the_bitmap_limit(self, n, bitmaps, hole):
+    def test_both_sides_of_the_bitmap_limit(self, monkeypatch, n, bitmaps, hole):
         # Complete 3-graphs checked on 7-sets: 19 * C(19,7) = 957,372 bits
         # lie within the limit and 20 * C(20,7) = 1,550,400 beyond it.  A
         # hole without its triples is the only uncovered 7-set.
@@ -204,9 +204,15 @@ class TestVerifierAgainstBruteForce:
         if hole:
             edges -= set(itertools.combinations(hole, r))
         H = UniformHypergraph(n, r, edges)
+        calls = []
+        for name in ("cover_union", "_least_uncovered"):
+            def record(*args, _name=name, _f=getattr(hypergraph, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(hypergraph, name, record)
         report = is_turan_system(H, s)
-        # Only the search reads the index by least vertex.
-        assert ("_masks_by_least_vertex" in vars(H)) == (not bitmaps)
+        assert calls == ["cover_union" if bitmaps else "_least_uncovered"]
+        assert set(vars(H)) == {"n", "r", "masks"}
         assert report.witness == _least_uncovered(H, s) == hole
         checked = rank_colex(hole) + 1 if hole else math.comb(n, s)
         assert report.sets_checked == checked

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -18,13 +19,12 @@ PUBLIC = {
         "is_turan_system", "sample_verify",
     ],
     "constructions": [
-        "ColoringOutcome", "ConstructionParameters", "LllCertificate", "RecursionSample",
-        "blowup", "construction_parameters", "expected_recursive_size",
-        "lll_certificate_for", "lll_condition", "moser_tardos_color", "recursive_system",
-        "trivial_prefix_system",
+        "ColoringOutcome", "RecursionSample", "blowup", "expected_recursive_size",
+        "moser_tardos_color", "recursive_system", "trivial_prefix_system",
     ],
     "bounds": [
-        "BoundReport", "RecursionTrace", "RootResult", "bound_reports", "counting_lower_T",
+        "ConstructionParameters", "LllCertificate", "construction_parameters",
+        "lll_certificate_for", "lll_condition", "BoundReport", "RecursionTrace", "RootResult", "bound_reports", "counting_lower_T",
         "decaen_lower_mu", "large_gap_mu_bound", "binomial_ratio_check",
         "segment_split_plan", "fixed_gap_mu_bound", "recursion_rhs", "limit_alpha_root",
         "gap_log_binomial_mu_bound", "closing_chain_check", "descent_certificate",
@@ -88,3 +88,20 @@ def test_name_loads_only_its_module():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sources_parse_as_python_3_10():
+    # 3.10 is the requires-python floor; ast checks the grammar of every
+    # file against it on whatever Python runs the suite.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = [
+        os.path.join(folder, name)
+        for top in ("src", "tests", "scripts", "perfbench")
+        for folder, _, names in os.walk(os.path.join(root, top))
+        for name in names
+        if name.endswith(".py")
+    ]
+    assert len(paths) > 20
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))

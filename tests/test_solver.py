@@ -541,6 +541,10 @@ class TestValueCache:
             lambda e: e.update(proof="exhausted"),  # bound-met is the only match
             lambda e: e.update(lower_bound=e["optimum"] + 1),
             lambda e: e.update(lower_bound_source="guess"),
+            # The counting bound is 14: 20 is not it, and averaging is named
+            # only above it.
+            lambda e: e.update(lower_bound_source="counting"),
+            lambda e: e.update(lower_bound=14, proof="exhausted"),
         ],
     )
     def test_entry_without_matching_proof_dropped(self, tmp_path, edit):
@@ -551,6 +555,13 @@ class TestValueCache:
         path.write_text(json.dumps(data))
         with pytest.warns(UserWarning, match="malformed"):
             assert ValueCache(str(path)).get(8, 4, 3) is None
+
+    def test_averaging_entry_kept(self, tmp_path):
+        # (8,4,3) is proven by an averaging bound of 20, above counting's 14.
+        path = tmp_path / "cache.json"
+        ValueCache(str(path)).store(solve_min_turan(8, 4, 3))
+        hit = ValueCache(str(path)).get(8, 4, 3)
+        assert (hit.optimum, hit.lower_bound, hit.lower_bound_source) == (20, 20, "averaging")
 
     def test_tampered_witness_rejected(self, tmp_path):
         path = tmp_path / "cache.json"

@@ -12,6 +12,15 @@ sorts and drops repeats; the masks that the package's constructions build
 come in through one mask entry, UniformHypergraph._from_masks, which
 checks the same invariants on the masks.  Both end in the same step.
 
+The loader holds nothing beside its input but the masks: its type, range
+and mask passes stream the vertices out of the rows, and it drops repeats
+by comparing neighbours of the sorted mask list, with no dict, so it peaks
+near 60 bytes per edge above the rows, 40 of them kept.  It refuses a
+vertex at or above MASK_BITS_MAX before it builds any bit.  from_json
+pauses the cyclic garbage collector while it parses and loads: the parsed
+JSON holds no cycles, and collections would traverse its lists again and
+again.
+
 The exhaustive check takes one of two paths.  When the n vertex bitmaps
 over the C(n,s) s-sets hold at most BITMAP_VERIFY_BITS (2^20) bits, it ORs
 the edges' cover bitmaps, each the AND of its vertices' bitmaps
@@ -28,16 +37,19 @@ the system has edges.  A system holds nothing besides n, r and its masks
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, islice
 from operator import lt
 from typing import Iterable
 
 from .combinatorics import (
+    DEFAULT_MATERIALIZE_BUDGET,
     BudgetExceededError,
     JsonRecord,
     binomial,
@@ -54,6 +66,15 @@ DEFAULT_EXHAUSTIVE_BUDGET = 10**9
 # hold at most this many bits in all (2^20 bits, 128 KiB), and searches depth
 # first above it.
 BITMAP_VERIFY_BITS = 2**20
+
+# The loader refuses a vertex at or above this many bits, before it builds
+# any bit, so one mask holds at most 625 KB.  Each construction draws its
+# edges from some [m] with C(m, r) within the materialization budget, hence
+# m <= DEFAULT_MATERIALIZE_BUDGET, so every system they write loads.
+MASK_BITS_MAX = DEFAULT_MATERIALIZE_BUDGET
+
+# Sampled reports bound the uncovered share of s-sets at confidence 1 - delta.
+SAMPLE_DELTA = 1e-3
 
 
 @dataclass(frozen=True, init=False)
@@ -83,14 +104,21 @@ class UniformHypergraph(JsonRecord):
         of r distinct int vertices in range(n), in any order; bools and
         other non-int vertices are rejected.  Repeated edges collapse into
         one.  Any violation raises ValueError; the checks run in the order
-        sizes, types, range, repeats.
+        sizes, types, range, repeats.  A vertex at or above MASK_BITS_MAX
+        is refused after the range check, before any bit is built.
 
         Each check is one pass over all edges or all vertices in C-level
         maps and sets; the only Python loop runs over the distinct
-        vertices, to build their bits.  No edge is sorted, and only an edge
-        without a length is copied: the order of the vertices in an edge
-        does not change its mask.  The masks are sorted, repeats dropped,
-        and ``edges`` is decoded from them on first read, whatever the
+        vertices, to build their bits.  The type, range and mask passes
+        each stream the vertices out of the rows, so no flat vertex list
+        is built.  No edge is sorted, and only an edge without a length is
+        copied: the order of the vertices in an edge does not change its
+        mask.  The mask list is sorted in place and its repeats, now
+        neighbours, dropped by comparing each mask with its predecessor, so
+        loading holds the rows, the mask list and the kept tuple, and no
+        dict: about 60 bytes per edge at its peak above the rows, of which
+        the kept masks are 40 (an int below 2^60 and its tuple slot).
+        ``edges`` is decoded from the masks on first read, whatever the
         input's form.
         """
         if type(n) is not int or type(r) is not int:
@@ -109,28 +137,36 @@ class UniformHypergraph(JsonRecord):
             raise ValueError(f"edges must be iterables of vertices: {exc}") from None
         if sizes - {r}:
             raise ValueError(f"every edge needs {r} vertices, got sizes {sorted(sizes)}")
-        vertices = list(chain.from_iterable(rows))
-        types = set(map(type, vertices)) - {int}
+        # Each pass streams the vertices afresh: a flat list of all r * |E|
+        # of them would be the loader's largest object.
+        types = set(map(type, chain.from_iterable(rows))) - {int}
         if types:
             names = sorted(t.__name__ for t in types)
             raise ValueError(f"vertices must be integers, got {', '.join(names)}")
-        present = set(vertices)
-        if present and not 0 <= min(present) <= max(present) < n:
-            raise ValueError(
-                f"vertices must lie in range({n}), got {min(present)} to {max(present)}"
-            )
+        present = set(chain.from_iterable(rows))
+        if present:
+            low, high = min(present), max(present)
+            if not 0 <= low <= high < n:
+                raise ValueError(f"vertices must lie in range({n}), got {low} to {high}")
+            if high >= MASK_BITS_MAX:
+                raise ValueError(
+                    f"vertices must lie below the mask limit {MASK_BITS_MAX}, got {high}"
+                )
         # Bits only for the vertices that occur: a table over range(n) would
         # take O(n^2) bits even for a handful of edges.  zip over r
         # references to one iterator groups consecutive bits into edges.
         bit = {v: 1 << v for v in present}
-        masks = list(map(sum, zip(*[map(bit.__getitem__, vertices)] * r)))
+        masks = list(map(sum, zip(*[map(bit.__getitem__, chain.from_iterable(rows))] * r)))
         if set(map(int.bit_count, masks)) - {r}:
             bad = next(e for e, m in zip(rows, masks) if m.bit_count() != r)
             raise ValueError(f"edge {tuple(sorted(bad))} repeats a vertex")
         # Among sets of one size, colex order is the numeric order of masks.
-        # Sorted before the repeats go: a canonical file lists its edges in
-        # colex order, which the sort passes in one run.
-        self._set_state(n, r, tuple(dict.fromkeys(sorted(masks))))
+        # Sorted in place (a canonical file lists its edges in colex order,
+        # which the sort passes in one run), then a mask is kept where it
+        # differs from its sorted predecessor: equal masks are neighbours.
+        masks.sort()
+        kept = chain((True,), map(int.__ne__, islice(masks, 1, None), masks))
+        self._set_state(n, r, tuple(compress(masks, kept)))
 
     def _set_state(self, n: int, r: int, masks: tuple[int, ...]) -> None:
         """The last step of both entries: store n, r and the checked masks."""
@@ -212,16 +248,38 @@ class UniformHypergraph(JsonRecord):
 
     @staticmethod
     def from_json(text: str) -> "UniformHypergraph":
+        """The system in JSON text, through the one loader.
+
+        The cyclic garbage collector is paused while the text is parsed and
+        loaded, and left enabled or disabled as it was found.  Parsed JSON
+        holds no reference cycles, yet its one list per edge would trigger
+        collections that traverse every list made so far.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
-        return UniformHypergraph.from_json_dict(obj)
+            try:
+                obj = json.loads(text)
+            except RecursionError:
+                raise ValueError("JSON nested too deeply") from None
+            return UniformHypergraph.from_json_dict(obj)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @dataclass(frozen=True)
 class VerifyReport(JsonRecord):
-    """Outcome of a Turán-system check."""
+    """Outcome of a Turán-system check.
+
+    An exhaustive report decides the property.  A sampled report that
+    finds an uncovered s-set decides it too (is_turan False, with that
+    witness); one that finds none shows only that no counterexample was
+    found.  It then carries ``delta``, SAMPLE_DELTA, and
+    ``uncovered_share_bound``, -expm1(ln delta / trials): with that many
+    uniform trials all covered, the share of uncovered s-sets is below the
+    bound at confidence 1 - delta.  Both are None on every other report.
+    """
 
     is_turan: bool
     witness: tuple[int, ...] | None
@@ -230,6 +288,8 @@ class VerifyReport(JsonRecord):
     s: int
     trials: int | None = None
     seed: int | None = None
+    delta: float | None = None
+    uncovered_share_bound: float | None = None
 
 
 def contains_edge(H: UniformHypergraph, S: tuple[int, ...]) -> bool:
@@ -355,7 +415,11 @@ def _least_uncovered(H: UniformHypergraph, s: int) -> tuple[int, ...] | None:
 def sample_verify(
     H: UniformHypergraph, s: int, trials: int, seed: int
 ) -> VerifyReport:
-    """Monte Carlo screen: uniform s-sets via unranking of uniform ranks."""
+    """Monte Carlo screen: uniform s-sets via unranking of uniform ranks.
+
+    A clean run reports is_turan True with the bound on the uncovered
+    share described in VerifyReport; it proves nothing.
+    """
     check_sizes(H.n, s, H.r)
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -365,7 +429,10 @@ def sample_verify(
         S = unrank_colex(rng.randrange(total), s, H.n)
         if not _covered(H, S):
             return VerifyReport(False, S, t + 1, "sampled", s, trials=trials, seed=seed)
-    return VerifyReport(True, None, trials, "sampled", s, trials=trials, seed=seed)
+    return VerifyReport(
+        True, None, trials, "sampled", s, trials=trials, seed=seed,
+        delta=SAMPLE_DELTA, uncovered_share_bound=-math.expm1(math.log(SAMPLE_DELTA) / trials),
+    )
 
 
 def density(H: UniformHypergraph) -> tuple[int, int, float]:

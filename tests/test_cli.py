@@ -268,6 +268,35 @@ class TestVerify:
         assert not report["is_turan"] and report["sets_checked"] == 1
         assert len(report["witness"]) == 3 and report["witness"][-1] < 10**20
 
+    def test_huge_vertex_refused_before_any_bit(self, tmp_path, capsys):
+        # The bit of vertex 10^19 would not fit in memory: the loader refuses
+        # it first, so the command exits 2 with one line, in this process
+        # and in a fresh interpreter alike.
+        path = tmp_path / "huge-vertex.json"
+        path.write_text(json.dumps({"n": 10**20, "r": 2, "edges": [[0, 10**19]]}))
+        argv = ["verify", "--input", str(path), "--s", "3",
+                "--mode", "sample", "--trials", "3", "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"cannot parse {path}: vertices must lie below the mask limit "
+            f"5000000, got {10**19}\n"
+        )
+        (fresh_code, fresh_out, fresh_err), _ = run_fresh(argv)
+        assert (fresh_code, fresh_out, fresh_err) == (code, out, err)
+
+    def test_sampled_report_states_its_bound(self, tmp_path, capsys):
+        path = self._write_system(tmp_path, capsys)
+        argv = ["verify", "--input", path, "--s", "4",
+                "--mode", "sample", "--trials", "600", "--seed", "5"]
+        code, out, _ = run(argv, capsys)
+        report = json.loads(out)
+        assert code == 0 and report["is_turan"] and report["delta"] == 1e-3
+        # 600 clean trials at delta = 10^-3 leave an uncovered share of at
+        # most about 1.1 %.
+        assert report["uncovered_share_bound"] == pytest.approx(1 - 1e-3 ** (1 / 600))
+        assert 0.0114 < report["uncovered_share_bound"] < 0.0116
+
     def test_unparsable_input_exit2(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{oops")
@@ -560,11 +589,11 @@ PINNED_OUTPUTS = {
     ),
     "verify-exhaustive": (
         "verify --input {sys} --s 4", 0,
-        "df74f8235a4620fce4e3c50f863fe16bb1c791dd5d874f98875a03dbf5a02775",
+        "b194bd23a4a66f383ab7dc22b21588e1ae9167d24b2e9f8f85796b118243d4e9",
     ),
     "verify-sampled": (
         "verify --input {sys} --s 4 --mode sample --trials 200 --seed 5", 0,
-        "a9fec2312bbea432b51022fcb6a7b27a644e34e410cc9a756dda169bbeb6a78f",
+        "59491957e93ee44dbb6c289fdbae89bd9c5d681cf1cd4a24298c8e8df62c8451",
     ),
     "certify-lll": (
         "certify-lll --r 1000000 --big-r 1000", 0,

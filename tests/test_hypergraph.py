@@ -1,6 +1,9 @@
+import gc
 import itertools
+import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -186,7 +189,9 @@ class TestVerifierAgainstBruteForce:
             if uncovered(S, edges):
                 expected = {"is_turan": False, "witness": list(S), "sets_checked": checked}
                 break
-        expected.update(mode="exhaustive", s=s, trials=None, seed=None)
+        expected.update(
+            mode="exhaustive", s=s, trials=None, seed=None, delta=None, uncovered_share_bound=None
+        )
         assert is_turan_system(H, s).to_json_dict() == expected
         # These inputs all take the bitmap path; the search must agree too.
         witness = None if expected["is_turan"] else tuple(expected["witness"])
@@ -231,8 +236,19 @@ class TestVerifierAgainstBruteForce:
             if uncovered(S, edges):
                 expected = {"is_turan": False, "witness": list(S), "sets_checked": t}
                 break
-        expected.update(mode="sampled", s=s, trials=trials, seed=seed)
-        assert sample_verify(H, s, trials, seed).to_json_dict() == expected
+        # Only a clean run carries the bound on the uncovered share.
+        clean = expected["is_turan"]
+        expected.update(
+            mode="sampled", s=s, trials=trials, seed=seed,
+            delta=1e-3 if clean else None,
+            uncovered_share_bound=1 - 1e-3 ** (1 / trials) if clean else None,
+        )
+        got = sample_verify(H, s, trials, seed).to_json_dict()
+        if clean:
+            assert got.pop("uncovered_share_bound") == pytest.approx(
+                expected.pop("uncovered_share_bound"), rel=1e-12
+            )
+        assert got == expected
 
 
 class TestSampleVerify:
@@ -514,3 +530,82 @@ class TestLoaderMessages:
         with pytest.raises(ValueError) as info:
             UniformHypergraph(4, 2, edges)
         assert str(info.value) == message
+
+
+def shuffled_rows(n, r, count, seed, repeats=0):
+    """count distinct r-subsets of range(n) as lists in shuffled vertex
+    order, plus `repeats` of them again in another order, all shuffled."""
+    rng = random.Random(seed)
+    picked = set()
+    while len(picked) < count:
+        picked.add(tuple(sorted(rng.sample(range(n), r))))
+    rows = [rng.sample(e, r) for e in picked]
+    rows += [rng.sample(e, r) for e in rng.sample(sorted(picked), repeats)]
+    rng.shuffle(rows)
+    return rows
+
+
+class TestLeanLoader:
+    @pytest.mark.parametrize("n, r", [(40, 4), (25, 6)])
+    def test_peak_memory_per_edge(self, n, r):
+        # Above the parsed rows the loader holds its mask list and the kept
+        # tuple, about 59 bytes per edge; a flat vertex list and a dict of
+        # the masks took it to 137-152.
+        count = 20_000
+        rows = json.loads(json.dumps(shuffled_rows(n, r, count, seed=1)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            H = UniformHypergraph(n, r, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(H) == count
+        assert (peak - base) / count <= 72
+
+    @pytest.mark.parametrize("n, r, repeats", [(40, 4, 1_500), (25, 6, 500), (12, 3, 200)])
+    def test_shuffled_repeats_give_the_reference_masks(self, n, r, repeats):
+        count = min(2_000, math.comb(n, r))
+        rows = shuffled_rows(n, r, count, seed=2, repeats=repeats)
+        H = UniformHypergraph(n, r, rows)
+        assert len(H) == count
+        assert (H.edges, H.masks) == reference_from_edges(n, r, rows)
+
+    def test_vertex_limit(self):
+        # The limit is on the largest vertex, not on n, and it is checked
+        # after the range: a vertex at the limit would make a mask of more
+        # than MASK_BITS_MAX bits.  1 << 10**19 cannot be built, so its
+        # ValueError shows that the refusal comes before any bit.
+        top = hypergraph.MASK_BITS_MAX - 1
+        H = UniformHypergraph(10**20, 2, [[top, 0]])
+        assert H.masks == (1 << top | 1,) and UniformHypergraph.from_json(H.to_json()) == H
+        for v in (top + 1, 10**19):
+            with pytest.raises(ValueError, match="below the mask limit 5000000"):
+                UniformHypergraph(10**20, 2, [[0, 1], [v, 0]])
+        with pytest.raises(ValueError, match=r"must lie in range\(4\)"):
+            UniformHypergraph(4, 2, [[0, 10**19]])
+
+
+class TestFromJsonCollector:
+    TEXTS = {
+        "valid": '{"n": 4, "r": 2, "edges": [[1, 0], [2, 3]]}',
+        "bad JSON": "{oops",
+        "nested too deep": "[" * 100_000 + "]" * 100_000,
+        "invalid edge": '{"n": 4, "r": 2, "edges": [[0, 4]]}',
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("kind", TEXTS)
+    def test_collector_state_is_restored(self, kind, enabled):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if kind == "valid":
+                assert len(UniformHypergraph.from_json(self.TEXTS[kind])) == 2
+            else:
+                with pytest.raises(ValueError):
+                    UniformHypergraph.from_json(self.TEXTS[kind])
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was else gc.disable()

@@ -29,11 +29,11 @@ EXACT_LOG_N_MAX = 4096
 FLOAT_R_MAX = 10**305
 
 # The most sets that a construction, or cover_masks, materializes one by one;
-# read by refuse_beyond_budget only.
+# read by refuse_beyond_budget only, which also caps their n-bit masks' bits.
 DEFAULT_MATERIALIZE_BUDGET = 5_000_000
 
-# cover_masks refuses an (n, s, r) whose C(n,r) bitmaps of C(n,s) bits would
-# hold more than this many bits (2^30 bits, 128 MiB), before it builds any.
+# The most bits (2^30, 128 MiB) that cover_masks' bitmaps, the C(n,k) n-bit
+# masks of refuse_beyond_budget, or the loader's masks hold, refused unbuilt.
 COVER_BITS_BUDGET = 2**30
 
 
@@ -80,11 +80,15 @@ def check_sizes(n: int, s: int, r: int) -> None:
 
 
 def refuse_beyond_budget(n: int, k: int) -> None:
-    """BudgetExceededError when C(n,k) exceeds DEFAULT_MATERIALIZE_BUDGET."""
-    if binomial(n, k) > DEFAULT_MATERIALIZE_BUDGET:
+    """BudgetExceededError when C(n,k) exceeds DEFAULT_MATERIALIZE_BUDGET,
+    or when C(n,k) masks of n bits exceed COVER_BITS_BUDGET."""
+    count = binomial(n, k)
+    if count > DEFAULT_MATERIALIZE_BUDGET:
         raise BudgetExceededError(
             f"C({n},{k}) exceeds materialization budget {DEFAULT_MATERIALIZE_BUDGET}"
         )
+    if count * n > COVER_BITS_BUDGET:
+        raise BudgetExceededError(f"C({n},{k}) masks of {n} bits exceed the bit budget")
 
 
 def exp_or_inf(x: float) -> float:
@@ -184,24 +188,11 @@ def unrank_colex(index: int, k: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"rank {index} out of range for C({n},{k})")
     comb = math.comb
     result = [0] * k
-    remaining = index
-    v = n
+    remaining, hi = index, n
     for i in range(k, 0, -1):
-        # The largest v with C(v, i) <= remaining lies below the previous v:
-        # step down 1, 2, 4, ... from there until C(v, i) fits, then bisect
-        # the last step, so each vertex takes O(log n) binomials.  C(i-1, i)
-        # is 0, so no step goes below i-1.  Every vertex from hi up to the
-        # previous v is too large.
-        hi, step = v, 1
-        v -= 1
-        c = comb(v, i)
-        while c > remaining:
-            hi = v
-            v -= step
-            step += step
-            if v < i - 1:
-                v = i - 1
-            c = comb(v, i)
+        # Bisect the largest v with C(v, i) <= remaining, O(log n) binomials:
+        # C(i-1, i) = 0 fits, and C(hi, i) > remaining at the previous vertex.
+        v, c = i - 1, 0
         while hi - v > 1:
             mid = (v + hi) >> 1
             c_mid = comb(mid, i)
@@ -209,7 +200,7 @@ def unrank_colex(index: int, k: int, n: int) -> tuple[int, ...]:
                 v, c = mid, c_mid
             else:
                 hi = mid
-        result[i - 1] = v
+        result[i - 1] = hi = v
         remaining -= c
     return tuple(result)
 
@@ -345,8 +336,8 @@ def cover_masks(n: int, s: int, r: int) -> list[int]:
     verifier's cover_union is built on the same vertex masks.  An r-set's
     mask is the AND of its vertices' masks, built by the block recurrence
     with one AND per set and level.  Needs 1 <= r < s <= n;
-    BudgetExceededError, before anything is built, when the C(n,r) bitmaps
-    exceed the materialization budget or their C(n,r) * C(n,s) bits exceed
+    BudgetExceededError, before anything is built, when the C(n,r) sets
+    fail refuse_beyond_budget or their C(n,r) * C(n,s) bits exceed
     COVER_BITS_BUDGET.
     """
     check_sizes(n, s, r)

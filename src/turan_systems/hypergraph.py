@@ -15,8 +15,8 @@ checks the same invariants on the masks.  Both end in the same step.
 The loader holds nothing beside its input but the masks: its type, range
 and mask passes stream the vertices out of the rows, and it drops repeats
 by comparing neighbours of the sorted mask list, with no dict, so it peaks
-near 60 bytes per edge above the rows, 40 of them kept.  It refuses a
-vertex at or above MASK_BITS_MAX before it builds any bit.  from_json
+near 60 bytes per edge above the rows, 40 of them kept.  Its two size
+limits (see MASK_BITS_MAX) refuse before it builds any bit.  from_json
 pauses the cyclic garbage collector while it parses and loads: the parsed
 JSON holds no cycles, and collections would traverse its lists again and
 again.
@@ -49,6 +49,7 @@ from operator import lt
 from typing import Iterable
 
 from .combinatorics import (
+    COVER_BITS_BUDGET,
     DEFAULT_MATERIALIZE_BUDGET,
     BudgetExceededError,
     JsonRecord,
@@ -67,10 +68,10 @@ DEFAULT_EXHAUSTIVE_BUDGET = 10**9
 # first above it.
 BITMAP_VERIFY_BITS = 2**20
 
-# The loader refuses a vertex at or above this many bits, before it builds
-# any bit, so one mask holds at most 625 KB.  Each construction draws its
-# edges from some [m] with C(m, r) within the materialization budget, hence
-# m <= DEFAULT_MATERIALIZE_BUDGET, so every system they write loads.
+# The loader refuses a vertex at or above this many bits (a 625 KB mask), and
+# |E| edges below vertex h when |E| * h > COVER_BITS_BUDGET, before any bit.
+# Each construction's [m] passes refuse_beyond_budget, so m is below this
+# and C(m, r) * m within COVER_BITS_BUDGET: every system they write loads.
 MASK_BITS_MAX = DEFAULT_MATERIALIZE_BUDGET
 
 # Sampled reports bound the uncovered share of s-sets at confidence 1 - delta.
@@ -104,8 +105,8 @@ class UniformHypergraph(JsonRecord):
         of r distinct int vertices in range(n), in any order; bools and
         other non-int vertices are rejected.  Repeated edges collapse into
         one.  Any violation raises ValueError; the checks run in the order
-        sizes, types, range, repeats.  A vertex at or above MASK_BITS_MAX
-        is refused after the range check, before any bit is built.
+        sizes, types, range, repeats.  After the range, the size limits of
+        MASK_BITS_MAX and COVER_BITS_BUDGET refuse before any bit is built.
 
         Each check is one pass over all edges or all vertices in C-level
         maps and sets; the only Python loop runs over the distinct
@@ -152,6 +153,8 @@ class UniformHypergraph(JsonRecord):
                 raise ValueError(
                     f"vertices must lie below the mask limit {MASK_BITS_MAX}, got {high}"
                 )
+            if len(rows) * (high + 1) > COVER_BITS_BUDGET:
+                raise ValueError(f"{len(rows)} masks of {high + 1} bits exceed the bit budget")
         # Bits only for the vertices that occur: a table over range(n) would
         # take O(n^2) bits even for a handful of edges.  zip over r
         # references to one iterator groups consecutive bits into edges.

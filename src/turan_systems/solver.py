@@ -30,6 +30,8 @@ except ImportError:  # Windows: cache writes are not serialised
 
 from .bounds import counting_lower_T
 from .combinatorics import (
+    COVER_BITS_BUDGET,
+    BudgetExceededError,
     JsonRecord,
     binomial,
     check_sizes,
@@ -304,6 +306,9 @@ def solve_min_turan(
             proof = None if out_of_budget else "exhausted"
         below = bound if proof is None else len(incumbent)
 
+    # The loader's bit budget, as work refused rather than input refused.
+    if len(incumbent) * n > COVER_BITS_BUDGET:
+        raise BudgetExceededError(f"{len(incumbent)} witness masks of {n} bits exceed the budget")
     witness = UniformHypergraph.from_edges(n, r, [unrank_colex(j, r, n) for j in incumbent])
     return SolveResult(
         n=n,

@@ -39,14 +39,22 @@ finally:
 """
 
 
-def run_fresh(args):
+def run_fresh(args, timeout=None, max_bytes=None):
     """Exit code, stdout and stderr of `turan args` in a fresh interpreter
     that imports the package from this checkout, and the package modules
-    it loaded."""
+    it loaded.  timeout and max_bytes (its address space) bound a command
+    that should be refused at once."""
     src = os.path.dirname(os.path.dirname(turan_systems.__file__))
+
+    def cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_TURAN, *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=timeout, preexec_fn=cap if max_bytes else None,
     )
     out, _, modules = proc.stdout[:-1].rpartition("\n")
     return (proc.returncode, out, proc.stderr), set(modules.split())
@@ -60,6 +68,17 @@ class TestConstruct:
         assert code == 0
         H = UniformHypergraph.from_json(out)
         assert is_turan_system(H, 4).is_turan
+
+    @pytest.mark.parametrize("n", [5_000_000, 32_770])
+    def test_prefix_beyond_mask_bits_exit4(self, n):
+        # The prefix's m = n - 1 vertices give m r-sets, within the
+        # 5,000,000-set budget, of m bits each: m * m bits, above 2^30 from
+        # m = 32769 on.  Refused before any mask is built; the time and
+        # memory caps stop a regression that builds them.
+        argv = ["construct", "prefix", "--n", str(n), "--s", "2", "--r", "1"]
+        (code, out, err), _ = run_fresh(argv, timeout=20, max_bytes=2**30)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [f"C({n - 1},1) masks of {n - 1} bits exceed the bit budget"]
 
     def test_out_file_and_manifest(self, tmp_path, capsys):
         out_path = tmp_path / "sys.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import mpmath
 import pytest
@@ -160,14 +161,22 @@ class TestColex:
                 for i in range(0, total, max(1, total // 256)):
                     assert unrank_colex(i, k, n) == unrank_walk(i, k, n)
                 assert unrank_colex(total - 1, k, n) == unrank_walk(total - 1, k, n)
+        # Sampled ranks up to n = 300, where a bisection from the previous
+        # vertex overtakes the walk, with both ends of each range.
+        rng = random.Random(0)
+        for n in (40, 100, 200, 300):
+            for k in (1, 2, 8, n // 2, n - 1, n):
+                total = binomial(n, k)
+                for i in [0, total - 1] + [rng.randrange(total) for _ in range(40)]:
+                    assert unrank_colex(i, k, n) == unrank_walk(i, k, n)
 
     @pytest.mark.parametrize("k", [1, 5, 20])
     def test_unrank_at_huge_n(self, k):
         # O(k log n) binomials: the walk down from n = 10^20 never ends.
-        n = 10**20
-        for i in (0, 1, binomial(n, k) // 3, binomial(n, k) - 1):
-            S = unrank_colex(i, k, n)
-            assert rank_colex(S) == i and S[-1] < n
+        for n in (10**6, 10**20, 10**30):
+            for i in (0, 1, binomial(n, k) // 3, binomial(n, k) - 1):
+                S = unrank_colex(i, k, n)
+                assert rank_colex(S) == i and S[-1] < n
 
     @given(st.integers(1, 14), st.data())
     @settings(max_examples=100, deadline=None)

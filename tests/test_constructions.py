@@ -67,6 +67,23 @@ class TestPrefixSystem:
             trivial_prefix_system(8, 4, 3)
         assert len(trivial_prefix_system(7, 4, 3)) == 20
 
+    def test_bit_budget_refusal(self, monkeypatch):
+        # The (7,4,3) prefix is C(6,3) = 20 masks of 6 bits, 120 bits.
+        monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 119)
+        with pytest.raises(BudgetExceededError, match=r"C\(6,3\) masks of 6 bits"):
+            trivial_prefix_system(7, 4, 3)
+        monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 120)
+        assert len(trivial_prefix_system(7, 4, 3)) == 20
+
+    @pytest.mark.parametrize("m, r", [(32768, 1), (1290, 2), (284, 3)])
+    def test_first_prefix_beyond_bit_budget(self, m, r):
+        # C(m, r) masks of m bits fit 2^30 bits and C(m+1, r) of m+1 do not,
+        # though both are within 5,000,000 sets; nothing is built for either.
+        assert binomial(m, r) * m <= 2**30 < binomial(m + 1, r) * (m + 1)
+        combinatorics.refuse_beyond_budget(m, r)
+        with pytest.raises(BudgetExceededError, match="masks of"):
+            trivial_prefix_system(m + 2, r + 1, r)
+
 
 class TestConstructionParameters:
     def test_exact_small_case(self):

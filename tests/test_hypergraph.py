@@ -586,6 +586,20 @@ class TestLeanLoader:
         with pytest.raises(ValueError, match=r"must lie in range\(4\)"):
             UniformHypergraph(4, 2, [[0, 10**19]])
 
+    def test_mask_bit_budget(self, monkeypatch):
+        # |E| edges up to vertex h - 1 may take |E| * h bits: 215 edges at
+        # the top vertex would take 1,075,000,000 bits, above 2^30, so they
+        # are refused before any bit; repeats count too.
+        top = hypergraph.MASK_BITS_MAX - 1
+        with pytest.raises(ValueError, match="215 masks of 5000000 bits"):
+            UniformHypergraph(10**20, 2, [[i, top] for i in range(215)])
+        rows = [[0, 1], [1, 2], [1, 2]]
+        monkeypatch.setattr(hypergraph, "COVER_BITS_BUDGET", 8)
+        with pytest.raises(ValueError, match="exceed the bit budget"):
+            UniformHypergraph(3, 2, rows)
+        monkeypatch.setattr(hypergraph, "COVER_BITS_BUDGET", 9)
+        assert UniformHypergraph(3, 2, rows).masks == (0b11, 0b110)
+
 
 class TestFromJsonCollector:
     TEXTS = {

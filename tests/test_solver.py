@@ -158,6 +158,15 @@ class TestSolveMinTuran:
         monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1225)
         assert solve_min_turan(8, 4, 3).optimum == 20
 
+    def test_witness_beyond_bit_budget_refused(self, monkeypatch):
+        # T(5,3,2) = 4: its witness is 4 masks of up to 5 bits, 20 bits by
+        # the loader's rule, refused as a budget and not as bad input.
+        monkeypatch.setattr(solver, "COVER_BITS_BUDGET", 19)
+        with pytest.raises(BudgetExceededError, match="4 witness masks of 5 bits"):
+            solve_min_turan(5, 3, 2)
+        monkeypatch.setattr(solver, "COVER_BITS_BUDGET", 20)
+        assert solve_min_turan(5, 3, 2).optimum == 4
+
     def test_search_leaves_cover_masks_unchanged(self):
         masks = cover_masks(7, 4, 3)
         before = list(masks)

@@ -14,8 +14,10 @@ live here too, so mapping them loads no other module.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator
 
@@ -168,11 +170,8 @@ def check_subset(elements: tuple[int, ...], n: int, k: int | None = None) -> Non
     """Validate a strictly increasing 0-based k-subset of [n]."""
     if k is not None and len(elements) != k:
         raise ValueError(f"expected a {k}-subset, got {elements}")
-    prev = -1
-    for v in elements:
-        if v <= prev:
-            raise ValueError(f"subset must be strictly increasing, got {elements}")
-        prev = v
+    if any(map(operator.ge, elements, elements[1:])):
+        raise ValueError(f"subset must be strictly increasing, got {elements}")
     if elements and (elements[0] < 0 or elements[-1] >= n):
         raise ValueError(f"subset {elements} not within ground set of size {n}")
 
@@ -222,32 +221,45 @@ def enumerate_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 break
 
 
-def _colex_blocks(n: int, k: int, empty: int, add: Callable) -> list[int]:
-    """One value per k-subset of [n] in colex order, from the value of the
-    empty set, built at C level by the block recurrence: the j-sets with
-    largest vertex v are the (j-1)-subsets of [v] with v added, so level j
-    maps add(v) over the first C(v, j-1) values of level j-1.  Level j
-    needs only the j-subsets of [n - k + j], the j least vertices of every
-    k-set.
+def _colex_blocks(
+    level: list[int], k: int, top: int, op: Callable, operand: Callable, masks: bool = True,
+) -> list[int]:
+    """Each set of level extended by k vertices above its largest, all below
+    top: one value per extended set, in colex order, from one value per set
+    of level, in colex order.
+
+    The block recurrence: the sets of level j+1 with largest vertex v are
+    the sets of level j inside [v], a prefix of level j, with v added.  So
+    level j+1 is op(x, operand(v)) over those values x, for v from the
+    least such vertex up to top-k+j (v leaves room for the k-j-1 vertices
+    above it): one C-level map per level.  When masks is true, the values
+    are the sets' masks, ascending, and v's prefix ends where v's bit
+    bisects level j.  Otherwise level is the value of the empty set alone,
+    and v's prefix of level j holds C(v, j) values.
     """
-    values = [empty]
-    for j in range(1, k + 1):
-        values = list(itertools.chain.from_iterable(
-            map(add(v), itertools.islice(values, math.comb(v, j - 1)))
-            for v in range(j - 1, n - k + j)
-        ))
-    return values
+    for j in range(k):
+        first = level[0].bit_length() if masks and level else j
+        vertices = range(first, top - k + j + 1)
+        if masks:
+            bits = map((1).__lshift__, vertices)
+            cuts = list(map(bisect.bisect_left, itertools.repeat(level), bits))
+        else:
+            cuts = list(map(math.comb, vertices, itertools.repeat(j)))
+        xs = itertools.chain.from_iterable(map(itertools.islice, itertools.repeat(level), cuts))
+        bs = itertools.chain.from_iterable(map(itertools.repeat, map(operand, vertices), cuts))
+        level = list(map(op, xs, bs))
+    return level
 
 
 def colex_masks(n: int, k: int) -> list[int]:
     """The bitmasks of the k-subsets of [n] in ascending order, which is
     their colex order; the first C(m, k) of them are those of [m].
 
-    Built by the block recurrence, adding vertex v as its bit.
+    The block recurrence from the empty set's mask, ORing in each vertex's bit.
     """
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _colex_blocks(n, k, 0, lambda v: (1 << v).__or__)
+    return _colex_blocks([0], k, n, operator.or_, (1).__lshift__)
 
 
 def r_subset_ranks(n: int, s: int, r: int) -> Callable[[int], list[int]]:
@@ -335,7 +347,8 @@ def cover_masks(n: int, s: int, r: int) -> list[int]:
     and the Moser-Tardos colourer both read it, and the exhaustive
     verifier's cover_union is built on the same vertex masks.  An r-set's
     mask is the AND of its vertices' masks, built by the block recurrence
-    with one AND per set and level.  Needs 1 <= r < s <= n;
+    from the empty set's full mask, one C-level map of AND per level.
+    Needs 1 <= r < s <= n;
     BudgetExceededError, before anything is built, when the C(n,r) sets
     fail refuse_beyond_budget or their C(n,r) * C(n,s) bits exceed
     COVER_BITS_BUDGET.
@@ -348,6 +361,6 @@ def cover_masks(n: int, s: int, r: int) -> list[int]:
             f"C({n},{r}) cover bitmaps of C({n},{s}) bits take {bits} bits, "
             f"beyond the budget of {COVER_BITS_BUDGET}"
         )
-    vertex = _vertex_masks(n, s)
     # The empty set lies in every s-set.
-    return _colex_blocks(n, r, (1 << math.comb(n, s)) - 1, lambda v: vertex[v].__and__)
+    full = (1 << math.comb(n, s)) - 1
+    return _colex_blocks([full], r, n, operator.and_, _vertex_masks(n, s).__getitem__, masks=False)

@@ -15,13 +15,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, lshift
+from operator import and_, or_
+from typing import Iterator
 
 from .combinatorics import (
     ConstructionError,
     JsonRecord,
+    _colex_blocks,
     binomial,
     check_sizes,
     colex_masks,
@@ -83,6 +86,15 @@ def _color_class(N: int, r: int, coloring, color: int) -> UniformHypergraph:
     return UniformHypergraph._from_masks(N, r, masks)
 
 
+def _colour_draws(rng: random.Random, ell: int) -> Iterator[int]:
+    """rng.randrange(ell) drawn again and again, at C level: as CPython's
+    Random does, getrandbits(ell.bit_length()), drawn again while it is ell
+    or more.  An iterator draws no further than it is read, so zip with it
+    last draws once per item of the first iterable.
+    """
+    return filter(ell.__gt__, map(rng.getrandbits, itertools.repeat(ell.bit_length())))
+
+
 def moser_tardos_color(
     N: int,
     s: int,
@@ -103,7 +115,13 @@ def moser_tardos_color(
     r-sets of colour c.  The scan merges the r-sets block by block, the
     block of vertex v being the r-sets whose largest vertex is v; after
     block v the colours of every r-set inside [v+1] are final, so it tests
-    the first C(v+1, s) s-sets and stops at the lowest zero bit.
+    the first C(v+1, s) s-sets and stops at the lowest zero bit.  It keeps
+    each colour's accumulator at every block start, and each round's scan
+    resumes at the block of the least redrawn r-set: the blocks before it
+    hold no redrawn r-set, and their s-sets were good.  The N snapshots
+    hold at most N * ell bitmaps, and share each one that a block leaves
+    unchanged.  Colours are drawn by _colour_draws, the stream of
+    Random.randrange(ell).
 
     ValueError for sizes outside 1 <= r < s <= N, max_rounds < 0 or ell
     outside 1 <= ell <= C(s,r), as an s-set shows at most C(s,r) colours;
@@ -119,19 +137,22 @@ def moser_tardos_color(
     cover = cover_masks(N, s, r)
     redraw = r_subset_ranks(N, s, r)
 
-    rng = random.Random(seed)
-    num_r = len(cover)
-    coloring = [rng.randrange(ell) for _ in range(num_r)]
+    colours = _colour_draws(random.Random(seed), ell)
+    coloring = list(itertools.islice(colours, len(cover)))
 
     # blocks[v]: the ranks of the r-sets with largest vertex v, and the
-    # number of s-sets inside [v+1].
-    blocks = [
-        (range(math.comb(v, r), math.comb(v + 1, r)), math.comb(v + 1, s)) for v in range(N)
-    ]
+    # number of s-sets inside [v+1]; starts[v]: each colour's accumulator,
+    # the OR of the cover bitmaps of its r-sets, at the start of block v in
+    # the last scan that reached it.
+    firsts = [math.comb(v, r) for v in range(N + 1)]
+    blocks = [(range(firsts[v], firsts[v + 1]), math.comb(v + 1, s)) for v in range(N)]
+    starts = [(0,) * ell] * N
 
-    def violated() -> int | None:
-        acc = [0] * ell  # per colour, the OR of its r-sets' cover bitmaps
-        for ranks, num_s in blocks:
+    def violated(first: int) -> int | None:
+        acc = list(starts[first])
+        for v in range(first, N):
+            starts[v] = tuple(acc)
+            ranks, num_s = blocks[v]
             for j in ranks:
                 acc[coloring[j]] |= cover[j]
             good = reduce(and_, acc)
@@ -141,12 +162,14 @@ def moser_tardos_color(
         return None
 
     rounds = 0
-    bad = violated()
+    bad = violated(0)
     while bad is not None and rounds < max_rounds:
-        for j in redraw(bad):
-            coloring[j] = rng.randrange(ell)
+        ranks = redraw(bad)
+        for j, c in zip(ranks, colours):
+            coloring[j] = c
         rounds += 1
-        bad = violated()
+        # The scan resumes at the block of the least redrawn r-set.
+        bad = violated(bisect_right(firsts, ranks[0]) - 1)
 
     sizes = [0] * ell
     for c in coloring:
@@ -321,22 +344,17 @@ def _extension_masks(
 ) -> list[int]:
     """The edge masks of S* and T*, in ascending order.
 
-    The t-subsets of range(v+1, b) are the first C(b-1-v, t) masks of
-    colex_masks, shifted up by v+1: for a sampled D, v = max D (-1 for the
-    empty D), b = n and t = r-k+R; for an unhit k-set Y, v = max Y, b = n-R
-    and t = r-k.  Each is ORed with the mask of D or Y.  A j-set has its
-    maximum at j-1 or above, so the first C(b-j, t) masks cover every set.
+    Each part is the block recurrence of combinatorics started from the
+    ascending masks of its sets: S* extends each sampled D by r-k+R
+    vertices above max D, all below n, and T* each unhit k-set Y by r-k
+    vertices above max Y, all below n-R.  Both parts come out ascending,
+    and one sort merges them.
     """
-    masks: list[int] = []
-    for sets, j, b, t in ((sampled, k - R, n, r - k + R), (unhit, k, n - R, r - k)):
-        if not sets:
-            continue
-        head = colex_masks(b - j, t)
-        for S in sets:
-            top = S[-1] + 1 if S else 0
-            tails = itertools.islice(head, math.comb(max(0, b - top), t))
-            own = sum(map((1).__lshift__, S))
-            masks.extend(map(own.__or__, map(lshift, tails, itertools.repeat(top))))
+    bit = [1 << v for v in range(n)].__getitem__
+    masks = []
+    for sets, t, top in ((sampled, r - k + R, n), (unhit, r - k, n - R)):
+        start = sorted(map(sum, map(map, itertools.repeat(bit), sets)))
+        masks += _colex_blocks(start, t, top, or_, (1).__lshift__)
     masks.sort()
     return masks
 

@@ -632,6 +632,11 @@ PINNED_OUTPUTS = {
         "construct coloring --n 9 --s 5 --r 3 --ell 3 --seed 7", 0,
         "28a14ab3e5185077246b91f6b1bc9072eb82221ea3275d170f00786c29d9e077",
     ),
+    # A benchmark instance: 4 rounds, each scan resumed past block 0.
+    "construct-coloring-10-6-3-4": (
+        "construct coloring --n 10 --s 6 --r 3 --ell 4 --seed 3", 0,
+        "59a114aef36ee9411da2619155d52716da67608e97fccf437c6bb13722e7693c",
+    ),
     "construct-prefix": (
         "construct prefix --n 10 --s 5 --r 3", 0,
         "acdab6e6394c62de8ac47c0615cca9d7bed5de3db3071a09863a70ba876b4a57",

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+from operator import lshift
 
 import mpmath
 import pytest
@@ -23,13 +24,16 @@ from turan_systems.combinatorics import (
     ConstructionError,
     _json_value,
     binomial,
+    colex_masks,
     enumerate_subsets,
     log_binomial,
     rank_colex,
 )
 from turan_systems import bounds, combinatorics
 from turan_systems.constructions import (
+    _colour_draws,
     _draw,
+    _extension_masks,
     blowup,
     expected_recursive_size,
     moser_tardos_color,
@@ -651,3 +655,79 @@ class TestMaskParity:
         assert G.masks == loaded_again(G).masks
         assert G == UniformHypergraph(n, r, recursive_edges(n, r, R, k, sample.sampled))
         assert len(G) == sample.size_total
+
+
+def _extension_masks_reference(n, r, R, k, sampled, unhit):
+    """The per-set builder that _extension_masks replaced, verbatim."""
+    masks: list[int] = []
+    for sets, j, b, t in ((sampled, k - R, n, r - k + R), (unhit, k, n - R, r - k)):
+        if not sets:
+            continue
+        head = colex_masks(b - j, t)
+        for S in sets:
+            top = S[-1] + 1 if S else 0
+            tails = itertools.islice(head, math.comb(max(0, b - top), t))
+            own = sum(map((1).__lshift__, S))
+            masks.extend(map(own.__or__, map(lshift, tails, itertools.repeat(top))))
+    masks.sort()
+    return masks
+
+
+@st.composite
+def recursion_draws(draw):
+    """(n, r, R, k, sampled, unhit): recursion sizes with a drawn set of
+    sampled (k-R)-sets, as tuples in colex order, and the k-sets that
+    contain none of them, in lex order as the per-set draw listed them."""
+    r = draw(st.integers(2, 6))
+    R = draw(st.integers(1, r - 1))
+    k = draw(st.integers(R, r - 1))
+    n = draw(st.integers(r + R, r + R + 5))
+    d_sets = list(enumerate_subsets(n, k - R))
+    sampled = tuple(D for D in d_sets if draw(st.booleans()))
+    unhit = [Y for Y in itertools.combinations(range(n), k)
+             if set(sampled).isdisjoint(itertools.combinations(Y, k - R))]
+    return n, r, R, k, sampled, unhit
+
+
+class TestBlockRecurrence:
+    """The recursion's edges against the per-set builder they replaced, and
+    the colourer's inline draw against Random.randrange."""
+
+    @given(recursion_draws())
+    @settings(max_examples=300, deadline=None)
+    def test_extension_masks_match_per_set_builder(self, drawn):
+        n, r, R, k, sampled, unhit = drawn
+        got = _extension_masks(n, r, R, k, sampled, unhit)
+        assert got == _extension_masks_reference(n, r, R, k, sampled, unhit)
+
+    # k = R (the empty segment), c = 0 (nothing sampled), n = r + R, d >= 2,
+    # and the whole of the (k-R)-sets sampled.
+    @pytest.mark.parametrize("n, r, R, k, sampled", [
+        (7, 3, 2, 2, [()]), (7, 3, 2, 2, []),
+        (9, 4, 1, 2, []), (10, 5, 2, 4, []),
+        (5, 3, 2, 2, [()]), (4, 3, 1, 2, [(0,), (2,)]), (8, 5, 3, 4, [(0,), (1,), (3,)]),
+        (9, 5, 1, 4, [(0, 1, 2), (1, 3, 4), (2, 5, 6)]), (8, 4, 1, 3, [(0, 2), (1, 2), (3, 5)]),
+        (8, 4, 2, 3, [(v,) for v in range(8)]),
+    ])
+    def test_extension_masks_edge_cases(self, n, r, R, k, sampled):
+        sampled = tuple(sampled)
+        unhit = [Y for Y in itertools.combinations(range(n), k)
+                 if set(sampled).isdisjoint(itertools.combinations(Y, k - R))]
+        got = _extension_masks(n, r, R, k, sampled, unhit)
+        assert got == _extension_masks_reference(n, r, R, k, sampled, unhit)
+
+    @pytest.mark.parametrize("ell", range(1, 21))
+    def test_colour_draws_are_randrange(self, ell):
+        # At a power of two, ell.bit_length() bits reach 2 * ell - 1, so about
+        # half of the draws are rejected and drawn again.
+        for seed in (0, 1, 7, 2**31 - 1, 10**12):
+            rng, ref = random.Random(seed), random.Random(seed)
+            draws = list(itertools.islice(_colour_draws(rng, ell), 1000))
+            assert draws == [ref.randrange(ell) for _ in range(1000)]
+            assert rng.getrandbits(32) == ref.getrandbits(32)
+
+    def test_colour_draws_stop_with_zip(self):
+        rng, ref = random.Random(5), random.Random(5)
+        colours = _colour_draws(rng, 3)
+        assert [c for _, c in zip(range(7), colours)] == [ref.randrange(3) for _ in range(7)]
+        assert rng.random() == ref.random()

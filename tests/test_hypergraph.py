@@ -44,6 +44,16 @@ class TestContainsEdge:
         with pytest.raises(ValueError):
             contains_edge(matching_4_3_2(), (1, 2, 7))
 
+    @pytest.mark.parametrize("S, message", [
+        ((-1, 2), "not within ground set of size 5"),
+        ((-3, -1, 2), "not within ground set of size 5"),
+        ((2, 1), "strictly increasing"),
+        ((1, 1), "strictly increasing"),
+    ])
+    def test_negative_vertex_is_outside_the_ground_set(self, S, message):
+        with pytest.raises(ValueError, match=message):
+            contains_edge(UniformHypergraph(5, 2, [[0, 1]]), S)
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, data):

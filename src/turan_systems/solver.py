@@ -22,6 +22,8 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
+from operator import length_hint
+from typing import Iterator
 
 try:
     import fcntl
@@ -187,12 +189,24 @@ def _search(
     a node with d edges when d + ceil(uncovered / C(n-r, s-r)) reaches the
     incumbent.  That bound is kept as one threshold per depth: a child of
     a node with d - 1 edges survives only if it covers at least
-    C(n,s) - (best - d - 1) * C(n-r, s-r) s-sets, so each node costs one
-    OR and one popcount.  At the root, the branch is fixed to the single
-    edge {0,...,r-1}, colex rank 0, which is safe because the root
-    subproblem is invariant under all vertex relabelings.  The search
-    keeps its own stack, so a deep search ends at the node budget, not at
-    the interpreter's recursion limit.
+    C(n,s) - (best - d - 1) * C(n-r, s-r) s-sets.  At the root, the branch
+    is fixed to the single edge {0,...,r-1}, colex rank 0, which is safe
+    because the root subproblem is invariant under all vertex
+    relabelings.  The search keeps its own stack, so a deep search ends at
+    the node budget, not at the interpreter's recursion limit.
+
+    A frame iterates the cover masks of its children, so a pruned child
+    costs one OR, one popcount and one comparison, and nothing is counted
+    per child.  `upper` is the root plus the children of every frame
+    opened so far, which is the node count once the open frames finish;
+    the nodes visited so far are `upper` less the children that the open
+    frames' iterators have left (`operator.length_hint`).  That is read
+    only at a surviving child or a frame end, and only once `upper`
+    passes the budget: the children visited since the last such point
+    were pruned and changed nothing, so stopping there with
+    `node_budget + 1` nodes is stopping at the child that passed the
+    budget.  The ranks of an incumbent are read off the same positions,
+    one per frame.
     """
     num_s = binomial(n, s)
     per_edge = binomial(n - r, s - r)
@@ -202,62 +216,66 @@ def _search(
     need = num_s - (best - 1) * per_edge
     if node_budget < 1 or need > 0:
         return incumbent, 1, node_budget < 1
-    nodes = 1
-    exhausted = False
+    full = (1 << num_s) - 1
 
     subset_ranks = r_subset_ranks(n, s, r)
-    # children[i]: r-set indices inside s-set i, in colex order, built on
-    # first use.  Row 0 is the root's branch, edge {0,...,r-1} (rank 0): it
-    # lies in s-set 0, so s-set 0 is covered at every node below the root.
-    children = [[0]] + [None] * (num_s - 1)
+    # rows[i]: the cover masks and ranks of the r-sets inside s-set i, in
+    # colex order, built on first use.  Row 0 is the root's branch, edge
+    # {0,...,r-1} (rank 0): it lies in s-set 0, so s-set 0 is covered at
+    # every node below the root.
+    rows = [([cover_mask[0]], [0])] + [None] * (num_s - 1)
 
     # Depth-first search with an explicit stack, so depth is not limited by
     # the interpreter's recursion limit.  stack[d] is an open node with d
-    # edges: its covered set, the iterator over its remaining children,
-    # which have d + 1 edges, and the r-set that opened it.  A child that
-    # needs no branching is finished inside the loop over its siblings.
-    # The bottom frame is the root, with mask 0; the edges on the current
-    # path open stack[1:].
+    # edges: its covered set, the iterator over the cover masks of its
+    # remaining children, which have d + 1 edges, and those children's
+    # ranks.  A child that needs no branching is finished inside the loop
+    # over its siblings.  The bottom frame is the root, with mask 0.
     #
     # A child at depth d survives only if it covers at least
     # need = num_s - (best - d - 1) * per_edge s-sets, the same test as
     # d + ceil(uncovered / per_edge) < best.  need moves by per_edge with
     # each push and pop and is reset when best falls; a child that covers
     # everything then only passes it if d < best.
-    stack = [(0, iter(children[0]), None)]
+    stack = [(0, iter(rows[0][0]), rows[0][1])]
+    upper = 2  # the root and its one child
     need += per_edge
     while stack:
         base, rest, _ = stack[-1]
-        for j in rest:
-            nodes += 1
-            if nodes > node_budget:
-                exhausted = True
-                stack.clear()
-                break
-            covered = base | cover_mask[j]
-            count = covered.bit_count()
-            if count < need:
+        for m in rest:
+            if (base | m).bit_count() < need:
                 continue
-            if count == num_s:
+            if upper > node_budget and upper - _unvisited(stack) > node_budget:
+                return incumbent, node_budget + 1, True
+            covered = base | m
+            if covered == full:
                 best = len(stack)
-                incumbent = [frame[2] for frame in stack[1:]] + [j]
+                incumbent = [ranks[-1 - length_hint(it)] for _, it, ranks in stack]
                 if best <= bound:
-                    stack.clear()
-                    break
+                    return incumbent, upper - _unvisited(stack), False
                 need = num_s + per_edge
                 continue
             # colex-least uncovered s-set: the lowest zero bit of covered.
             i = (covered ^ (covered + 1)).bit_length() - 1
-            row = children[i]
-            if not row:
-                row = children[i] = subset_ranks(i)
-            stack.append((covered, iter(row), j))
+            row = rows[i]
+            if row is None:
+                ranks = subset_ranks(i)
+                row = rows[i] = (list(map(cover_mask.__getitem__, ranks)), ranks)
+            stack.append((covered, iter(row[0]), row[1]))
+            upper += len(row[1])
             need += per_edge
             break
         else:
             stack.pop()
             need -= per_edge
-    return incumbent, nodes, exhausted
+            if upper > node_budget and upper - _unvisited(stack) > node_budget:
+                return incumbent, node_budget + 1, True
+    return incumbent, upper, False
+
+
+def _unvisited(stack: list[tuple[int, Iterator[int], list[int]]]) -> int:
+    """The children that the open frames of `_search` have left to visit."""
+    return sum(length_hint(frame[1]) for frame in stack)
 
 
 def solve_min_turan(

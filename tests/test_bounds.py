@@ -19,8 +19,10 @@ from turan_systems.bounds import (
     gap_log_binomial_mu_bound,
     closing_chain_check,
     construction_parameters,
+    dependency_degree,
     descent_certificate,
     descent_schedule,
+    log_binomial_outside,
 )
 from turan_systems.combinatorics import binomial, log_binomial
 from turan_systems.solver import solve_min_turan
@@ -341,3 +343,27 @@ class TestBoundReports:
         for rep in bound_reports(100, 10):
             if rep.kind == "asymptotic-upper" and rep.name != "chain_lhs_over_RlnC":
                 assert rep.assumptions
+
+
+class TestDependencyDegree:
+    def test_exact_small(self):
+        # N=6, s=4, r=3: pairs of 4-sets sharing >= 3 vertices, loops included.
+        assert dependency_degree(6, 4, 3) == binomial(4, 3) * binomial(2, 1) + 1
+
+    def test_upper_bound_when_valid(self):
+        s, R, r = 13, 3, 10
+        N = binomial(s, 3)
+        delta = dependency_degree(N, s, r)
+        assert delta <= 2 * binomial(s, R) * binomial(N - s, R)
+
+
+class TestLogBinomialOutside:
+    @pytest.mark.parametrize("N, s, R", [(600, 14, 10), (10**6, 20, 5), (10**15, 1003, 3)])
+    def test_log_N_agrees_with_exact_N(self, N, s, R):
+        from_log = log_binomial_outside(math.log(N), s, R)
+        assert from_log == pytest.approx(log_binomial(N - s, R), rel=1e-12)
+
+    def test_beyond_float_range(self):
+        # N = e^1000: N - s - i equals N to float resolution.
+        got = log_binomial_outside(1000.0, 50, 7)
+        assert got == pytest.approx(7 * 1000.0 - math.lgamma(8), rel=1e-15)

@@ -17,7 +17,6 @@ from turan_systems.bounds import (
     dependency_degree,
     lll_certificate_for,
     lll_condition,
-    log_binomial_outside,
 )
 from turan_systems.cli import _dump
 from turan_systems.combinatorics import (
@@ -26,7 +25,6 @@ from turan_systems.combinatorics import (
     binomial,
     colex_masks,
     enumerate_subsets,
-    log_binomial,
     rank_colex,
 )
 from turan_systems import bounds, combinatorics
@@ -192,18 +190,6 @@ class TestExactPathFloor:
         assert with_ell == 50
 
 
-class TestDependencyDegree:
-    def test_exact_small(self):
-        # N=6, s=4, r=3: pairs of 4-sets sharing >= 3 vertices, loops included.
-        assert dependency_degree(6, 4, 3) == binomial(4, 3) * binomial(2, 1) + 1
-
-    def test_upper_bound_when_valid(self):
-        s, R, r = 13, 3, 10
-        N = binomial(s, 3)
-        delta = dependency_degree(N, s, r)
-        assert delta <= 2 * binomial(s, R) * binomial(N - s, R)
-
-
 def _identity_grid():
     """(r, R) cells over both parameter paths, their switch and the
     degenerate cells: R up to 10^4 for r <= 40, true scale for large r,
@@ -236,18 +222,6 @@ class TestScheduleOutputsPinned:
         assert h.hexdigest() == (
             "a2c767eda241e288013dfc3c14995d942c8f67cabd2fe5ccd18e3013092e89e3"
         )
-
-
-class TestLogBinomialOutside:
-    @pytest.mark.parametrize("N, s, R", [(600, 14, 10), (10**6, 20, 5), (10**15, 1003, 3)])
-    def test_log_N_agrees_with_exact_N(self, N, s, R):
-        from_log = log_binomial_outside(math.log(N), s, R)
-        assert from_log == pytest.approx(log_binomial(N - s, R), rel=1e-12)
-
-    def test_beyond_float_range(self):
-        # N = e^1000: N - s - i equals N to float resolution.
-        got = log_binomial_outside(1000.0, 50, 7)
-        assert got == pytest.approx(7 * 1000.0 - math.lgamma(8), rel=1e-15)
 
 
 class TestLllCondition:

@@ -25,11 +25,12 @@ from turan_systems.solver import (
 )
 
 
-def prefix_search(n, s, r, budget):
-    """The search kernel from the prefix incumbent with no bound, as the
-    reference loop runs it: (optimum, witness, nodes, budget ran out)."""
+def prefix_search(n, s, r, budget, bound=0):
+    """The search kernel from the prefix incumbent, with no bound unless
+    one is given, as the reference loop runs it: (optimum, witness, nodes,
+    budget ran out)."""
     prefix = range(binomial(n - s + r, r))
-    ranks, nodes, out = _search(n, s, r, cover_masks(n, s, r), prefix, 0, budget)
+    ranks, nodes, out = _search(n, s, r, cover_masks(n, s, r), prefix, bound, budget)
     witness = UniformHypergraph.from_edges(n, r, [unrank_colex(j, r, n) for j in ranks])
     return len(ranks), witness, nodes, out
 
@@ -412,6 +413,26 @@ class TestSearchEquivalence:
         for n, s, r in SMALL_INSTANCES:
             want, _ = reference_solve(n, s, r, REFERENCE_CAP)
             assert prefix_search(n, s, r, REFERENCE_CAP) == want
+
+    def test_every_budget_to_exhaustion(self):
+        # Every budget from 0 to the whole tree and one past it, so the
+        # budget is passed inside a run of pruned children, at a frame end,
+        # at a surviving child and at each incumbent.  (8,7,4) improves at
+        # its last node, 107.
+        for n, s, r, total in [(6, 4, 3, 166), (7, 5, 4, 322), (8, 7, 4, 107)]:
+            assert reference_solve(n, s, r, total)[0][2:] == (total, False)
+            for budget in range(total + 2):
+                want, _ = reference_solve(n, s, r, budget)
+                assert prefix_search(n, s, r, budget) == want, (n, s, r, budget)
+
+    def test_bound_stops_match_reference_loop(self):
+        # A bound at the optimum stops at the node that meets it; one above
+        # stops at the first incumbent within it.
+        for n, s, r in SMALL_INSTANCES:
+            optimum = reference_solve(n, s, r, REFERENCE_CAP)[0][0]
+            for bound in (optimum, optimum + 1):
+                want, _ = reference_solve(n, s, r, REFERENCE_CAP, bound=bound)
+                assert prefix_search(n, s, r, REFERENCE_CAP, bound) == want, (n, s, r, bound)
 
 
 class TestGreedyEquivalence:

@@ -28,7 +28,9 @@ the edges' cover bitmaps, each the AND of its vertices' bitmaps
 the colourer's cover_masks is built on), so an edge costs about one AND
 and one OR.  Above the limit those bitmaps would grow with C(n,s), up to
 n * 10^9 bits at the exhaustive budget, so a depth-first search runs
-there, grouping the edge masks by least vertex for its own use.  One
+there over the partial s-sets that contain no edge: it indexes each edge
+by its down-link, the edge minus its least vertex, once per call, and
+carries the bitmap of vertices that would complete an edge.  One
 covered-set test serves contains_edge and sampling: it looks r-subsets up
 in the sorted masks, or scans all masks when a set has more r-subsets than
 the system has edges.  A system holds nothing besides n, r and its masks
@@ -43,9 +45,9 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations, compress, islice
-from operator import lt
+from functools import cached_property, reduce
+from itertools import chain, combinations, compress, islice, repeat
+from operator import lt, or_
 from typing import Iterable
 
 from .combinatorics import (
@@ -340,9 +342,11 @@ def is_turan_system(
     BITMAP_VERIFY_BITS (2^20 bits), the edges' cover bitmaps are ORed
     (combinatorics.cover_union) and the witness is the s-set whose colex
     rank is the lowest zero bit of the union.  Above that limit a
-    depth-first search finds it: the bitmaps would grow with C(n,s), up to
-    10^9 bits each at the default budget, and the search holds only the
-    set it is building.
+    depth-first search over the partial s-sets that contain no edge finds
+    it (_least_uncovered): the bitmaps would grow with C(n,s), up to 10^9
+    bits each at the default budget, while the search holds the edges'
+    down-link index and, per depth, the set it is building with its
+    forbidden vertices.
     """
     check_sizes(H.n, s, H.r)
     if budget < 0:
@@ -367,52 +371,52 @@ def is_turan_system(
 
 
 def _least_uncovered(H: UniformHypergraph, s: int) -> tuple[int, ...] | None:
-    """The colex-least s-set that contains no edge of H, or None, by
-    depth-first search.
+    """The colex-least s-set that contains no edge of H, or None, by a
+    depth-first search over independent partial sets.
 
-    The search chooses the largest vertex first and tries each vertex in
-    ascending order, so the first set found is the colex-least one.  A
-    vertex v added below every vertex chosen so far can only complete an
-    edge whose least vertex is v, so a partial set is pruned as soon as
-    one of those edges lies inside it.  The edges are grouped by least
-    vertex on each call, in O(|E|), keyed by the least vertices that occur.
+    Each edge e is indexed by its down-link q, e minus its least vertex w:
+    down[q] is the bitmap of those w.  The largest vertex is chosen first
+    and each depth tries its vertices in ascending order, so the first set
+    completed is the colex-least one.  Adding v below a partial set P
+    forbids down[Q | v] for each (r-2)-subset Q of P, the vertices that
+    would complete an edge; v is pruned when too few unforbidden vertices
+    lie below it for the rest of the set.
     """
-    by_least: dict[int, list[int]] = {}
-    for em in H.masks:
-        by_least.setdefault((em & -em).bit_length() - 1, []).append(em)
-    # Depth d holds the d largest vertices chosen so far: chosen[d-1] is the
-    # smallest of them and union[d] their mask.  candidate[d] is the next
-    # vertex to try at depth d; it leaves room for s-1-d vertices below it.
-    # Vertex s-1-d leaves exactly that room, so it forces the tail
-    # {0,...,s-1-d}, which contains the colex-least edge once it reaches
-    # that edge's top vertex: depth d then starts one vertex higher.
-    top = H.masks[0].bit_length() - 1 if H.masks else H.n
-    first = [s - 1 - d + (s - 1 - d >= top) for d in range(s)]
-    chosen = [0] * s
-    union = [0] * (s + 1)
-    candidate = [0] * s
-    candidate[0] = first[0]
-    d = 0
+    down: dict[int, int] = {}
+    for e in H.masks:
+        w = e & -e
+        down[e ^ w] = down.get(e ^ w, 0) | w
+    heads = reduce(or_, [q & -q for q in down], 0)  # the v with some down[Q | v]
+    # Depth d holds the d largest vertices, as bits, in chosen[:d]: allowed[d]
+    # is the unforbidden vertices below them, subsets[d] their (r-2)-subsets
+    # and candidates[d] the untried allowed with k = s-1-d allowed below.
+    chosen, allowed, candidates = [0] * s, [0] * s, [0] * s
+    subsets = [[0] if H.r == 2 else []] * s
+    d, k, free = -1, s - 1, ~down.get(0, 0) & ((1 << H.n) - 1)  # free: allowed below the last pick
     while True:
-        v = candidate[d]
-        if v >= (chosen[d - 1] if d else H.n):
-            if d == 0:
-                return None
-            d -= 1
-            candidate[d] += 1
-            continue
-        m = union[d] | (1 << v)
-        for em in by_least.get(v, ()):
-            if em & m == em:
-                candidate[d] = v + 1
-                break
-        else:
-            chosen[d] = v
-            if d == s - 1:
-                return tuple(reversed(chosen))
+        if (count := free.bit_count()) > k:
+            t = k  # raised until k allowed vertices lie below the cut t
+            while (c := count - (high := free >> t).bit_count()) < k:
+                t += k - c
             d += 1
-            union[d] = m
-            candidate[d] = first[d]
+            allowed[d], candidates[d] = free, high << t
+            if H.r > 2 and d:
+                v, lower = chosen[d - 1], chosen[: d - 1]
+                subsets[d] = subsets[d - 1] + [sum(q, v) for q in combinations(lower, H.r - 3)]
+        while d >= 0 and not candidates[d]:
+            d -= 1
+        if d < 0:
+            return None
+        c = candidates[d]
+        low = c & -c
+        candidates[d] = c ^ low
+        chosen[d] = low
+        if d == s - 1:
+            return tuple(b.bit_length() - 1 for b in reversed(chosen))
+        free = allowed[d] & (low - 1)
+        if low & heads:
+            free &= ~reduce(or_, map(down.get, map(low.__or__, subsets[d]), repeat(0)), 0)
+        k = s - 2 - d
 
 
 def sample_verify(

@@ -373,7 +373,9 @@ class ValueCache:
             if not isinstance(data, dict):
                 raise ValueError("cache root must be an object")
             self._data = data
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # JSONDecodeError is a ValueError; text nested too deeply for the
+            # parser raises RecursionError, and is corrupt all the same.
             warnings.warn(f"ignoring corrupt cache {self.path}: {exc}")
             self._data = {}
 

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import math
+import sys
 
 import mpmath
 import pytest
@@ -22,9 +25,13 @@ from turan_systems.bounds import (
     dependency_degree,
     descent_certificate,
     descent_schedule,
+    lll_certificate_for,
+    lll_condition,
     log_binomial_outside,
 )
-from turan_systems.combinatorics import binomial, log_binomial
+from turan_systems.cli import _dump
+from turan_systems.combinatorics import _json_value, binomial, log_binomial
+from turan_systems import bounds
 from turan_systems.solver import solve_min_turan
 
 
@@ -367,3 +374,211 @@ class TestLogBinomialOutside:
         # N = e^1000: N - s - i equals N to float resolution.
         got = log_binomial_outside(1000.0, 50, 7)
         assert got == pytest.approx(7 * 1000.0 - math.lgamma(8), rel=1e-15)
+
+
+class TestConstructionParameters:
+    def test_exact_small_case(self):
+        p = construction_parameters(4, 2)
+        assert p.exact_path and p.N == 45
+        # ell = floor(15 / ln(15^2 * C(39,2))) = floor(15 / ln 166725) = 1
+        assert p.ell == 1 and not p.degenerate
+
+    def test_degenerate_tiny(self):
+        p = construction_parameters(2, 1)
+        assert p.degenerate and p.N == 3  # N = s
+
+    def test_degenerate_on_log_path(self):
+        # N = floor(2 C(2002,2) / 4000) = 1001 <= s = 2002, with N floored.
+        p = construction_parameters(2, 2000)
+        assert not p.exact_path and p.degenerate
+        assert p.degenerate_reason == "N = 1001 <= s = 2002"
+        # N is about R/2 beyond 2^53, so it is carried as ln N.
+        p = construction_parameters(2, 10**17)
+        assert not p.exact_path and p.degenerate
+        assert p.log_N == pytest.approx(math.log(10**17 / 2 + 1.5), rel=1e-12)
+        assert p.degenerate_reason.endswith(f"<= s = {10**17 + 2}")
+
+    @pytest.mark.parametrize("R", [10**306, 10**309])
+    def test_R_beyond_float_range_refused(self, R):
+        # ln R! leaves float range for r >= 3; r = 2 stays degenerate.
+        with pytest.raises(ValueError, match=r"10\*\*305"):
+            construction_parameters(3, R)
+        assert construction_parameters(2, R).degenerate
+
+    def test_log_path_consistency_with_exact(self):
+        # r=7, R=2 still fits the exact path; its log fields must agree
+        # with the exact integers to float precision.
+        p = construction_parameters(7, 2)
+        assert p.exact_path
+        assert p.log_N == pytest.approx(math.log(p.N), rel=1e-12)
+
+    @pytest.mark.parametrize("r, R, value", [(10**4, 3, 177.294), (3000, 3, 152.017)])
+    def test_log_path_denominator_matches_mpmath(self, r, R, value):
+        # ln(C(s,R)^2 C(N-s,R)) at the floored N, from exact integers.
+        p = construction_parameters(r, R)
+        assert not p.exact_path
+        s = r + R
+        C = binomial(s, R)
+        N = r * (r - 1) * C // (2 * R)
+        with mpmath.workdps(50):
+            want = float(mpmath.log(mpmath.mpf(C**2 * binomial(N - s, R))))
+        assert p.denominator_log == pytest.approx(want, rel=1e-12)
+        assert p.denominator_log == pytest.approx(value, abs=1e-3)
+
+    def test_true_scale_is_well_defined(self):
+        p = construction_parameters(10**6, 10**3)
+        assert not p.exact_path and not p.degenerate
+        assert p.log_ell > 0 and p.denominator_log > 0
+
+
+def _exact_path_cells():
+    """Every (r, R) on the exact path; it grows with r and with R."""
+    cells = []
+    for r in itertools.count(2):
+        if not construction_parameters(r, 1).exact_path:
+            return cells
+        for R in itertools.count(1):
+            if not construction_parameters(r, R).exact_path:
+                break
+            cells.append((r, R))
+
+
+def _mpmath_ell(r, R):
+    """ell and its log denominator computed wholly in mpmath: the reference
+    for the float path of construction_parameters."""
+    s = r + R
+    C = math.comb(s, R)
+    N = r * (r - 1) * C // (2 * R)
+    if N <= s:
+        return None, None
+    with mpmath.workdps(len(str(C)) + 30):
+        denom = mpmath.log(mpmath.mpf(C) ** 2 * mpmath.mpf(math.comb(N - s, R)))
+        q = mpmath.mpf(C) / denom
+        fl = mpmath.floor(q)
+        # Every quotient lies at least 2.0e-3 from an integer, the nearest
+        # at (10, 1): far beyond the error of the float path.
+        assert min(q - fl, fl + 1 - q) > mpmath.mpf("2e-3"), (r, R)
+        return int(fl), float(denom)
+
+
+class TestExactPathFloor:
+    CELLS = _exact_path_cells()
+
+    def test_domain(self):
+        assert len(self.CELLS) == 1070
+        assert max(r for r, _ in self.CELLS) == 10
+        assert max(R for _, R in self.CELLS) == 1020
+
+    def test_float_floor_matches_mpmath_everywhere(self):
+        with_ell = 0
+        for r, R in self.CELLS:
+            p = construction_parameters(r, R)
+            ell, denom_log = _mpmath_ell(r, R)
+            assert (p.ell, p.denominator_log) == (ell, denom_log), (r, R)
+            with_ell += ell is not None
+        assert with_ell == 50
+
+
+def _identity_grid():
+    """(r, R) cells over both parameter paths, their switch and the
+    degenerate cells: R up to 10^4 for r <= 40, true scale for large r,
+    and R = 10^e up to 10^295."""
+    for r in range(2, 41):
+        for R in [*range(1, 60), 100, 300, 1000, 1020, 1021, 1022, 3000, 10**4]:
+            yield r, R
+    for r in [100, 300, 10**3, 3 * 10**3, 10**4, 10**5, 10**6, 10**7, 10**8, 10**12]:
+        for R in [1, 2, 3, 5, 10, 30, 100, 1000, 10**5]:
+            yield r, R
+    for r in [2, 3, 5, 26, 1000]:
+        for e in range(10, 296, 15):
+            yield r, 10**e
+
+
+class TestScheduleOutputsPinned:
+    def test_grid_digest(self):
+        # sha256 of what the schedule, chain check, certificate and bound
+        # rows print at 2,803 cells: a change that moves a byte re-pins it
+        # and names the cells that moved.
+        h = hashlib.sha256()
+        for r, R in _identity_grid():
+            p = construction_parameters(r, R)
+            h.update(_dump(p.to_json_dict()).encode())
+            h.update(_dump(closing_chain_check(r, R).to_json_dict()).encode())
+            if not p.degenerate:
+                h.update(_dump(lll_certificate_for(p).to_json_dict()).encode())
+            rows = [[b.name, b.kind, b.value, list(b.assumptions)] for b in bound_reports(r, R)]
+            h.update(_dump({"rows": _json_value(rows)}).encode())
+        assert h.hexdigest() == (
+            "a2c767eda241e288013dfc3c14995d942c8f67cabd2fe5ccd18e3013092e89e3"
+        )
+
+
+class TestLllCondition:
+    def test_single_color_always_holds(self):
+        cert = lll_condition(20, 4, 3, 1)
+        assert cert.log_p_bound.is_zero and cert.condition_holds
+
+    @pytest.mark.parametrize(
+        "N, r, R, ell", [(8, 3, 1, 2), (300, 10, 3, 7), (5000, 20, 5, 40), (10**5, 50, 3, 10**20)]
+    )
+    def test_sharp_bound_matches_mpmath(self, N, r, R, ell):
+        # ln(ell (1 - 1/ell)^C(s,R)) and C(s,R)/ell, from the exact integers.
+        cert = lll_condition(N, r + R, r, ell)
+        C = binomial(r + R, R)
+        with mpmath.workdps(60):
+            log_p = mpmath.log(ell) + C * mpmath.log1p(-mpmath.mpf(1) / ell)
+            ratio = mpmath.mpf(C) / ell
+        assert cert.log_p_bound.log_magnitude == pytest.approx(float(log_p), rel=1e-12)
+        assert cert.ratio_C_over_ell == pytest.approx(float(ratio), rel=1e-12)
+
+    def test_C_over_ell_beyond_float_range(self):
+        # C(3000,1000)/3 is about e^1900: p underflows to 0 and the lemma holds.
+        cert = lll_condition(5000, 3000, 2000, 3)
+        assert cert.ratio_C_over_ell == math.inf
+        assert cert.log_p_bound.log_magnitude == -math.inf
+        assert cert.condition_holds and cert.exponential_condition_holds
+
+    def test_exact_delta_at_toy_scale(self):
+        cert = lll_condition(8, 4, 3, 2)
+        assert cert.delta_exact == dependency_degree(8, 4, 3)
+        assert not cert.delta_is_upper_bound
+
+    def test_explicit_N_below_s_refused(self):
+        with pytest.raises(ValueError, match="N >= s = 5"):
+            lll_condition(3, 5, 3, 2)
+
+    @pytest.mark.parametrize("N, sum_runs", [(208, True), (220, False)])
+    def test_delta_too_long_to_print_refused(self, monkeypatch, N, sum_runs):
+        # With a 50-digit limit and s = 53: at N = 208 Delta has 51 digits
+        # and its largest term 50, so only the check on the exact Delta sees
+        # it; at N = 220 the largest term (i = 13) alone has 51 digits and is
+        # refused before the sum, though the i = r term has 47.
+        monkeypatch.setattr(bounds, "_int_str_digit_limit", lambda: 50)
+        if not sum_runs:
+            monkeypatch.setattr(bounds, "dependency_degree", None)
+        with pytest.raises(ValueError, match="delta_exact would have more than 50 digits"):
+            lll_condition(N, 53, 2, 2)
+
+    def test_delta_at_digit_limit_kept(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_int_str_digit_limit", lambda: 50)
+        cert = lll_condition(207, 53, 2, 2)
+        assert len(str(cert.delta_exact)) == 50
+
+    def test_digit_limit_absent_means_none(self, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert bounds._int_str_digit_limit() == 0
+
+    def test_exponential_condition_implies_symmetric_condition(self):
+        for (r, R) in [(10**6, 10**3), (10**4, 10**2)]:
+            p = construction_parameters(r, R)
+            if p.degenerate:
+                continue
+            cert = lll_certificate_for(p)
+            if cert.exponential_condition_holds:
+                assert cert.condition_holds
+
+    def test_true_scale_certifications(self):
+        for (r, R) in [(10**6, 10**3), (10**7, 10**4)]:
+            cert = lll_certificate_for(construction_parameters(r, R))
+            assert cert.exponential_condition_holds and cert.condition_holds
+            assert cert.delta_is_upper_bound and cert.delta_upper_valid

@@ -151,13 +151,46 @@ class TestExhaustiveVerify:
         assert report.is_turan and report.sets_checked == n
 
     def test_forced_tails_stop_at_least_edge(self):
-        # Every s-set misses at most one vertex, so each branch ends in a
-        # forced tail {0,...,v}; it is covered once v reaches 0, the top of
-        # the colex-least edge, and needs no walk down to vertex 0.
+        # Every s-set misses at most one vertex, so it holds 0 or 1.  Both
+        # are forbidden from the start, which leaves n - 2 vertices for s
+        # places: the search stops at its first depth, with no walk down the
+        # vertices.
         n, s = 6000, 5999
         H = UniformHypergraph.from_edges(n, 1, [(0,), (1,)])
         report = is_turan_system(H, s)
         assert report.is_turan and report.sets_checked == n
+
+    @pytest.mark.parametrize("dropped", [None, (20, 21, 22, 23), (0, 5, 11, 17)])
+    def test_prefix_system_above_the_bitmap_limit(self, dropped):
+        # The prefix (28,8,4)-system, every 4-set of [24], is Turán: an
+        # 8-set of [28] has at least 4 vertices in [24].  Without one edge
+        # e, an 8-set is uncovered only if it meets [24] in e alone, so
+        # e + (24, 25, 26, 27) is the one uncovered set.
+        n, s, r = 28, 8, 4
+        assert n * math.comb(n, s) > BITMAP_VERIFY_BITS
+        edges = set(itertools.combinations(range(24), r)) - {dropped}
+        report = is_turan_system(UniformHypergraph(n, r, edges), s)
+        if dropped is None:
+            assert report.is_turan and report.sets_checked == math.comb(n, s)
+        else:
+            hole = dropped + (24, 25, 26, 27)
+            assert not report.is_turan and report.witness == hole
+            assert report.sets_checked == rank_colex(hole) + 1
+
+    @pytest.mark.parametrize(
+        "edges, witness",
+        [([], tuple(range(150))), ([(0, 1, 2)], (0, 1, *range(3, 151)))],
+    )
+    def test_deep_search_with_down_links(self, edges, witness):
+        # 150 depths of a 3-graph on 200 vertices.  With the edge {0,1,2},
+        # range(150) and every 150-set of range(151) that misses a vertex
+        # above 2 hold it: each of those 148 branches runs down to vertex 1,
+        # whose down-link lookup forbids 0, before the witness is reached.
+        n, s = 200, 150
+        H = UniformHypergraph(n, 3, edges)
+        report = is_turan_system(H, s, budget=math.comb(n, s))
+        assert report.witness == witness
+        assert report.sets_checked == rank_colex(witness) + 1
 
 
 def colex_s_sets(n, s):

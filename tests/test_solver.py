@@ -604,11 +604,14 @@ class TestValueCache:
             assert ValueCache(str(path)).get(4, 3, 2) is None
 
     def test_corrupt_file_ignored(self, tmp_path):
+        # Text nested too deeply for the parser raises RecursionError, not a
+        # decoding error; it is corrupt all the same.
         path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        with pytest.warns(UserWarning):
-            cache = ValueCache(str(path))
-        assert cache.get(4, 3, 2) is None
+        for text in ("{not json", "[" * 200_000):
+            path.write_text(text)
+            with pytest.warns(UserWarning, match="ignoring corrupt cache"):
+                cache = ValueCache(str(path))
+            assert cache.get(4, 3, 2) is None
 
     def test_cold_cache_solves_and_persists(self, tmp_path):
         path = str(tmp_path / "cache.json")

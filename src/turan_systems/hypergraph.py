@@ -376,47 +376,47 @@ def _least_uncovered(H: UniformHypergraph, s: int) -> tuple[int, ...] | None:
 
     Each edge e is indexed by its down-link q, e minus its least vertex w:
     down[q] is the bitmap of those w.  The largest vertex is chosen first
-    and each depth tries its vertices in ascending order, so the first set
-    completed is the colex-least one.  Adding v below a partial set P
-    forbids down[Q | v] for each (r-2)-subset Q of P, the vertices that
-    would complete an edge; v is pruned when too few unforbidden vertices
-    lie below it for the rest of the set.
+    and each depth tries, in ascending order, its unforbidden vertices with
+    enough unforbidden below, so the first set completed is colex-least.
+    Adding v below a partial set P forbids down[q] for each q in P | v
+    headed by v, by scanning those q or looking up v plus each (r-2)-subset
+    of P, whichever is fewer.  A depth skips its first candidate, which
+    takes every unforbidden vertex below, when they hold the least edge.
     """
     down: dict[int, int] = {}
     for e in H.masks:
         w = e & -e
         down[e ^ w] = down.get(e ^ w, 0) | w
-    heads = reduce(or_, [q & -q for q in down], 0)  # the v with some down[Q | v]
-    # Depth d holds the d largest vertices, as bits, in chosen[:d]: allowed[d]
-    # is the unforbidden vertices below them, subsets[d] their (r-2)-subsets
-    # and candidates[d] the untried allowed with k = s-1-d allowed below.
-    chosen, allowed, candidates = [0] * s, [0] * s, [0] * s
-    subsets = [[0] if H.r == 2 else []] * s
-    d, k, free = -1, s - 1, ~down.get(0, 0) & ((1 << H.n) - 1)  # free: allowed below the last pick
+    heads: dict[int, list[tuple[int, int]]] = {}  # v -> (q, down[q]), v least in q
+    for q, w in down.items():
+        heads.setdefault((q & -q).bit_length() - 1, []).append((q, w))
+    linked, least = reduce(or_, down, 0), H.masks[0] if H.masks else 1 << H.n
+    top = least.bit_length()
+    # Per depth: its vertex, forbidden bitmap and chosen vertices in down-links.
+    vertex, forbidden, inside, stack = [0] * s, [0] * s, [0] * s, [0] * s
+    d, f, m = 0, down.get(0, 0), 0
     while True:
-        if (count := free.bit_count()) > k:
-            t = k  # raised until k allowed vertices lie below the cut t
-            while (c := count - (high := free >> t).bit_count()) < k:
-                t += k - c
-            d += 1
-            allowed[d], candidates[d] = free, high << t
-            if H.r > 2 and d:
-                v, lower = chosen[d - 1], chosen[: d - 1]
-                subsets[d] = subsets[d - 1] + [sum(q, v) for q in combinations(lower, H.r - 3)]
-        while d >= 0 and not candidates[d]:
-            d -= 1
-        if d < 0:
-            return None
-        c = candidates[d]
-        low = c & -c
-        candidates[d] = c ^ low
-        chosen[d] = low
+        # t, from past f's lowest run, is raised until k unforbidden lie below it
+        k, b, t = s - d, f.bit_count(), s - d - 1 + (f ^ f + 1).bit_length()
+        while (c := t - b + (f >> t).bit_count()) < k + (t >= top and not least & f):
+            t += k - c or 1
+        vertex[d], forbidden[d], inside[d] = t - 1, f, m
+        while vertex[d] >= (vertex[d - 1] if d else H.n):
+            if (d := d - 1) < 0:
+                return None
+            y = forbidden[d] >> vertex[d] + 1  # to the next unforbidden vertex
+            vertex[d] += (y ^ (y + 1)).bit_length()
         if d == s - 1:
-            return tuple(b.bit_length() - 1 for b in reversed(chosen))
-        free = allowed[d] & (low - 1)
-        if low & heads:
-            free &= ~reduce(or_, map(down.get, map(low.__or__, subsets[d]), repeat(0)), 0)
-        k = s - 2 - d
+            return tuple(reversed(vertex))
+        u, f, m = vertex[d], forbidden[d], inside[d]
+        if linked >> u & 1:
+            stack[p := m.bit_count()], m = 1 << u, m | 1 << u
+            if (g := heads.get(u, ())) and math.comb(p, H.r - 2) < len(g):
+                keys = [sum(Q, 1 << u) for Q in combinations(stack[:p], H.r - 2)]
+                f |= reduce(or_, map(down.get, keys, repeat(0)), 0)
+            else:
+                f |= reduce(or_, [w for q, w in g if q | m == m], 0)
+        d += 1
 
 
 def sample_verify(

@@ -178,19 +178,51 @@ class TestExhaustiveVerify:
             assert report.sets_checked == rank_colex(hole) + 1
 
     @pytest.mark.parametrize(
-        "edges, witness",
-        [([], tuple(range(150))), ([(0, 1, 2)], (0, 1, *range(3, 151)))],
+        "n, s, r, edges, witness",
+        [
+            (200, 150, 3, [], tuple(range(150))),
+            (200, 150, 3, [(0, 1, 2)], (0, 1, *range(3, 151))),
+            (3000, 2999, 4, [], tuple(range(2999))),
+            (100, 96, 50, [], tuple(range(96))),
+            (4000, 3998, 2000, [range(2000)], (*range(1999), *range(2000, 3999))),
+            (4000, 3998, 2000, [range(1, 2001)], (*range(2000), *range(2001, 3999))),
+        ],
     )
-    def test_deep_search_with_down_links(self, edges, witness):
-        # 150 depths of a 3-graph on 200 vertices.  With the edge {0,1,2},
-        # range(150) and every 150-set of range(151) that misses a vertex
-        # above 2 hold it: each of those 148 branches runs down to vertex 1,
-        # whose down-link lookup forbids 0, before the witness is reached.
-        n, s = 200, 150
-        H = UniformHypergraph(n, 3, edges)
-        report = is_turan_system(H, s, budget=math.comb(n, s))
+    def test_deep_search_with_down_links(self, n, s, r, edges, witness):
+        # Deep searches, up to 3998 depths.  A depth's lookups are bounded by
+        # the down-links at its vertex, not by the (r-2)-subsets of the set
+        # above it, which run to millions in the empty 4- and 50-graphs.  A
+        # depth's first candidate takes every vertex below it, so it is
+        # skipped when those hold the one edge: the search walks straight
+        # down to the witness, with no branch run down and back for each
+        # vertex of the edge.  With {0,1,2}, vertex 1 then finds {1,2}
+        # outside the set and forbids nothing.
+        assert n * math.comb(n, s) > BITMAP_VERIFY_BITS
+        report = is_turan_system(UniformHypergraph(n, r, edges), s, budget=math.comb(n, s))
         assert report.witness == witness
         assert report.sets_checked == rank_colex(witness) + 1
+
+    @pytest.mark.parametrize("hole", [False, True])
+    @pytest.mark.parametrize(
+        "s, r, p",
+        [
+            (7, 2, 0.05), (8, 3, 0.02), (9, 3, 0.04), (8, 4, 0.01), (9, 4, 0.03),
+            (7, 5, 0.05), (8, 5, 0.6), (8, 6, 0.3), (9, 6, 0.9), (9, 7, 0.1), (10, 7, 0.5),
+        ],
+    )
+    def test_search_matches_the_bitmap_path(self, monkeypatch, s, r, p, hole):
+        # Random 2- to 7-graphs on 20 vertices above the limit, sparse to
+        # dense, with or without a hole, against the cover bitmaps of the
+        # same system with the limit lifted.
+        n, rng = 20, random.Random(s * r)
+        assert n * math.comb(n, s) > BITMAP_VERIFY_BITS
+        edges = {e for e in itertools.combinations(range(n), r) if rng.random() < p}
+        if hole:
+            edges -= set(itertools.combinations(sorted(rng.sample(range(n), s)), r))
+        H = UniformHypergraph(n, r, edges)
+        searched = is_turan_system(H, s)
+        monkeypatch.setattr(hypergraph, "BITMAP_VERIFY_BITS", n * math.comb(n, s))
+        assert is_turan_system(H, s) == searched
 
 
 def colex_s_sets(n, s):

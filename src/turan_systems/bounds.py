@@ -679,10 +679,8 @@ def closing_chain_check(r: int, R: int) -> ChainCheckResult:
     R_float = float(R) if R <= sys.float_info.max else math.inf
     lhs = c_over_ell + second
     majorant = 2.0 * log_C + R_float * params.log_N + second
-    target = R_float * log_C
-    if not target > 0:
-        ratio = float("inf")
-    elif math.isfinite(target):
+    target = R_float * log_C  # > 0: R >= 1 and C(s,R) >= 3, as r >= 2
+    if math.isfinite(target):
         ratio = lhs / target
     else:
         # R ln C(s,R) beyond float range: divide in two steps.

@@ -50,12 +50,11 @@ class ConstructionError(RuntimeError):
 class JsonRecord:
     """Base of the dataclass records that are printed as JSON.
 
-    to_json_dict maps each field shown in repr to its _json_value.  A
-    field marked repr=False is left out.
+    to_json_dict maps each field to its _json_value.
     """
 
     def to_json_dict(self) -> dict:
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self) if f.repr}
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 def _json_value(value):

@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Iterator
@@ -72,18 +72,18 @@ class ColoringOutcome(JsonRecord):
     coloring: tuple[int, ...]  # colour of each r-set, indexed by colex rank
     rounds_used: int
     least_color: int | None
-    least_class: UniformHypergraph | None = field(repr=False)
     class_sizes: tuple[int, ...]
     failed_s_set: tuple[int, ...] | None
 
     def color_class(self, color: int) -> UniformHypergraph:
-        return _color_class(self.N, self.r, self.coloring, color)
+        """The r-sets of [N] that the colouring gives color, built on each call."""
+        masks = itertools.compress(colex_masks(self.N, self.r), map(color.__eq__, self.coloring))
+        return UniformHypergraph._from_masks(self.N, self.r, masks)
 
-
-def _color_class(N: int, r: int, coloring, color: int) -> UniformHypergraph:
-    """The r-sets of [N] that coloring (indexed by colex rank) gives color."""
-    masks = itertools.compress(colex_masks(N, r), map(color.__eq__, coloring))
-    return UniformHypergraph._from_masks(N, r, masks)
+    @property
+    def least_class(self) -> UniformHypergraph | None:
+        """The least colour class, the construction's system, or None on failure."""
+        return None if self.least_color is None else self.color_class(self.least_color)
 
 
 def _colour_draws(rng: random.Random, ell: int) -> Iterator[int]:
@@ -183,7 +183,6 @@ def moser_tardos_color(
         coloring=tuple(coloring),
         rounds_used=rounds,
         least_color=least,
-        least_class=_color_class(N, r, coloring, least) if success else None,
         class_sizes=tuple(sizes),
         failed_s_set=None if success else unrank_colex(bad, s, N),
     )

@@ -329,6 +329,15 @@ def _covered(H: UniformHypergraph, S: tuple[int, ...]) -> bool:
     return not all(map(int.__ne__, map(m.__and__, masks), masks))
 
 
+def _refuse_long_sets(s: int) -> None:
+    """BudgetExceededError, before any work, when an s-set, a tuple of s
+    vertices, would exceed DEFAULT_MATERIALIZE_BUDGET."""
+    if s > DEFAULT_MATERIALIZE_BUDGET:
+        raise BudgetExceededError(
+            f"s = {s} exceeds materialization budget {DEFAULT_MATERIALIZE_BUDGET}"
+        )
+
+
 def is_turan_system(
     H: UniformHypergraph, s: int, budget: int = DEFAULT_EXHAUSTIVE_BUDGET
 ) -> VerifyReport:
@@ -351,6 +360,7 @@ def is_turan_system(
     check_sizes(H.n, s, H.r)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    _refuse_long_sets(s)
     total = binomial(H.n, s)
     if total > budget:
         raise BudgetExceededError(
@@ -390,8 +400,8 @@ def _least_uncovered(H: UniformHypergraph, s: int) -> tuple[int, ...] | None:
     heads: dict[int, list[tuple[int, int]]] = {}  # v -> (q, down[q]), v least in q
     for q, w in down.items():
         heads.setdefault((q & -q).bit_length() - 1, []).append((q, w))
-    linked, least = reduce(or_, down, 0), H.masks[0] if H.masks else 1 << H.n
-    top = least.bit_length()
+    linked, least = reduce(or_, down, 0), H.masks[0] if H.masks else 0
+    top = least.bit_length() or H.n + 1  # past the least edge, or past [n] with none
     # Per depth: its vertex, forbidden bitmap and chosen vertices in down-links.
     vertex, forbidden, inside, stack = [0] * s, [0] * s, [0] * s, [0] * s
     d, f, m = 0, down.get(0, 0), 0
@@ -430,6 +440,7 @@ def sample_verify(
     check_sizes(H.n, s, H.r)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _refuse_long_sets(s)
     total = binomial(H.n, s)
     rng = random.Random(seed)
     for t in range(trials):

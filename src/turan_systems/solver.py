@@ -125,6 +125,20 @@ def _turan_construction(n: int, s: int, r: int) -> list[tuple[int, ...]] | None:
     return edges
 
 
+def _first_size(n: int, s: int, r: int) -> int:
+    """The size of _first_incumbent(n, s, r), counted from the parts of
+    Turán's construction without building an edge."""
+    size = binomial(n - s + r, r)  # the prefix system's
+    if r == 2:
+        size = min(size, sum(binomial(len(p), 2) for p in _balanced_parts(n, s - 1)))
+    elif (s, r) == (4, 3):
+        # Each part's triples, and its pairs with a vertex of the next part.
+        a = list(map(len, _balanced_parts(n, 3)))
+        turan = sum(binomial(x, 3) + binomial(x, 2) * y for x, y in zip(a, a[1:] + a[:1]))
+        size = min(size, turan)
+    return size
+
+
 def _first_incumbent(n: int, s: int, r: int) -> list[int] | range:
     """Colex ranks of the smaller of the prefix system and Turán's.
 
@@ -132,10 +146,9 @@ def _first_incumbent(n: int, s: int, r: int) -> list[int] | range:
     exactly the colex-first C(n-s+r, r) r-sets; it is kept on a tie.
     """
     prefix = range(binomial(n - s + r, r))
-    edges = _turan_construction(n, s, r)
-    if edges is None or len(edges) >= len(prefix):
+    if _first_size(n, s, r) == len(prefix):
         return prefix
-    return list(map(rank_colex, edges))
+    return list(map(rank_colex, _turan_construction(n, s, r)))
 
 
 def _greedy_cover(cover_mask: list[int], num_s: int) -> list[int]:
@@ -289,9 +302,11 @@ def solve_min_turan(
     Simonovits, ceil(m T(m-1,s,r) / (m-r)): deleting a vertex of an (m,s,r)
     system leaves an (m-1,s,r) system, and each edge survives m - r of the
     m deletions.  T(m-1) is level m-1's optimum when it was proven, its
-    lower bound otherwise.  A level whose first incumbent (`_first_incumbent`)
-    meets its bound is closed with no setup.  On any other, while budget
-    remains, `cover_masks` is built once: `_greedy_cover` reads it, and
+    lower bound otherwise.  A level whose first incumbent meets its bound is
+    closed with no setup: the incumbent's size is counted (`_first_size`),
+    and `_first_incumbent` builds and ranks it only where greedy or the
+    search reads it, and for level n's witness.  On any other level, while
+    budget remains, `cover_masks` is built once: `_greedy_cover` reads it, and
     replaces the incumbent when strictly smaller; if greedy meets the bound
     the level is closed with no node, else `_search` reads the same masks
     until incumbent and bound meet or its tree is exhausted.  So a budget
@@ -307,8 +322,9 @@ def solve_min_turan(
         counting = counting_lower_T(m, s, r)
         averaging = -(-m * below // (m - r))
         bound, source = (averaging, "averaging") if averaging > counting else (counting, "counting")
-        incumbent = _first_incumbent(m, s, r)
-        if len(incumbent) > bound and not out_of_budget:
+        optimum, incumbent = _first_size(m, s, r), None
+        if optimum > bound and not out_of_budget:
+            incumbent = _first_incumbent(m, s, r)
             cover_mask = cover_masks(m, s, r)
             greedy = _greedy_cover(cover_mask, binomial(m, s))
             if len(greedy) < len(incumbent):
@@ -318,12 +334,15 @@ def solve_min_turan(
                     m, s, r, cover_mask, incumbent, bound, node_budget - nodes
                 )
                 nodes += used
-        if len(incumbent) == bound:
+            optimum = len(incumbent)
+        if optimum == bound:
             proof = "bound-met"
         else:
             proof = None if out_of_budget else "exhausted"
-        below = bound if proof is None else len(incumbent)
+        below = bound if proof is None else optimum
 
+    if incumbent is None:
+        incumbent = _first_incumbent(n, s, r)
     # The loader's bit budget, as work refused rather than input refused.
     if len(incumbent) * n > COVER_BITS_BUDGET:
         raise BudgetExceededError(f"{len(incumbent)} witness masks of {n} bits exceed the budget")
@@ -332,7 +351,7 @@ def solve_min_turan(
         n=n,
         s=s,
         r=r,
-        optimum=len(incumbent),
+        optimum=optimum,
         witness=witness,
         nodes_explored=nodes,
         proven_optimal=proof is not None,

@@ -291,6 +291,26 @@ class TestCertificate:
             descent_certificate(10**5, 1, 0.05)
 
 
+class TestArgumentChecks:
+    """The checks that refuse arguments outside each function's domain; no
+    command line reaches them."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: decaen_lower_mu(3, 3), "need 0 < r < s"),
+        (lambda: fixed_gap_mu_bound(2, 1), "need r >= 3"),
+        (lambda: gap_log_binomial_mu_bound(3, 0), "need R >= 1"),
+        (lambda: binomial_ratio_check(5, 6, 1), "need r1 >= r2 > R >= 1"),
+        (lambda: descent_schedule(100, 2, 0.0), "eps1 > 0"),
+        (lambda: descent_schedule(100, 2, -0.5), "eps1 > 0"),
+        (lambda: lll_condition(10, 3, 3, 2), "need 0 < r < s"),
+        (lambda: lll_certificate_for(construction_parameters(2, 1)), "degenerate parameters"),
+    ], ids=["decaen", "fixed-gap", "gap-log-binomial", "binomial-ratio", "descent-eps1-zero",
+            "descent-eps1-negative", "lll-condition", "lll-certificate-degenerate"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestChainCheck:
     def test_true_scale_regressions(self):
         a = closing_chain_check(10**6, 10**3)

@@ -692,6 +692,15 @@ ERROR_PATHS = {
     "construct-unwritable-out": ("construct prefix --n 6 --s 4 --r 3 --out {dir}/no/x.json", 2),
     "verify-budget": ("verify --input {dir}/big.json --s 20 --budget 1000", 4),
     "verify-negative-budget": ("verify --input {dir}/sys.json --s 4 --budget -1", 2),
+    # An s-set of 10^20 - 1 vertices exceeds the materialization budget in
+    # both modes, refused before the search or unranking builds anything.
+    "verify-huge-s": (
+        f"verify --input {{dir}}/edgeless.json --s {10**20 - 1} --budget {10**21}", 4,
+    ),
+    "verify-sample-huge-s": (
+        f"verify --input {{dir}}/edgeless.json --s {10**20 - 1} --mode sample --trials 1 --seed 1",
+        4,
+    ),
     "verify-sample-no-seed": ("verify --input {dir}/sys.json --s 4 --mode sample", 2),
     "verify-no-trials": (
         "verify --input {dir}/sys.json --s 4 --mode sample --trials 0 --seed 5", 2,
@@ -740,6 +749,7 @@ class TestOutputContract:
              "--out", str(tmp_path / "sys.json")], capsys)
         (tmp_path / "r1.json").write_text('{"n": 4, "r": 1, "edges": [[0], [1]]}')
         (tmp_path / "big.json").write_text('{"n": 40, "r": 2, "edges": [[0, 1]]}')
+        (tmp_path / "edgeless.json").write_text(json.dumps({"n": 10**20, "r": 1, "edges": []}))
         (tmp_path / "junk.json").write_text("{oops")
         return tmp_path
 
@@ -765,8 +775,11 @@ class TestOutputContract:
         ERROR_PATHS["certify-degenerate"],
         ERROR_PATHS["verify-budget"],
         ERROR_PATHS["prefix-budget"],
+        ERROR_PATHS["verify-huge-s"],
+        ERROR_PATHS["verify-sample-huge-s"],
     ], ids=["verified-false", "verify-negative-budget", "solve-negative-budget",
-            "coloring-round-cap", "certify-degenerate", "verify-budget", "prefix-budget"])
+            "coloring-round-cap", "certify-degenerate", "verify-budget", "prefix-budget",
+            "verify-huge-s", "verify-sample-huge-s"])
     def test_exit_code_in_a_fresh_interpreter(self, files, capsys, command, code):
         # In this process the test modules have loaded the package already;
         # a fresh interpreter maps each exception with nothing loaded but

@@ -55,6 +55,9 @@ class TestLogBinomial:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             log_binomial(3, 4)
+        for n, k in [(-1, 0), (3, -1)]:
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                log_binomial(n, k)
 
     def test_matches_exact_up_to_60(self):
         for n in range(0, 61):
@@ -188,6 +191,13 @@ class TestColex:
         assert (i < j) == (tuple(reversed(a)) < tuple(reversed(b)))
 
 
+class TestCheckSubset:
+    def test_wrong_size_refused(self):
+        combinatorics.check_subset((0, 1, 4), 5, 3)
+        with pytest.raises(ValueError, match="expected a 3-subset"):
+            combinatorics.check_subset((0, 1), 5, 3)
+
+
 class TestEnumerate:
     def test_complete_listing(self):
         assert list(enumerate_subsets(3, 2)) == [(0, 1), (0, 2), (1, 2)]
@@ -197,6 +207,11 @@ class TestEnumerate:
 
     def test_count_12_choose_6(self):
         assert sum(1 for _ in enumerate_subsets(12, 6)) == 924
+
+    @pytest.mark.parametrize("n, k", [(3, 4), (3, -1)])
+    def test_k_outside_0_to_n_refused(self, n, k):
+        with pytest.raises(ValueError, match="need 0 <= k <= n"):
+            next(enumerate_subsets(n, k))
 
     def test_matches_unrank(self):
         for n, k in [(6, 3), (8, 2), (5, 5)]:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -95,6 +96,14 @@ class TestMoserTardos:
     def test_round_cap_failure_carries_witness(self):
         out = moser_tardos_color(6, 4, 3, 4, seed=1, max_rounds=30)
         assert not out.success and out.failed_s_set is not None
+        assert out.least_color is None and out.least_class is None
+
+    def test_least_class_is_built_on_read(self):
+        out = moser_tardos_color(9, 5, 3, 3, seed=1)
+        assert "least_class" not in {f.name for f in dataclasses.fields(out)}
+        assert "least_class" not in out.to_json_dict()
+        assert out.least_class == out.color_class(out.least_color)
+        assert len(out.least_class) == out.class_sizes[out.least_color] == min(out.class_sizes)
 
     def test_class_sizes_partition(self):
         out = moser_tardos_color(6, 4, 3, 2, seed=3)
@@ -311,6 +320,14 @@ class TestRecursiveSystem:
 
 
 class TestExpectedSize:
+    @pytest.mark.parametrize("n, r, R, k, c, message", [
+        (10, 1, 1, 1, 0.5, "need r >= 2, R >= 1"),
+        (4, 3, 2, 2, 1.0, "need n >= r \\+ R = 5"),
+    ])
+    def test_parameters_refused(self, n, r, R, k, c, message):
+        with pytest.raises(ValueError, match=message):
+            expected_recursive_size(n, r, R, k, c)
+
     def test_p_one_exact(self):
         expected, _ = expected_recursive_size(8, 3, 1, 2, c=2.0)
         assert expected == pytest.approx(binomial(8, 3))

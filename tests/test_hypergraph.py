@@ -44,6 +44,10 @@ class TestContainsEdge:
         with pytest.raises(ValueError):
             contains_edge(matching_4_3_2(), (1, 2, 7))
 
+    def test_set_smaller_than_an_edge_refused(self):
+        with pytest.raises(ValueError, match="set of size 2 cannot contain an 3-edge"):
+            contains_edge(UniformHypergraph(5, 3, [[0, 1, 2]]), (0, 1))
+
     @pytest.mark.parametrize("S, message", [
         ((-1, 2), "not within ground set of size 5"),
         ((-3, -1, 2), "not within ground set of size 5"),
@@ -114,6 +118,15 @@ class TestExhaustiveVerify:
         H = UniformHypergraph.from_edges(40, 2, [(0, 1)])
         with pytest.raises(BudgetExceededError):
             is_turan_system(H, 20, budget=10**6)
+
+    @pytest.mark.parametrize("r, s", [(1, 2), (2, 5)])
+    def test_edgeless_system_at_huge_n(self, r, s):
+        # Above the bitmap limit the search runs with no edge, and builds no
+        # bit near vertex 10^20.
+        H = UniformHypergraph(10**20, r, [])
+        report = is_turan_system(H, s, budget=10**100)
+        assert not report.is_turan and report.witness == tuple(range(s))
+        assert report.sets_checked == 1
 
     def test_witness_is_colex_least_and_sound(self):
         # Remove one edge from a prefix system; the first uncovered s-set
@@ -324,6 +337,45 @@ class TestVerifierAgainstBruteForce:
                 expected.pop("uncovered_share_bound"), rel=1e-12
             )
         assert got == expected
+
+
+class TestLongSets:
+    """An s-set longer than the materialization budget is refused, exit 4
+    on the command line, before C(n,s) or any s-set is computed."""
+
+    @pytest.fixture(autouse=True)
+    def no_binomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("binomial computed")
+
+        monkeypatch.setattr(hypergraph, "binomial", refuse)
+
+    @pytest.mark.parametrize("check", [
+        lambda H, s: is_turan_system(H, s, budget=10**40),
+        lambda H, s: sample_verify(H, s, trials=1, seed=1),
+    ], ids=["exhaustive", "sampled"])
+    def test_refused_before_any_work(self, check):
+        H = UniformHypergraph(10**20, 1, [])
+        for s in (hypergraph.DEFAULT_MATERIALIZE_BUDGET + 1, 10**20 - 1):
+            with pytest.raises(BudgetExceededError, match=f"s = {s} exceeds"):
+                check(H, s)
+
+    def test_limit_admits_s_equal_to_the_budget(self, monkeypatch):
+        monkeypatch.undo()
+        monkeypatch.setattr(hypergraph, "DEFAULT_MATERIALIZE_BUDGET", 4)
+        H = UniformHypergraph(6, 2, [])
+        assert is_turan_system(H, 4).witness == (0, 1, 2, 3)
+        assert not sample_verify(H, 4, trials=1, seed=0).is_turan
+        for check in (lambda: is_turan_system(H, 5), lambda: sample_verify(H, 5, 1, 0)):
+            with pytest.raises(BudgetExceededError, match="s = 5 exceeds"):
+                check()
+
+    def test_argument_errors_come_first(self):
+        H = UniformHypergraph(10**20, 1, [])
+        with pytest.raises(ValueError, match="budget"):
+            is_turan_system(H, 10**20 - 1, budget=-1)
+        with pytest.raises(ValueError, match="trials"):
+            sample_verify(H, 10**20 - 1, trials=0, seed=1)
 
 
 class TestSampleVerify:

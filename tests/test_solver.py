@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,8 @@ from turan_systems.constructions import trivial_prefix_system
 from turan_systems.hypergraph import UniformHypergraph, is_turan_system
 from turan_systems.solver import (
     ValueCache,
+    _first_incumbent,
+    _first_size,
     _greedy_cover,
     _search,
     _turan_construction,
@@ -495,6 +498,36 @@ class TestBoundsAndConstructions:
                 assert is_turan_system(H, s).is_turan
                 assert len(H) == len(edges) == turan_r2_value(n, s)
 
+    def test_first_size_counts_first_incumbent(self):
+        for n in range(3, 13):
+            for s, r in [(s, 2) for s in range(3, n + 1)] + [(4, 3), (5, 3), (5, 4)]:
+                if s <= n:
+                    assert _first_size(n, s, r) == len(_first_incumbent(n, s, r))
+
+    def test_first_incumbent_built_only_where_read(self, monkeypatch):
+        # (40,3,2) closes every level by its bound and builds level 40's
+        # witness only; (40,4,3) with 10 nodes also searches level 7.
+        built = []
+        real = solver._first_incumbent
+        monkeypatch.setattr(solver, "_first_incumbent", lambda *a: built.append(a) or real(*a))
+        assert solve_min_turan(40, 3, 2).optimum == 380
+        assert built == [(40, 3, 2)]
+        built.clear()
+        assert solve_min_turan(40, 4, 3, node_budget=10).optimum == 4225
+        assert built == [(7, 4, 3), (40, 4, 3)]
+
+    def test_r2_and_43_solves_pinned(self):
+        # Every r = 2 solve and the (4,3) solves under two node budgets for
+        # n <= 12, as their canonical JSON, hashed in this order.
+        h = hashlib.sha256()
+        for n, s, r, budget in (
+            [(n, s, 2, solver.DEFAULT_NODE_BUDGET) for n in range(3, 13) for s in range(3, n + 1)]
+            + [(n, 4, 3, b) for b in (1000, 200_000) for n in range(4, 13)]
+        ):
+            res = solve_min_turan(n, s, r, node_budget=budget)
+            h.update(json.dumps(res.to_json_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == "a6f0a2678de393bdcef13390ead38f4e72521371699e5f6cfc4941e0256f5636"
+
     def test_no_construction_elsewhere(self):
         assert _turan_construction(8, 5, 3) is None and _turan_construction(8, 5, 4) is None
 
@@ -534,6 +567,9 @@ class TestBoundsAndConstructions:
 
 class TestTuranGraphCrossCheck:
     def test_r2_formula_values(self):
+        for s in (1, 2):
+            with pytest.raises(ValueError, match="need 2 < s <= n"):
+                turan_r2_value(5, s)
         assert turan_r2_value(4, 3) == 2
         assert turan_r2_value(5, 3) == 4
         assert turan_r2_value(7, 7) == 1
@@ -612,6 +648,14 @@ class TestValueCache:
             with pytest.warns(UserWarning, match="ignoring corrupt cache"):
                 cache = ValueCache(str(path))
             assert cache.get(4, 3, 2) is None
+
+    def test_list_root_ignored(self, tmp_path):
+        # Valid JSON, but no cache.
+        path = tmp_path / "cache.json"
+        path.write_text("[]")
+        with pytest.warns(UserWarning, match="ignoring corrupt cache .*root must be an object"):
+            cache = ValueCache(str(path))
+        assert cache.get(4, 3, 2) is None
 
     def test_cold_cache_solves_and_persists(self, tmp_path):
         path = str(tmp_path / "cache.json")

@@ -356,8 +356,10 @@ def cover_masks(n: int, s: int, r: int) -> list[int]:
     refuse_beyond_budget(n, r)
     bits = binomial(n, r) * binomial(n, s)
     if bits > COVER_BITS_BUDGET:
+        # A count of over 4300 digits is too long for str(): its size is given.
+        size = bits if bits.bit_length() <= 64 else f"over 2^{bits.bit_length() - 1}"
         raise BudgetExceededError(
-            f"C({n},{r}) cover bitmaps of C({n},{s}) bits take {bits} bits, "
+            f"C({n},{r}) cover bitmaps of C({n},{s}) bits take {size} bits, "
             f"beyond the budget of {COVER_BITS_BUDGET}"
         )
     # The empty set lies in every s-set.

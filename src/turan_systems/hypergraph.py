@@ -6,11 +6,12 @@ property exhaustively, by finding the colex-least s-set that contains no
 edge (a deterministic first witness), or by seeded uniform sampling for
 large n.  A system is held as its sorted edge masks, which is all the
 verifier reads; the edges as vertex tuples are decoded only when something
-reads them.  Edges from outside (files, callers, the solver) come in
-through one loader, the constructor, which checks vertices, then masks,
-sorts and drops repeats; the masks that the package's constructions build
-come in through one mask entry, UniformHypergraph._from_masks, which
-checks the same invariants on the masks.  Both end in the same step.
+reads them.  Edges from outside (files, callers, the solver's cache) come
+in through one loader, the constructor, which checks vertices, then masks,
+sorts and drops repeats; the masks that the package's constructions and
+the solver build come in through one mask entry,
+UniformHypergraph._from_masks, which checks the same invariants on the
+masks.  Both end in the same step.
 
 The loader holds nothing beside its input but the masks: its type, range
 and mask passes stream the vertices out of the rows, and it drops repeats
@@ -59,6 +60,7 @@ from .combinatorics import (
     check_sizes,
     check_subset,
     cover_union,
+    log_binomial,
     rank_colex,
     unrank_colex,
 )
@@ -92,8 +94,8 @@ class UniformHypergraph(JsonRecord):
     decoded from the masks on first read and kept.  Immutable.  The
     constructor is the one loader for outside edges; from_edges and
     from_json call it.  _from_masks is the one entry for masks built by the
-    constructions, with the same invariants: r-uniform, in range, distinct
-    and in colex order.
+    constructions and the solver, with the same invariants: r-uniform, in
+    range, distinct and in colex order.
     """
 
     n: int
@@ -361,11 +363,16 @@ def is_turan_system(
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     _refuse_long_sets(s)
-    total = binomial(H.n, s)
-    if total > budget:
+    # ln C(n,s) errs by far less than 1, so a count beyond e times the budget
+    # is refused without the exact C(n,s), which can take seconds to compute
+    # and has too many digits to print; nearer the budget, C(n,s) decides.
+    if (
+        budget < 1
+        or log_binomial(H.n, s) > math.log(budget) + 1
+        or (total := binomial(H.n, s)) > budget
+    ):
         raise BudgetExceededError(
-            f"C({H.n},{s}) = {total} exceeds exhaustive budget {budget}; "
-            "use sample_verify instead"
+            f"C({H.n},{s}) exceeds exhaustive budget {budget}; use sample_verify instead"
         )
     if H.n * total <= BITMAP_VERIFY_BITS:
         union = cover_union(H.n, s, H.masks)

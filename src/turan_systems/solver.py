@@ -37,10 +37,9 @@ from .combinatorics import (
     JsonRecord,
     binomial,
     check_sizes,
+    colex_masks,
     cover_masks,
     r_subset_ranks,
-    rank_colex,
-    unrank_colex,
 )
 from .hypergraph import UniformHypergraph, is_turan_system
 
@@ -99,30 +98,25 @@ def _balanced_parts(n: int, k: int) -> list[range]:
     return list(itertools.starmap(range, itertools.pairwise(cuts)))
 
 
-def _turan_construction(n: int, s: int, r: int) -> list[tuple[int, ...]] | None:
-    """Turán's (n,s,r) system where one is known, else None.
+def _turan_construction(n: int, s: int, r: int) -> list[int] | None:
+    """The edge masks of Turán's (n,s,r) system where one is known, else None.
 
     r = 2: the complement of the balanced (s-1)-partite Turán graph, the
     pairs inside the parts; an s-set has two vertices in some part.
     (s,r) = (4,3): with [n] in three balanced parts V0, V1, V2, the
     triples inside a part and those with two vertices in Vi and one in
     V(i+1 mod 3); a 4-set has three vertices in a part or two in Vi and
-    one or two in a neighbouring part, which closes one such triple.
+    one or two in a neighbouring part, which closes one such triple.  A
+    part with fewer than r vertex bits has no r-combination and adds none.
     """
-    if r == 2:
-        return [e for part in _balanced_parts(n, s - 1) for e in itertools.combinations(part, 2)]
-    if (s, r) != (4, 3):
+    if r != 2 and (s, r) != (4, 3):
         return None
-    parts = _balanced_parts(n, 3)
-    edges = []
-    for i, part in enumerate(parts):
-        edges += itertools.combinations(part, 3)
-        edges += (
-            tuple(sorted((a, b, c)))
-            for a, b in itertools.combinations(part, 2)
-            for c in parts[(i + 1) % 3]
-        )
-    return edges
+    parts = [[1 << v for v in part] for part in _balanced_parts(n, s - 1 if r == 2 else 3)]
+    masks = [sum(e) for bits in parts for e in itertools.combinations(bits, r)]
+    if r == 3:
+        for bits, after in zip(parts, parts[1:] + parts[:1]):
+            masks += (p + c for p in map(sum, itertools.combinations(bits, 2)) for c in after)
+    return masks
 
 
 def _first_size(n: int, s: int, r: int) -> int:
@@ -139,16 +133,16 @@ def _first_size(n: int, s: int, r: int) -> int:
     return size
 
 
-def _first_incumbent(n: int, s: int, r: int) -> list[int] | range:
-    """Colex ranks of the smaller of the prefix system and Turán's.
+def _first_incumbent(n: int, s: int, r: int) -> list[int]:
+    """Edge masks of the smaller of the prefix system and Turán's.
 
     The prefix system, every r-subset of the first n - s + r vertices, is
-    exactly the colex-first C(n-s+r, r) r-sets; it is kept on a tie.
+    the masks colex_masks(n - s + r, r), which trivial_prefix_system holds;
+    it is kept on a tie.
     """
-    prefix = range(binomial(n - s + r, r))
-    if _first_size(n, s, r) == len(prefix):
-        return prefix
-    return list(map(rank_colex, _turan_construction(n, s, r)))
+    if _first_size(n, s, r) == binomial(n - s + r, r):
+        return colex_masks(n - s + r, r)
+    return _turan_construction(n, s, r)
 
 
 def _greedy_cover(cover_mask: list[int], num_s: int) -> list[int]:
@@ -184,18 +178,20 @@ def _search(
     s: int,
     r: int,
     cover_mask: list[int],
-    incumbent: list[int] | range,
+    incumbent: list[int],
     bound: int,
     node_budget: int,
-) -> tuple[list[int] | range, int, bool]:
+    edge_mask: list[int] | None = None,
+) -> tuple[list[int], int, bool]:
     """Branch and bound for an (n,s,r) system smaller than `incumbent`.
 
-    `cover_mask` is cover_masks(n, s, r), which the search reads and does
-    not change.  `incumbent` holds colex ranks of r-sets forming a Turán
-    system.  The search stops when it exhausts its tree, when it finds a
-    system of `bound` edges or fewer, or when it has visited more than
-    `node_budget` nodes.  Returns the ranks of the best system found, the
-    number of nodes visited and whether the budget ran out.
+    `cover_mask` is cover_masks(n, s, r) and `edge_mask` colex_masks(n, r),
+    built here if not given; the search reads both and changes neither.
+    `incumbent` holds the edge masks of a Turán system, and only its
+    length is read.  The search stops when it exhausts its tree, when it
+    finds a system of `bound` edges or fewer, or when it has visited more
+    than `node_budget` nodes.  Returns the edge masks of the best system
+    found, the number of nodes visited and whether the budget ran out.
 
     Branches on the colex-least uncovered s-set with one child per
     r-subset of it, from r_subset_ranks on the first branch there; prunes
@@ -218,8 +214,8 @@ def _search(
     passes the budget: the children visited since the last such point
     were pruned and changed nothing, so stopping there with
     `node_budget + 1` nodes is stopping at the child that passed the
-    budget.  The ranks of an incumbent are read off the same positions,
-    one per frame.
+    budget.  An incumbent's edge masks are read off the same positions,
+    one per frame: ranks index the two tables and go no further.
     """
     num_s = binomial(n, s)
     per_edge = binomial(n - r, s - r)
@@ -232,18 +228,19 @@ def _search(
     full = (1 << num_s) - 1
 
     subset_ranks = r_subset_ranks(n, s, r)
-    # rows[i]: the cover masks and ranks of the r-sets inside s-set i, in
-    # colex order, built on first use.  Row 0 is the root's branch, edge
+    edge_mask = colex_masks(n, r) if edge_mask is None else edge_mask
+    # rows[i]: the cover masks and edge masks of the r-sets inside s-set i,
+    # in colex order, built on first use.  Row 0 is the root's branch, edge
     # {0,...,r-1} (rank 0): it lies in s-set 0, so s-set 0 is covered at
     # every node below the root.
-    rows = [([cover_mask[0]], [0])] + [None] * (num_s - 1)
+    rows = [([cover_mask[0]], [edge_mask[0]])] + [None] * (num_s - 1)
 
     # Depth-first search with an explicit stack, so depth is not limited by
     # the interpreter's recursion limit.  stack[d] is an open node with d
     # edges: its covered set, the iterator over the cover masks of its
     # remaining children, which have d + 1 edges, and those children's
-    # ranks.  A child that needs no branching is finished inside the loop
-    # over its siblings.  The bottom frame is the root, with mask 0.
+    # edge masks.  A child that needs no branching is finished inside the
+    # loop over its siblings.  The bottom frame is the root, with mask 0.
     #
     # A child at depth d survives only if it covers at least
     # need = num_s - (best - d - 1) * per_edge s-sets, the same test as
@@ -263,7 +260,7 @@ def _search(
             covered = base | m
             if covered == full:
                 best = len(stack)
-                incumbent = [ranks[-1 - length_hint(it)] for _, it, ranks in stack]
+                incumbent = [edges[-1 - length_hint(it)] for _, it, edges in stack]
                 if best <= bound:
                     return incumbent, upper - _unvisited(stack), False
                 need = num_s + per_edge
@@ -273,7 +270,7 @@ def _search(
             row = rows[i]
             if row is None:
                 ranks = subset_ranks(i)
-                row = rows[i] = (list(map(cover_mask.__getitem__, ranks)), ranks)
+                row = rows[i] = ([cover_mask[j] for j in ranks], [edge_mask[j] for j in ranks])
             stack.append((covered, iter(row[0]), row[1]))
             upper += len(row[1])
             need += per_edge
@@ -304,15 +301,17 @@ def solve_min_turan(
     m deletions.  T(m-1) is level m-1's optimum when it was proven, its
     lower bound otherwise.  A level whose first incumbent meets its bound is
     closed with no setup: the incumbent's size is counted (`_first_size`),
-    and `_first_incumbent` builds and ranks it only where greedy or the
+    and `_first_incumbent` builds its edge masks only where greedy or the
     search reads it, and for level n's witness.  On any other level, while
-    budget remains, `cover_masks` is built once: `_greedy_cover` reads it, and
+    budget remains, `cover_masks` and `colex_masks` are built once: greedy
+    reads the first, its ranks mapped to edge masks through the second, and
     replaces the incumbent when strictly smaller; if greedy meets the bound
-    the level is closed with no node, else `_search` reads the same masks
+    the level is closed with no node, else `_search` reads the same tables
     until incumbent and bound meet or its tree is exhausted.  So a budget
     of 0 still proves the levels that greedy closes.  The levels share
     `node_budget`; once it has run out, the remaining levels take the bound
-    only.  Nothing is kept between calls.
+    only.  Nothing is kept between calls.  Systems are edge masks
+    throughout, and the witness is built from them as they are.
     """
     _check_arguments(n, s, r, node_budget)
     nodes = 0
@@ -326,12 +325,13 @@ def solve_min_turan(
         if optimum > bound and not out_of_budget:
             incumbent = _first_incumbent(m, s, r)
             cover_mask = cover_masks(m, s, r)
+            edge_mask = colex_masks(m, r)
             greedy = _greedy_cover(cover_mask, binomial(m, s))
             if len(greedy) < len(incumbent):
-                incumbent = greedy
+                incumbent = list(map(edge_mask.__getitem__, greedy))
             if len(incumbent) > bound:
                 incumbent, used, out_of_budget = _search(
-                    m, s, r, cover_mask, incumbent, bound, node_budget - nodes
+                    m, s, r, cover_mask, incumbent, bound, node_budget - nodes, edge_mask
                 )
                 nodes += used
             optimum = len(incumbent)
@@ -341,12 +341,12 @@ def solve_min_turan(
             proof = None if out_of_budget else "exhausted"
         below = bound if proof is None else optimum
 
+    # The loader's bit budget, as work refused before level n's is built.
+    if optimum * n > COVER_BITS_BUDGET:
+        raise BudgetExceededError(f"{optimum} witness masks of {n} bits exceed the budget")
     if incumbent is None:
         incumbent = _first_incumbent(n, s, r)
-    # The loader's bit budget, as work refused rather than input refused.
-    if len(incumbent) * n > COVER_BITS_BUDGET:
-        raise BudgetExceededError(f"{len(incumbent)} witness masks of {n} bits exceed the budget")
-    witness = UniformHypergraph.from_edges(n, r, [unrank_colex(j, r, n) for j in incumbent])
+    witness = UniformHypergraph._from_masks(n, r, sorted(incumbent))
     return SolveResult(
         n=n,
         s=s,

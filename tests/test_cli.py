@@ -248,11 +248,15 @@ class TestVerify:
         path = tmp_path / "big.json"
         H = UniformHypergraph.from_edges(40, 2, [(0, 1)])
         path.write_text(H.to_json())
-        code, _, _ = run(
+        # C(10^6, 2000) has more digits than str() prints.
+        edgeless = tmp_path / "edgeless.json"
+        edgeless.write_text(json.dumps({"n": 10**6, "r": 1, "edges": []}))
+        for argv in (
             ["verify", "--input", path.as_posix(), "--s", "20", "--budget", "1000"],
-            capsys,
-        )
-        assert code == 4
+            ["verify", "--input", edgeless.as_posix(), "--s", "2000"],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 4 and len(err.splitlines()) == 1, argv
 
     def test_sample_mode_needs_seed(self, tmp_path, capsys):
         path = self._write_system(tmp_path, capsys)
@@ -672,6 +676,10 @@ ERROR_PATHS = {
     # C(60,3) and C(60,4) fit the materialization budget; their cover
     # bitmaps, 34220 of 487635 bits, do not fit COVER_BITS_BUDGET.
     "coloring-cover-budget": ("construct coloring --n 60 --s 4 --r 3 --ell 2 --seed 1", 4),
+    # Their C(32768,1) * C(32768,16384) bits have too many digits to print.
+    "coloring-cover-budget-long-count": (
+        "construct coloring --n 32768 --s 16384 --r 1 --ell 2 --seed 1", 4,
+    ),
     "coloring-negative-rounds": (
         "construct coloring --n 6 --s 4 --r 3 --ell 2 --seed 1 --max-rounds -1", 2,
     ),

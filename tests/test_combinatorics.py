@@ -258,6 +258,10 @@ class TestCoverMasks:
             colex_masks(n, k)
 
     def test_refused_beyond_bit_budget(self, monkeypatch):
+        # C(32768,16384) has more digits than str() prints: the message
+        # gives its size instead.
+        with pytest.raises(BudgetExceededError, match=r"take over 2\^32775 bits"):
+            cover_masks(32768, 16384, 1)
         # (7,4,3) takes C(7,3) * C(7,4) = 35 * 35 = 1225 bits.
         monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1224)
         with pytest.raises(BudgetExceededError, match="1225 bits"):

@@ -119,6 +119,24 @@ class TestExhaustiveVerify:
         with pytest.raises(BudgetExceededError):
             is_turan_system(H, 20, budget=10**6)
 
+    def test_far_count_refused_without_computing_it(self, monkeypatch):
+        # ln C(10^9, 10^5) is near 10^6, far above ln 10^9: the exact count,
+        # which alone takes over a second, is never computed.
+        calls = []
+        real = hypergraph.binomial
+        monkeypatch.setattr(hypergraph, "binomial", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(BudgetExceededError, match=r"C\(1000000000,100000\) exceeds"):
+            is_turan_system(UniformHypergraph(10**9, 1, []), 10**5)
+        assert (10**9, 10**5) not in calls
+
+    @pytest.mark.parametrize("n, s", [(40, 20), (10**6, 2), (10**20, 5)])
+    def test_budget_at_the_count_decided_exactly(self, n, s):
+        # Both sides of the exact path of log_binomial and of its series.
+        H = UniformHypergraph(n, 1, [])
+        assert is_turan_system(H, s, budget=math.comb(n, s)).witness == tuple(range(s))
+        with pytest.raises(BudgetExceededError):
+            is_turan_system(H, s, budget=math.comb(n, s) - 1)
+
     @pytest.mark.parametrize("r, s", [(1, 2), (2, 5)])
     def test_edgeless_system_at_huge_n(self, r, s):
         # Above the bitmap limit the search runs with no edge, and builds no

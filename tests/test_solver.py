@@ -9,6 +9,7 @@ from turan_systems import combinatorics, solver
 from turan_systems.combinatorics import (
     BudgetExceededError,
     binomial,
+    colex_masks,
     cover_masks,
     enumerate_subsets,
     unrank_colex,
@@ -32,10 +33,10 @@ def prefix_search(n, s, r, budget, bound=0):
     """The search kernel from the prefix incumbent, with no bound unless
     one is given, as the reference loop runs it: (optimum, witness, nodes,
     budget ran out)."""
-    prefix = range(binomial(n - s + r, r))
-    ranks, nodes, out = _search(n, s, r, cover_masks(n, s, r), prefix, bound, budget)
-    witness = UniformHypergraph.from_edges(n, r, [unrank_colex(j, r, n) for j in ranks])
-    return len(ranks), witness, nodes, out
+    prefix = colex_masks(n - s + r, r)
+    masks, nodes, out = _search(n, s, r, cover_masks(n, s, r), prefix, bound, budget)
+    witness = UniformHypergraph._from_masks(n, r, sorted(masks))
+    return len(masks), witness, nodes, out
 
 
 class TestSolveMinTuran:
@@ -125,7 +126,8 @@ class TestSolveMinTuran:
         assert built == covered == [(7, 4, 3)]
         assert res.budget_exhausted and not res.proven_optimal and res.proof is None
         assert res.nodes_explored == 11
-        assert res.witness == UniformHypergraph.from_edges(40, 3, _turan_construction(40, 4, 3))
+        turan = sorted(_turan_construction(40, 4, 3))
+        assert res.witness == UniformHypergraph._from_masks(40, 3, turan)
         assert res.optimum == 4225 and res.lower_bound == 3289
         assert res.lower_bound_source == "averaging"
 
@@ -170,6 +172,32 @@ class TestSolveMinTuran:
             solve_min_turan(5, 3, 2)
         monkeypatch.setattr(solver, "COVER_BITS_BUDGET", 20)
         assert solve_min_turan(5, 3, 2).optimum == 4
+
+    def test_witness_beyond_bit_budget_refused_before_it_is_built(self, monkeypatch):
+        # T(40,3,2) = 380 closes every level by its bound, so no level builds
+        # an incumbent; the witness's 380 * 40 bits are refused before
+        # level 40's is built.
+        def refuse(*args):
+            raise AssertionError("_first_incumbent called")
+
+        monkeypatch.setattr(solver, "COVER_BITS_BUDGET", 380 * 40 - 1)
+        monkeypatch.setattr(solver, "_first_incumbent", refuse)
+        with pytest.raises(BudgetExceededError, match="380 witness masks of 40 bits"):
+            solve_min_turan(40, 3, 2)
+
+    def test_witness_built_without_the_loader(self, monkeypatch):
+        # Turán's construction (40,3,2), the prefix system (9,6,1) and a
+        # searched incumbent (9,7,5) reach the witness as edge masks.
+        def refuse(*args):
+            raise AssertionError("the edge loader was called")
+
+        monkeypatch.setattr(UniformHypergraph, "__init__", refuse)
+        for (n, s, r), optimum in {(40, 3, 2): 380, (9, 6, 1): 4, (9, 7, 5): 8}.items():
+            res = solve_min_turan(n, s, r)
+            assert res.optimum == len(res.witness) == optimum
+            assert is_turan_system(res.witness, s).is_turan
+        assert res.nodes_explored == 1269431
+        assert solve_min_turan(9, 6, 1).witness.edges == ((0,), (1,), (2,), (3,))
 
     def test_search_leaves_cover_masks_unchanged(self):
         masks = cover_masks(7, 4, 3)
@@ -483,20 +511,20 @@ class TestBoundsAndConstructions:
 
     def test_turan_43_construction(self):
         for n in range(4, 13):
-            edges = _turan_construction(n, 4, 3)
-            H = UniformHypergraph.from_edges(n, 3, edges)
-            assert len(H) == len(edges) and is_turan_system(H, 4).is_turan
-            assert sorted(edges) == sorted(reference_construction(n, 4, 3))
+            masks = _turan_construction(n, 4, 3)
+            H = UniformHypergraph._from_masks(n, 3, sorted(masks))
+            assert len(H) == len(masks) and is_turan_system(H, 4).is_turan
+            assert H.edges == tuple(reference_construction(n, 4, 3))
         assert len(_turan_construction(8, 4, 3)) == 20
         assert len(_turan_construction(9, 4, 3)) == 30
 
     def test_r2_construction_is_turan(self):
         for n in range(3, 13):
             for s in range(3, n + 1):
-                edges = _turan_construction(n, s, 2)
-                H = UniformHypergraph.from_edges(n, 2, edges)
+                masks = _turan_construction(n, s, 2)
+                H = UniformHypergraph._from_masks(n, 2, sorted(masks))
                 assert is_turan_system(H, s).is_turan
-                assert len(H) == len(edges) == turan_r2_value(n, s)
+                assert len(H) == len(masks) == turan_r2_value(n, s)
 
     def test_first_size_counts_first_incumbent(self):
         for n in range(3, 13):

@@ -13,11 +13,13 @@ the solver build come in through one mask entry,
 UniformHypergraph._from_masks, which checks the same invariants on the
 masks.  Both end in the same step.
 
-The loader holds nothing beside its input but the masks: its type, range
-and mask passes stream the vertices out of the rows, and it drops repeats
-by comparing neighbours of the sorted mask list, with no dict, so it peaks
-near 60 bytes per edge above the rows, 40 of them kept.  Its two size
-limits (see MASK_BITS_MAX) refuse before it builds any bit.  from_json
+The loader holds nothing beside its input but the masks: its type and
+mask passes stream the vertices out of the rows, and it drops repeats by
+comparing neighbours of the sorted mask list, with no dict of masks, so it
+peaks near 60 bytes per edge above the rows, 40 of them kept.  It checks
+each vertex against the range and its two size limits (see MASK_BITS_MAX)
+when it first builds that vertex's bit, and so before the bit; it scans
+all vertices again only when one fails, to word the refusal.  from_json
 pauses the cyclic garbage collector while it parses and loads: the parsed
 JSON holds no cycles, and collections would traverse its lists again and
 again.
@@ -48,7 +50,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, compress, islice, repeat
-from operator import lt, or_
+from operator import and_, lt, ne, or_
 from typing import Iterable
 
 from .combinatorics import (
@@ -73,13 +75,46 @@ DEFAULT_EXHAUSTIVE_BUDGET = 10**9
 BITMAP_VERIFY_BITS = 2**20
 
 # The loader refuses a vertex at or above this many bits (a 625 KB mask), and
-# |E| edges below vertex h when |E| * h > COVER_BITS_BUDGET, before any bit.
+# |E| edges up to vertex h when |E| * (h + 1) > COVER_BITS_BUDGET, before the
+# vertex's bit.
 # Each construction's [m] passes refuse_beyond_budget, so m is below this
 # and C(m, r) * m within COVER_BITS_BUDGET: every system they write loads.
 MASK_BITS_MAX = DEFAULT_MATERIALIZE_BUDGET
 
 # Sampled reports bound the uncovered share of s-sets at confidence 1 - delta.
 SAMPLE_DELTA = 1e-3
+
+
+class _VertexBits(dict):
+    """The loader's vertex bits: v -> 1 << v, each built on the first lookup
+    of v once v passes the range and size limits.
+
+    A failing vertex fails one of the limits over all rows, so the refusal
+    scans the rows for their least and largest vertices and raises the first
+    message of the checks over all rows, in their order: range, mask limit,
+    bit budget.  No bit is built for a vertex before it passes.
+    """
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: list) -> None:
+        super().__init__()
+        self.n = n
+        self.rows = rows
+
+    def __missing__(self, v: int) -> int:
+        n, rows = self.n, self.rows
+        if not 0 <= v < min(n, MASK_BITS_MAX) or len(rows) * (v + 1) > COVER_BITS_BUDGET:
+            low, high = min(chain.from_iterable(rows)), max(chain.from_iterable(rows))
+            if not 0 <= low <= high < n:
+                raise ValueError(f"vertices must lie in range({n}), got {low} to {high}")
+            if high >= MASK_BITS_MAX:
+                raise ValueError(
+                    f"vertices must lie below the mask limit {MASK_BITS_MAX}, got {high}"
+                )
+            raise ValueError(f"{len(rows)} masks of {high + 1} bits exceed the bit budget")
+        bit = self[v] = 1 << v
+        return bit
 
 
 @dataclass(frozen=True, init=False)
@@ -110,11 +145,15 @@ class UniformHypergraph(JsonRecord):
         other non-int vertices are rejected.  Repeated edges collapse into
         one.  Any violation raises ValueError; the checks run in the order
         sizes, types, range, repeats.  After the range, the size limits of
-        MASK_BITS_MAX and COVER_BITS_BUDGET refuse before any bit is built.
+        MASK_BITS_MAX and COVER_BITS_BUDGET refuse before any bit is built
+        for a vertex beyond them.
 
         Each check is one pass over all edges or all vertices in C-level
-        maps and sets; the only Python loop runs over the distinct
-        vertices, to build their bits.  The type, range and mask passes
+        maps and sets.  The range and both size limits are checked on each
+        vertex when its bit is first built, in the one Python call per
+        distinct vertex; all vertices are scanned again only on a failing
+        vertex, for the least and largest vertex of the message, which is
+        the one the checks over all rows give.  The type and mask passes
         each stream the vertices out of the rows, so no flat vertex list
         is built.  No edge is sorted, and only an edge without a length is
         copied: the order of the vertices in an edge does not change its
@@ -148,21 +187,11 @@ class UniformHypergraph(JsonRecord):
         if types:
             names = sorted(t.__name__ for t in types)
             raise ValueError(f"vertices must be integers, got {', '.join(names)}")
-        present = set(chain.from_iterable(rows))
-        if present:
-            low, high = min(present), max(present)
-            if not 0 <= low <= high < n:
-                raise ValueError(f"vertices must lie in range({n}), got {low} to {high}")
-            if high >= MASK_BITS_MAX:
-                raise ValueError(
-                    f"vertices must lie below the mask limit {MASK_BITS_MAX}, got {high}"
-                )
-            if len(rows) * (high + 1) > COVER_BITS_BUDGET:
-                raise ValueError(f"{len(rows)} masks of {high + 1} bits exceed the bit budget")
-        # Bits only for the vertices that occur: a table over range(n) would
-        # take O(n^2) bits even for a handful of edges.  zip over r
-        # references to one iterator groups consecutive bits into edges.
-        bit = {v: 1 << v for v in present}
+        # Bits only for the vertices that occur, each checked as its bit is
+        # first built: a table over range(n) would take O(n^2) bits even for
+        # a handful of edges.  zip over r references to one iterator groups
+        # consecutive bits into edges.
+        bit = _VertexBits(n, rows)
         masks = list(map(sum, zip(*[map(bit.__getitem__, chain.from_iterable(rows))] * r)))
         if set(map(int.bit_count, masks)) - {r}:
             bad = next(e for e, m in zip(rows, masks) if m.bit_count() != r)
@@ -172,7 +201,7 @@ class UniformHypergraph(JsonRecord):
         # which the sort passes in one run), then a mask is kept where it
         # differs from its sorted predecessor: equal masks are neighbours.
         masks.sort()
-        kept = chain((True,), map(int.__ne__, islice(masks, 1, None), masks))
+        kept = chain((True,), map(ne, islice(masks, 1, None), masks))
         self._set_state(n, r, tuple(compress(masks, kept)))
 
     def _set_state(self, n: int, r: int, masks: tuple[int, ...]) -> None:
@@ -328,7 +357,7 @@ def _covered(H: UniformHypergraph, S: tuple[int, ...]) -> bool:
                 return True
         return False
     m = sum(bits)
-    return not all(map(int.__ne__, map(m.__and__, masks), masks))
+    return not all(map(ne, map(and_, repeat(m), masks), masks))
 
 
 def _refuse_long_sets(s: int) -> None:

@@ -206,6 +206,9 @@ MALFORMED_SYSTEMS = {
     "mixed-vertices": '{"n": 4, "r": 2, "edges": [["a", 1]]}',
     "nested-vertex": '{"n": 4, "r": 2, "edges": [[0, [1]]]}',
     "bool-vertex": '{"n": 4, "r": 2, "edges": [[true, 2], [0, 1]]}',
+    # A bool or float after an equal int is still refused.
+    "bool-after-int": '{"n": 4, "r": 2, "edges": [[0, 1], [true, 2]]}',
+    "float-after-int": '{"n": 4, "r": 2, "edges": [[3, 1], [3.0, 2]]}',
     "root-not-object": "[1]",
     "n-not-integer": '{"n": "4", "r": 2, "edges": []}',
     "r-not-integer": '{"n": 4, "r": 2.0, "edges": []}',

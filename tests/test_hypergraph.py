@@ -84,6 +84,18 @@ class TestContainsEdge:
         assert not contains_edge(H, (2, 5, 10**6 - 1))
         assert set(vars(H)) == {"n", "r", "masks"}
 
+    @pytest.mark.parametrize("S, covered", [
+        ((1, 5, 7), True),  # the edge is the set's largest pair
+        ((1, 3, 5, 8), False),
+        ((5, 7, 10**5 - 1), True),  # a vertex above every edge gets no bit
+    ])
+    def test_scan_of_all_masks(self, monkeypatch, S, covered):
+        # Each set has more pairs than the system has edges, so every mask
+        # is tested for inclusion rather than the pairs looked up.
+        H = UniformHypergraph(10**5, 2, [[0, 2], [7, 5]])
+        monkeypatch.setattr(hypergraph, "bisect_left", None)
+        assert contains_edge(H, S) == covered
+
     def test_sampling_reads_the_same_index(self):
         # C(3,2) = 3 r-subsets per set against one edge: sampling scans the
         # masks rather than looking the set's pairs up.
@@ -662,6 +674,9 @@ class TestMaskEntry:
 class TestLoaderMessages:
     # Rows whose vertices cannot be compared reach the type check: nothing
     # sorts an edge before its vertices are known to be ints.
+    # A vertex is checked against the range when its bit is first built, so
+    # the rows below also pin faults met late, or hidden behind an equal int
+    # (True == 1 and 3.0 == 3): the message is the one over all rows.
     @pytest.mark.parametrize("edges, message", [
         ([[None, 1]], "vertices must be integers, got NoneType"),
         ([["a", 1]], "vertices must be integers, got str"),
@@ -670,6 +685,11 @@ class TestLoaderMessages:
         ([[None, 1, 2]], "every edge needs 2 vertices, got sizes [3]"),
         ([1, 2], "edges must be iterables of vertices: 'int' object is not iterable"),
         ([[3, 1], [2, 2]], "edge (2, 2) repeats a vertex"),
+        ([[0, 1], [True, 2]], "vertices must be integers, got bool"),
+        ([[3, 1], [3.0, 2]], "vertices must be integers, got float"),
+        ([[0, 9], [-1, 2]], "vertices must lie in range(4), got -1 to 9"),
+        ([[0, 1], [-1, 2]], "vertices must lie in range(4), got -1 to 2"),
+        ([[3, 1], [2, 2], [0, 7]], "vertices must lie in range(4), got 0 to 7"),
     ])
     def test_pinned(self, edges, message):
         with pytest.raises(ValueError) as info:
@@ -730,6 +750,11 @@ class TestLeanLoader:
                 UniformHypergraph(10**20, 2, [[0, 1], [v, 0]])
         with pytest.raises(ValueError, match=r"must lie in range\(4\)"):
             UniformHypergraph(4, 2, [[0, 10**19]])
+        # A vertex beyond the mask limit met before one outside the range
+        # still gives the range message, as the range is checked first.
+        with pytest.raises(ValueError) as info:
+            UniformHypergraph(10**20, 2, [[0, 1], [10**19, 0], [-1, 2]])
+        assert str(info.value) == f"vertices must lie in range({10**20}), got -1 to {10**19}"
 
     def test_mask_bit_budget(self, monkeypatch):
         # |E| edges up to vertex h - 1 may take |E| * h bits: 215 edges at

@@ -171,12 +171,9 @@ def moser_tardos_color(
         # The scan resumes at the block of the least redrawn r-set.
         bad = violated(bisect_right(firsts, ranks[0]) - 1)
 
-    sizes = [0] * ell
-    for c in coloring:
-        sizes[c] += 1
-
+    sizes = list(map(coloring.count, range(ell)))
     success = bad is None
-    least = min(range(ell), key=lambda c: (sizes[c], c)) if success else None
+    least = sizes.index(min(sizes)) if success else None
     return ColoringOutcome(
         success=success,
         N=N, s=s, r=r, ell=ell, seed=seed,
@@ -212,6 +209,14 @@ def blowup(A: UniformHypergraph, m: int) -> tuple[UniformHypergraph, BlowupRepor
     The result on [mN] keeps every r-set that meets some part twice, plus
     every transversal r-set whose part projection is an edge of A.  If A is
     a Turán (N,s,r)-system the result is a Turán (mN,s,r)-system.
+
+    The block recurrence builds two tables over the r-sets of [mN] in colex
+    order: each r-set's mask, from the vertex bits, and its projection,
+    the mask of its parts, from the part bits 1 << v % N.  A projection of
+    fewer than r bits is an r-set that meets some part twice; the r-sets
+    whose projection is kept are taken from the first table in its order.
+    When mN < r the result is the empty system, and when mN < 2 so is its
+    degenerate cap.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -223,29 +228,20 @@ def blowup(A: UniformHypergraph, m: int) -> tuple[UniformHypergraph, BlowupRepor
     N, r = A.n, A.r
     n = m * N
     refuse_beyond_budget(n, r)
-    # The projection of an r-set is the mask of its parts: it has fewer
-    # than r bits when the set meets some part twice.  The r-sets come
-    # lazily, as tuples of vertex bits in lex order, and the masks kept are
-    # sorted into colex order once: a colex list would hold all C(n,r) of
-    # them at once.
-    edge_masks = set(A.masks)
-    part = {1 << v: 1 << v % N for v in range(n)}  # vertex bit: part bit
-    masks = []
-    for e in itertools.combinations(part, r):
-        projection = 0
-        for b in e:
-            projection |= part[b]
-        if projection.bit_count() < r or projection in edge_masks:
-            masks.append(sum(e))
-    masks.sort()
-    B = UniformHypergraph._from_masks(n, r, masks)
+    masks = _colex_blocks([0], r, n, or_, (1).__lshift__, masks=False)
+    projections = _colex_blocks([0], r, n, or_, lambda v: 1 << v % N, masks=False)
+    keep = set(A.masks).union(p for p in set(projections) if p.bit_count() < r)
+    B = UniformHypergraph._from_masks(
+        n, r, itertools.compress(masks, map(keep.__contains__, projections))
+    )
     report = BlowupReport(
         m=m,
         N=N,
         r=r,
         size=len(B),
         size_transversal_cap=m**r * len(A),
-        size_degenerate_cap=N * binomial(m, 2) * binomial(n - 2, r - 2),
+        # No two vertices share a part when N = 0 or C(m,2) = 0.
+        size_degenerate_cap=N * binomial(m, 2) * binomial(n - 2, r - 2) if n >= 2 else 0,
     )
     return B, report
 

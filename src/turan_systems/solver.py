@@ -181,12 +181,12 @@ def _search(
     incumbent: list[int],
     bound: int,
     node_budget: int,
-    edge_mask: list[int] | None = None,
+    edge_mask: list[int],
 ) -> tuple[list[int], int, bool]:
     """Branch and bound for an (n,s,r) system smaller than `incumbent`.
 
-    `cover_mask` is cover_masks(n, s, r) and `edge_mask` colex_masks(n, r),
-    built here if not given; the search reads both and changes neither.
+    `cover_mask` is cover_masks(n, s, r) and `edge_mask` colex_masks(n, r);
+    the search reads both and changes neither.
     `incumbent` holds the edge masks of a Turán system, and only its
     length is read.  The search stops when it exhausts its tree, when it
     finds a system of `bound` edges or fewer, or when it has visited more
@@ -228,7 +228,6 @@ def _search(
     full = (1 << num_s) - 1
 
     subset_ranks = r_subset_ranks(n, s, r)
-    edge_mask = colex_masks(n, r) if edge_mask is None else edge_mask
     # rows[i]: the cover masks and edge masks of the r-sets inside s-set i,
     # in colex order, built on first use.  Row 0 is the root's branch, edge
     # {0,...,r-1} (rank 0): it lies in s-set 0, so s-set 0 is covered at

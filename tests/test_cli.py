@@ -164,6 +164,17 @@ class TestConstruct:
         assert H.n == 8
         assert is_turan_system(H, 3).is_turan
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (0, 2)])
+    def test_blowup_below_two_vertices(self, tmp_path, capsys, n, m):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"n": n, "r": 2, "edges": []}))
+        code, out, err = run(
+            ["construct", "blowup", "--input", str(base), "--m", str(m)], capsys
+        )
+        assert (code, err) == (0, "")
+        H = UniformHypergraph.from_json(out)
+        assert (H.n, H.r, H.edges) == (m * n, 2, ())
+
     def test_blowup_missing_input_exit2(self, tmp_path, capsys):
         code, _, _ = run(
             ["construct", "blowup", "--input", str(tmp_path / "nope.json"), "--m", "2"],

@@ -237,6 +237,31 @@ class TestBlowup:
         with pytest.raises(ValueError):
             blowup(A, 2)
 
+    @pytest.mark.parametrize("N, r, m", [(0, 2, 1), (0, 3, 3), (1, 2, 1), (1, 4, 1)])
+    def test_below_two_vertices_is_empty(self, N, r, m):
+        # mN < 2: no two vertices share a part, so the degenerate cap is 0
+        # (its C(mN-2, r-2) is not taken) and no r-set exists.
+        B, report = blowup(UniformHypergraph.from_edges(N, r, []), m)
+        assert (B.n, B.r, B.masks) == (m * N, r, ())
+        assert (report.size, report.size_transversal_cap, report.size_degenerate_cap) == (0, 0, 0)
+
+    def test_matches_projection_rule_on_random_systems(self):
+        # Any A, Turán or not: an r-set of [mN] is kept when it meets some
+        # part twice or its parts form an edge of A.
+        rng = random.Random(2035)
+        cases = [(rng.randrange(10), rng.randrange(2, 5), rng.randrange(1, 4)) for _ in range(150)]
+        cases += [(9, 4, 3), (9, 2, 2), (2, 4, 1), (1, 3, 2), (0, 2, 3)]  # N = 9; mN < r
+        for N, r, m in cases:
+            candidates = list(itertools.combinations(range(N), r))
+            edges = rng.sample(candidates, rng.randrange(len(candidates) + 1))
+            A = UniformHypergraph.from_edges(N, r, edges)
+            B, report = blowup(A, m)
+            kept = [e for e in itertools.combinations(range(m * N), r)
+                    if len({v % N for v in e}) < r
+                    or tuple(sorted(v % N for v in e)) in A.edges]
+            assert B == UniformHypergraph(m * N, r, kept), (N, r, m, edges)
+            assert report.size == len(kept) <= report.cap()
+
 
 class TestRecursiveSystem:
     def test_p_one_gives_complete_graph(self):

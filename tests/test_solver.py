@@ -34,7 +34,9 @@ def prefix_search(n, s, r, budget, bound=0):
     one is given, as the reference loop runs it: (optimum, witness, nodes,
     budget ran out)."""
     prefix = colex_masks(n - s + r, r)
-    masks, nodes, out = _search(n, s, r, cover_masks(n, s, r), prefix, bound, budget)
+    masks, nodes, out = _search(
+        n, s, r, cover_masks(n, s, r), prefix, bound, budget, colex_masks(n, r)
+    )
     witness = UniformHypergraph._from_masks(n, r, sorted(masks))
     return len(masks), witness, nodes, out
 
@@ -149,7 +151,8 @@ class TestSolveMinTuran:
 
         real = solver.r_subset_ranks
         monkeypatch.setattr(solver, "r_subset_ranks", spy)
-        _, nodes, out = _search(16, 8, 4, cover_masks(16, 8, 4), range(495), 0, 10)
+        cover = cover_masks(16, 8, 4)
+        _, nodes, out = _search(16, 8, 4, cover, range(495), 0, 10, colex_masks(16, 4))
         assert out and nodes == 11
         assert 0 < len(rows) <= 11 and len(set(rows)) == len(rows) and 0 not in rows
 
@@ -202,9 +205,9 @@ class TestSolveMinTuran:
     def test_search_leaves_cover_masks_unchanged(self):
         masks = cover_masks(7, 4, 3)
         before = list(masks)
-        _, nodes, out = _search(7, 4, 3, masks, range(20), 0, 1000)
+        _, nodes, out = _search(7, 4, 3, masks, range(20), 0, 1000, colex_masks(7, 3))
         assert out and nodes == 1001 and masks == before
-        _search(7, 4, 3, masks, range(20), 0, solver.DEFAULT_NODE_BUDGET)
+        _search(7, 4, 3, masks, range(20), 0, solver.DEFAULT_NODE_BUDGET, colex_masks(7, 3))
         assert masks == before
 
     def test_benchmark_instances_pinned(self):

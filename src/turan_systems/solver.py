@@ -206,16 +206,19 @@ def _search(
 
     A frame iterates the cover masks of its children, so a pruned child
     costs one OR, one popcount and one comparison, and nothing is counted
-    per child.  `upper` is the root plus the children of every frame
-    opened so far, which is the node count once the open frames finish;
-    the nodes visited so far are `upper` less the children that the open
-    frames' iterators have left (`operator.length_hint`).  That is read
-    only at a surviving child or a frame end, and only once `upper`
-    passes the budget: the children visited since the last such point
-    were pruned and changed nothing, so stopping there with
-    `node_budget + 1` nodes is stopping at the child that passed the
-    budget.  An incumbent's edge masks are read off the same positions,
-    one per frame: ranks index the two tables and go no further.
+    per child.  The open frame, the one whose children are being
+    visited, is held in locals and the frames below it on a list, so a
+    push and a pop rebind three names and read no frame back.  `upper` is
+    the root plus the children of every frame opened so far, which is the
+    node count once the open frames finish; the nodes visited so far are
+    `upper` less the children that the open frames' iterators have left
+    (`_unvisited`).  That is read only at a surviving child or a frame
+    end, and only once `upper` passes the budget: the children visited
+    since the last such point were pruned and changed nothing, so
+    stopping there with `node_budget + 1` nodes is stopping at the child
+    that passed the budget.  An incumbent's edge masks are read off the
+    same positions, one per open frame: ranks index the two tables and go
+    no further.
     """
     num_s = binomial(n, s)
     per_edge = binomial(n - r, s - r)
@@ -235,33 +238,36 @@ def _search(
     rows = [([cover_mask[0]], [edge_mask[0]])] + [None] * (num_s - 1)
 
     # Depth-first search with an explicit stack, so depth is not limited by
-    # the interpreter's recursion limit.  stack[d] is an open node with d
-    # edges: its covered set, the iterator over the cover masks of its
-    # remaining children, which have d + 1 edges, and those children's
-    # edge masks.  A child that needs no branching is finished inside the
-    # loop over its siblings.  The bottom frame is the root, with mask 0.
+    # the interpreter's recursion limit.  The open node, with d edges, is
+    # base (its covered set), rest (the iterator over the cover masks of
+    # its remaining children, which have d + 1 edges) and edges (those
+    # children's edge masks); stack holds the same three for each node
+    # below it, the root first, so stack[k] has k edges.  A child that needs
+    # no branching is finished inside the loop over its siblings.  The
+    # first open node is the root, with mask 0.
     #
     # A child at depth d survives only if it covers at least
     # need = num_s - (best - d - 1) * per_edge s-sets, the same test as
     # d + ceil(uncovered / per_edge) < best.  need moves by per_edge with
     # each push and pop and is reset when best falls; a child that covers
     # everything then only passes it if d < best.
-    stack = [(0, iter(rows[0][0]), rows[0][1])]
+    base, rest, edges = 0, iter(rows[0][0]), rows[0][1]
+    stack = []
     upper = 2  # the root and its one child
     need += per_edge
-    while stack:
-        base, rest, _ = stack[-1]
+    while True:
         for m in rest:
             if (base | m).bit_count() < need:
                 continue
-            if upper > node_budget and upper - _unvisited(stack) > node_budget:
+            if upper > node_budget and upper - _unvisited(stack, rest) > node_budget:
                 return incumbent, node_budget + 1, True
             covered = base | m
             if covered == full:
-                best = len(stack)
-                incumbent = [edges[-1 - length_hint(it)] for _, it, edges in stack]
+                best = len(stack) + 1
+                incumbent = [e[-1 - length_hint(it)] for _, it, e in stack]
+                incumbent.append(edges[-1 - length_hint(rest)])
                 if best <= bound:
-                    return incumbent, upper - _unvisited(stack), False
+                    return incumbent, upper - _unvisited(stack, rest), False
                 need = num_s + per_edge
                 continue
             # colex-least uncovered s-set: the lowest zero bit of covered.
@@ -270,21 +276,27 @@ def _search(
             if row is None:
                 ranks = subset_ranks(i)
                 row = rows[i] = ([cover_mask[j] for j in ranks], [edge_mask[j] for j in ranks])
-            stack.append((covered, iter(row[0]), row[1]))
-            upper += len(row[1])
+            stack.append((base, rest, edges))
+            base, rest, edges = covered, iter(row[0]), row[1]
+            upper += len(edges)
             need += per_edge
             break
         else:
-            stack.pop()
+            # The root's one child always survives, so the root's frame
+            # ends right after that child or its frame, where the budget
+            # was read with the same count.
+            if not stack:
+                return incumbent, upper, False
+            base, rest, edges = stack.pop()
             need -= per_edge
-            if upper > node_budget and upper - _unvisited(stack) > node_budget:
+            if upper > node_budget and upper - _unvisited(stack, rest) > node_budget:
                 return incumbent, node_budget + 1, True
-    return incumbent, upper, False
 
 
-def _unvisited(stack: list[tuple[int, Iterator[int], list[int]]]) -> int:
-    """The children that the open frames of `_search` have left to visit."""
-    return sum(length_hint(frame[1]) for frame in stack)
+def _unvisited(stack: list[tuple[int, Iterator[int], list[int]]], rest: Iterator[int]) -> int:
+    """The children that `_search` has left to visit: those of its open
+    frame, whose iterator is `rest`, and of the frames below it on `stack`."""
+    return length_hint(rest) + sum(length_hint(frame[1]) for frame in stack)
 
 
 def solve_min_turan(

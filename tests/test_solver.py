@@ -211,19 +211,57 @@ class TestSolveMinTuran:
         assert masks == before
 
     def test_benchmark_instances_pinned(self):
-        # (optimum, nodes, proof) of the solve benchmark's six instances.
+        # (optimum, nodes, proof) of the solve benchmark's six instances,
+        # and the sha256 of the JSON list of each witness's edge masks.
         # (8,5,4) closes at the root: greedy's 14 edges meet the bound.
-        for (n, s, r, budget), want in {
-            (9, 7, 5, None): (8, 1269431, "exhausted"),
-            (10, 5, 2, None): (8, 0, "bound-met"),
-            (11, 6, 2, None): (7, 0, "bound-met"),
-            (7, 4, 3, None): (12, 113722, "exhausted"),
-            (8, 5, 4, None): (14, 0, "bound-met"),
-            (8, 4, 3, 1_000_000): (20, 113722, "bound-met"),
+        for (n, s, r, budget), (*want, digest) in {
+            (9, 7, 5, None): (
+                8, 1269431, "exhausted",
+                "3d23979851bc9da875e2f0b53819fe45e94b2acaef8dd1c6d5fd1c1037329548",
+            ),
+            (10, 5, 2, None): (
+                8, 0, "bound-met",
+                "c45b71ae4aa3a83585c3daffd3c9159e2dbb50b36742e4db4b6214be8f76c62a",
+            ),
+            (11, 6, 2, None): (
+                7, 0, "bound-met",
+                "7d6237734417bfe16a2aa0add9950a1118ca9c83f515f538ae8383cd8f3e9583",
+            ),
+            (7, 4, 3, None): (
+                12, 113722, "exhausted",
+                "731e216f913d0e81b0c0315edb325deeb59c6a343c8f69a44509f4ca2724f585",
+            ),
+            (8, 5, 4, None): (
+                14, 0, "bound-met",
+                "945c403752f4fefe94e4f711b6562dcbca1a6d9af64b094decdfcace15453ab8",
+            ),
+            (8, 4, 3, 1_000_000): (
+                20, 113722, "bound-met",
+                "d3380599bf84a1638f22d9a88f8f59cb19df6c62d17f212b116518dc38795de1",
+            ),
         }.items():
             res = solve_min_turan(n, s, r, node_budget=budget or solver.DEFAULT_NODE_BUDGET)
-            assert (res.optimum, res.nodes_explored, res.proof) == want
+            assert [res.optimum, res.nodes_explored, res.proof] == want
             assert is_turan_system(res.witness, s).is_turan
+            masks = json.dumps(res.witness.masks).encode()
+            assert hashlib.sha256(masks).hexdigest() == digest, (n, s, r)
+
+    def test_t975_budget_edges_pinned(self):
+        # Level 9 of (9,7,5) is the only level searched.  Its first dive
+        # opens the root's row of one child, then rows of C(7,5) = 21:
+        # budget 1 passes at the root's child, 2 at the first child of the
+        # second row, and 21, 22 and 23 inside the fourth row, whose first
+        # 20 children are pruned, so the stop is read at its 21st.  Each
+        # stops with b + 1 nodes and the first incumbent.  The tree has
+        # 1,269,431 nodes: a budget one short of it passes at the last
+        # frame end, and a budget of it exhausts the tree.
+        for budget in (1, 2, 21, 22, 23, 1_269_430):
+            res = solve_min_turan(9, 7, 5, node_budget=budget)
+            assert (res.optimum, res.nodes_explored, res.proof) == (8, budget + 1, None), budget
+            assert res.budget_exhausted
+        res = solve_min_turan(9, 7, 5, node_budget=1_269_431)
+        assert (res.optimum, res.nodes_explored, res.proof) == (8, 1_269_431, "exhausted")
+        assert not res.budget_exhausted
 
     def test_t953_proven_by_greedy(self):
         # T(9,5,3) = 12.  Averaging from T(8,5,3) = 8 gives ceil(9 * 8 / 6)

@@ -13,10 +13,12 @@ counts and witnesses deterministic.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import heapq
 import itertools
 import json
+import operator
 import os
 import tempfile
 import time
@@ -35,11 +37,14 @@ from .combinatorics import (
     COVER_BITS_BUDGET,
     BudgetExceededError,
     JsonRecord,
+    _colex_blocks,
+    _vertex_masks,
     binomial,
     check_sizes,
     colex_masks,
     cover_masks,
     r_subset_ranks,
+    unrank_colex,
 )
 from .hypergraph import UniformHypergraph, is_turan_system
 
@@ -204,6 +209,18 @@ def _search(
     relabelings.  The search keeps its own stack, so a deep search ends at
     the node budget, not at the interpreter's recursion limit.
 
+    The C(n-r, s-r) s-sets that contain the root's edge are covered at
+    every node below the root, so the search's bitmaps leave their bits
+    out: a bitmap holds the other C(n,s) - C(n-r, s-r) s-sets, in colex
+    order, and counts and thresholds are taken over those.  Deleting bits
+    keeps the order of those left, so the lowest zero bit is still the
+    colex-least uncovered s-set.  This is for speed: CPython stores an int
+    in 30-bit digits, and OR, popcount and comparison take a fast path on
+    one digit, so (9,7,5)'s 36 s-sets become 30 bits, one digit.  A row's
+    cover masks are ANDs of the vertex bitmaps with those bits deleted,
+    built when the row is; `cover_mask` itself is read once, for the bits
+    to delete.
+
     A frame iterates the cover masks of its children, so a pruned child
     costs one OR, one popcount and one comparison, and nothing is counted
     per child.  The open frame, the one whose children are being
@@ -220,22 +237,27 @@ def _search(
     same positions, one per open frame: ranks index the two tables and go
     no further.
     """
-    num_s = binomial(n, s)
     per_edge = binomial(n - r, s - r)
+    num_s = binomial(n, s) - per_edge  # the s-sets left in the bitmaps
     best = len(incumbent)
-    # The root, node 1, has no edges; it survives the threshold below when
-    # ceil(num_s / per_edge) < best.
-    need = num_s - (best - 1) * per_edge
+    # The root, node 1, has no edges, and its one child covers just the
+    # s-sets left out: both survive the threshold below, for d = 1, when
+    # ceil(C(n,s) / per_edge) < best.
+    need = num_s - (best - 2) * per_edge
     if node_budget < 1 or need > 0:
         return incumbent, 1, node_budget < 1
     full = (1 << num_s) - 1
 
     subset_ranks = r_subset_ranks(n, s, r)
-    # rows[i]: the cover masks and edge masks of the r-sets inside s-set i,
-    # in colex order, built on first use.  Row 0 is the root's branch, edge
-    # {0,...,r-1} (rank 0): it lies in s-set 0, so s-set 0 is covered at
-    # every node below the root.
-    rows = [([cover_mask[0]], [edge_mask[0]])] + [None] * (num_s - 1)
+    left_out = cover_mask[0]
+    vertex = [_delete_bits(v, left_out) for v in _vertex_masks(n, s)]
+    # Bit i is s-set i + bisect_right(kept_below, i), where kept_below[j]
+    # counts the s-sets kept below the j-th one left out.
+    gone = [k for k, d in enumerate(reversed(bin(left_out))) if d == "1"]
+    kept_below = [k - j for j, k in enumerate(gone)]
+    # rows[i]: the cover masks and edge masks of the r-sets inside the
+    # s-set of bit i, in colex order, built on first use.
+    rows = [None] * num_s
 
     # Depth-first search with an explicit stack, so depth is not limited by
     # the interpreter's recursion limit.  The open node, with d edges, is
@@ -244,17 +266,17 @@ def _search(
     # children's edge masks); stack holds the same three for each node
     # below it, the root first, so stack[k] has k edges.  A child that needs
     # no branching is finished inside the loop over its siblings.  The
-    # first open node is the root, with mask 0.
+    # first open node is the root, with mask 0, whose one child, the root's
+    # edge, has mask 0 too.
     #
     # A child at depth d survives only if it covers at least
-    # need = num_s - (best - d - 1) * per_edge s-sets, the same test as
-    # d + ceil(uncovered / per_edge) < best.  need moves by per_edge with
-    # each push and pop and is reset when best falls; a child that covers
-    # everything then only passes it if d < best.
-    base, rest, edges = 0, iter(rows[0][0]), rows[0][1]
+    # need = num_s - (best - d - 1) * per_edge of the s-sets in the bitmaps,
+    # the same test as d + ceil(uncovered / per_edge) < best.  need moves
+    # by per_edge with each push and pop and is reset when best falls; a
+    # child that covers everything then only passes it if d < best.
+    base, rest, edges = 0, iter((0,)), edge_mask[:1]
     stack = []
     upper = 2  # the root and its one child
-    need += per_edge
     while True:
         for m in rest:
             if (base | m).bit_count() < need:
@@ -274,8 +296,10 @@ def _search(
             i = (covered ^ (covered + 1)).bit_length() - 1
             row = rows[i]
             if row is None:
-                ranks = subset_ranks(i)
-                row = rows[i] = ([cover_mask[j] for j in ranks], [edge_mask[j] for j in ranks])
+                rank = i + bisect.bisect_right(kept_below, i)
+                inside = [vertex[v] for v in unrank_colex(rank, s, n)]
+                covers = _colex_blocks([full], r, s, operator.and_, inside.__getitem__, masks=False)
+                row = rows[i] = (covers, [edge_mask[j] for j in subset_ranks(rank)])
             stack.append((base, rest, edges))
             base, rest, edges = covered, iter(row[0]), row[1]
             upper += len(edges)
@@ -291,6 +315,19 @@ def _search(
             need -= per_edge
             if upper > node_budget and upper - _unvisited(stack, rest) > node_budget:
                 return incumbent, node_budget + 1, True
+
+
+def _delete_bits(mask: int, gone: int) -> int:
+    """mask with the bits that are set in gone taken out: the bits above
+    each one move down, so the bits kept stay in order.  One shift per run
+    of set bits in gone, from the top run down, so no run moves another."""
+    while gone:
+        top = gone.bit_length()
+        # One past the highest bit below the top run that gone leaves clear.
+        low = (gone ^ ((1 << top) - 1)).bit_length()
+        mask = mask >> top << low | mask & ((1 << low) - 1)
+        gone &= (1 << low) - 1
+    return mask
 
 
 def _unvisited(stack: list[tuple[int, Iterator[int], list[int]]], rest: Iterator[int]) -> int:
@@ -315,10 +352,11 @@ def solve_min_turan(
     and `_first_incumbent` builds its edge masks only where greedy or the
     search reads it, and for level n's witness.  On any other level, while
     budget remains, `cover_masks` and `colex_masks` are built once: greedy
-    reads the first, its ranks mapped to edge masks through the second, and
-    replaces the incumbent when strictly smaller; if greedy meets the bound
-    the level is closed with no node, else `_search` reads the same tables
-    until incumbent and bound meet or its tree is exhausted.  So a budget
+    reads the first, its ranks mapped to edge masks through the second,
+    which is built after greedy's heap is freed, and replaces the
+    incumbent when strictly smaller; if greedy meets the bound the level
+    is closed with no node, else `_search` reads the same tables until
+    incumbent and bound meet or its tree is exhausted.  So a budget
     of 0 still proves the levels that greedy closes.  The levels share
     `node_budget`; once it has run out, the remaining levels take the bound
     only.  Nothing is kept between calls.  Systems are edge masks
@@ -336,8 +374,8 @@ def solve_min_turan(
         if optimum > bound and not out_of_budget:
             incumbent = _first_incumbent(m, s, r)
             cover_mask = cover_masks(m, s, r)
-            edge_mask = colex_masks(m, r)
             greedy = _greedy_cover(cover_mask, binomial(m, s))
+            edge_mask = colex_masks(m, r)
             if len(greedy) < len(incumbent):
                 incumbent = list(map(edge_mask.__getitem__, greedy))
             if len(incumbent) > bound:

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from turan_systems.combinatorics import (
     colex_masks,
     cover_masks,
     enumerate_subsets,
+    rank_colex,
     unrank_colex,
 )
 from turan_systems.constructions import trivial_prefix_system
@@ -156,6 +159,22 @@ class TestSolveMinTuran:
         assert out and nodes == 11
         assert 0 < len(rows) <= 11 and len(set(rows)) == len(rows) and 0 not in rows
 
+    def test_edge_table_built_after_greedy(self, monkeypatch):
+        # Greedy's heap holds one int per r-set; it is freed before the
+        # level's table of C(m,r) edge masks is built, so the two never
+        # coexist.  (9,7,5) sets up level 8, which greedy closes, and level
+        # 9, and each level builds its prefix incumbent's masks first.
+        calls = []
+
+        def spy(name):
+            real = getattr(solver, name)
+            return lambda *a: calls.append(name) or real(*a)
+
+        for name in ("cover_masks", "_greedy_cover", "colex_masks"):
+            monkeypatch.setattr(solver, name, spy(name))
+        solve_min_turan(9, 7, 5, node_budget=0)
+        assert calls == ["colex_masks", "cover_masks", "_greedy_cover", "colex_masks"] * 2
+
     def test_level_beyond_cover_bit_budget_refused(self, monkeypatch):
         # (8,4,3) searches level 7 only, whose bitmaps take
         # C(7,3) * C(7,4) = 1225 bits; the refusal comes before any node.
@@ -262,6 +281,57 @@ class TestSolveMinTuran:
         res = solve_min_turan(9, 7, 5, node_budget=1_269_431)
         assert (res.optimum, res.nodes_explored, res.proof) == (8, 1_269_431, "exhausted")
         assert not res.budget_exhausted
+
+    def test_incumbent_improvements_pinned(self):
+        # Two solves whose level-n search improves its incumbent and then
+        # stops at the bound, so the incumbent is read off the open frames.
+        # (8,5,3): level 7 exhausts its tree at 412 nodes (T(7,5,3) = 5),
+        # and level 8 searches from greedy's 9 edges, reaching the
+        # averaging bound 8 at node 2,847.  (9,7,6): level 9 searches from
+        # greedy's 14 edges, finds 13 at node 7,060 and the counting bound
+        # 12 at node 7,226.  Each budget is one node before, at and after
+        # a level end or an improvement; a budget that runs out at level 7
+        # leaves level 8 at the prefix system's 20 edges.
+        for (n, s, r), (*want, digest) in {
+            (8, 5, 3): (
+                8, 2847, "bound-met",
+                "5d24f33e2fac10d4b9bc39273989bfe3e833377110e6d819ee2ee3ac978fabfd",
+            ),
+            (9, 7, 6): (
+                12, 7226, "bound-met",
+                "65c57e27195e33b93d1b1b335ccb3d90b080aa92377f04988959e0ce856077e9",
+            ),
+        }.items():
+            res = solve_min_turan(n, s, r)
+            assert [res.optimum, res.nodes_explored, res.proof] == want
+            assert is_turan_system(res.witness, s).is_turan
+            masks = json.dumps(res.witness.masks).encode()
+            assert hashlib.sha256(masks).hexdigest() == digest, (n, s, r)
+        for (n, s, r), stops in {
+            (8, 5, 3): {
+                411: (20, 412, None), 412: (9, 413, None), 413: (9, 414, None),
+                2846: (9, 2847, None), 2847: (8, 2847, "bound-met"),
+                2848: (8, 2847, "bound-met"),
+            },
+            (9, 7, 6): {
+                7059: (14, 7060, None), 7060: (13, 7061, None), 7061: (13, 7062, None),
+                7225: (13, 7226, None), 7226: (12, 7226, "bound-met"),
+                7227: (12, 7226, "bound-met"),
+            },
+        }.items():
+            for budget, want in stops.items():
+                res = solve_min_turan(n, s, r, node_budget=budget)
+                assert (res.optimum, res.nodes_explored, res.proof) == want, (n, s, r, budget)
+                assert is_turan_system(res.witness, s).is_turan
+
+    def test_t975_rows_fit_one_digit(self, monkeypatch):
+        # The s-sets that contain the root's edge {0,...,4} are left out of
+        # the search's bitmaps: C(9,7) - C(4,2) = 30 bits, one CPython digit.
+        rows = spy_rows(monkeypatch)
+        res = solve_min_turan(9, 7, 5)
+        assert (res.optimum, res.nodes_explored) == (8, 1269431)
+        assert 0 < len(rows) <= 30 and all(len(row) == 21 for row in rows)
+        assert all(0 <= m < 2**30 for row in rows for m in row)
 
     def test_t953_proven_by_greedy(self):
         # T(9,5,3) = 12.  Averaging from T(8,5,3) = 8 gives ceil(9 * 8 / 6)
@@ -505,6 +575,82 @@ class TestSearchEquivalence:
             for bound in (optimum, optimum + 1):
                 want, _ = reference_solve(n, s, r, REFERENCE_CAP, bound=bound)
                 assert prefix_search(n, s, r, REFERENCE_CAP, bound) == want, (n, s, r, bound)
+
+
+def reference_delete_bits(mask, gone):
+    """mask with the bits set in gone taken out, one bit at a time."""
+    kept = [b for b in range(max(mask.bit_length(), gone.bit_length())) if not gone >> b & 1]
+    return sum((mask >> b & 1) << i for i, b in enumerate(kept))
+
+
+class TestDeleteBits:
+    """The search's bit deletion against a bit-by-bit reference."""
+
+    def test_edge_cases(self):
+        cases = [
+            (0b1011, 0),  # nothing deleted
+            (0b1011, 0b1),  # bit 0
+            (0b1011, 0b1111),  # every bit
+            (0b1011, 0b1000),  # the top bit of the mask
+            (0b1011, 0b110000),  # only bits above the mask
+            (0b110110111, 0b011011000),  # adjacent runs of one and two
+            (0b1101, 0b0110),  # a run across set and clear bits
+            (0, 0b10101),
+            ((1 << 70) - 1, 1 << 69 | 1),  # both ends of a three-digit int
+        ]
+        for mask, gone in cases:
+            assert solver._delete_bits(mask, gone) == reference_delete_bits(mask, gone), (mask, gone)
+        assert solver._delete_bits(0b1011, 0b1) == 0b101
+        assert solver._delete_bits(0b110110111, 0b011011000) == 0b11111
+
+    def test_matches_reference_on_random_masks(self):
+        rng = random.Random(37)
+        for _ in range(2000):
+            width = rng.choice([1, 5, 29, 30, 31, 60, 61, 200])
+            mask = rng.getrandbits(width)
+            gone = rng.getrandbits(width) & rng.getrandbits(width) if rng.random() < 0.5 else 0
+            # Runs of deleted bits too, adjacent ones included.
+            for _ in range(rng.randrange(4)):
+                low = rng.randrange(width)
+                gone |= ((1 << rng.randint(1, 5)) - 1) << low
+            gone &= (1 << width) - 1
+            assert solver._delete_bits(mask, gone) == reference_delete_bits(mask, gone), (mask, gone)
+
+    def test_search_rows_are_reduced_cover_masks(self, monkeypatch):
+        # Every row built for (8,5,3), and for (7,4,3) to its 1,000th node,
+        # holds the cover masks of the row's r-sets with the bits of the
+        # s-sets that contain {0,...,r-1} deleted.
+        rows = spy_rows(monkeypatch)
+        for n, s, r, budget in [(8, 5, 3, solver.DEFAULT_NODE_BUDGET), (7, 4, 3, 1000)]:
+            rows.clear()
+            cover = cover_masks(n, s, r)
+            _search(n, s, r, cover, range(binomial(n, r)), 0, budget, colex_masks(n, r))
+            want = {
+                tuple(reference_delete_bits(cover[j], cover[0]) for j in reference_row(n, s, r, i))
+                for i in range(binomial(n, s))
+                if not cover[0] >> i & 1
+            }
+            assert rows and set(map(tuple, rows)) <= want, (n, s, r)
+
+
+def spy_rows(monkeypatch):
+    """The list to which each row of cover masks that the search builds
+    is appended."""
+    rows = []
+    real = solver._colex_blocks
+
+    def spy(*args, **kwargs):
+        rows.append(real(*args, **kwargs))
+        return rows[-1]
+
+    monkeypatch.setattr(solver, "_colex_blocks", spy)
+    return rows
+
+
+def reference_row(n, s, r, i):
+    """The colex ranks of the r-subsets of s-set i, ascending."""
+    sset = unrank_colex(i, s, n)
+    return sorted(rank_colex(e) for e in itertools.combinations(sset, r))
 
 
 class TestGreedyEquivalence:

@@ -8,7 +8,8 @@ smaller of the prefix system and a Turán construction.  A level where
 that incumbent misses the bound also gets a greedy set cover, kept when
 strictly smaller, and is searched only if the bound is still missed.  The
 search branches on the colex-least uncovered s-set, which keeps node
-counts and witnesses deterministic.
+counts and witnesses deterministic, and credits a subtree equal to one it
+has finished with that one's node count instead of walking it again.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ from .combinatorics import (
 from .hypergraph import UniformHypergraph, is_turan_system
 
 DEFAULT_NODE_BUDGET = 50_000_000
+# The most entries that _search's memo of finished subtrees holds at once,
+# a covered bitmap and a node count each, split evenly over its depths.
+MEMO_ENTRIES = 1 << 15
 CACHE_ENV_VAR = "TURAN_CACHE"
 
 
@@ -225,17 +229,40 @@ def _search(
     costs one OR, one popcount and one comparison, and nothing is counted
     per child.  The open frame, the one whose children are being
     visited, is held in locals and the frames below it on a list, so a
-    push and a pop rebind three names and read no frame back.  `upper` is
-    the root plus the children of every frame opened so far, which is the
-    node count once the open frames finish; the nodes visited so far are
-    `upper` less the children that the open frames' iterators have left
-    (`_unvisited`).  That is read only at a surviving child or a frame
-    end, and only once `upper` passes the budget: the children visited
-    since the last such point were pruned and changed nothing, so
-    stopping there with `node_budget + 1` nodes is stopping at the child
-    that passed the budget.  An incumbent's edge masks are read off the
-    same positions, one per open frame: ranks index the two tables and go
-    no further.
+    push and a pop rebind a few names and read no frame back.  `upper` is
+    the root plus the children of every frame opened so far and the nodes
+    credited from the memo below, which is the node count once the open
+    frames finish; the nodes visited so far are `upper` less the children
+    that the open frames' iterators have left (`_unvisited`).  That is
+    read only at a surviving child or a frame end, and only once `upper`
+    passes the budget: the children visited since the last such point
+    were pruned and changed nothing, so stopping there with
+    `node_budget + 1` nodes is stopping at the child that passed the
+    budget.  An incumbent's edge masks are read off the same positions,
+    one per open frame: ranks index the two tables and go no further.
+
+    The node count is that of the search tree, but a subtree equal to one
+    already finished at the same depth and the same `best` is credited
+    with that one's count and not walked.  A node's children are the row
+    of its covered set's colex-least uncovered s-set, and which of them
+    survive depends only on the depth and `best`, so the covered set and
+    the depth fix the subtree while `best` holds.  A frame that ends with
+    `best` unchanged since it opened stores its covered set at its depth
+    with the nodes below it: `upper` at its end less `upper` before its
+    children were added.  A surviving child found there adds that count
+    to `upper` and is not pushed.  That is exact: the walk would find no
+    improvement and end the subtree with the same `upper` and the same
+    children unvisited in the frames below it.  A walk that passed the
+    budget stopped at its first check past it with `node_budget + 1`
+    nodes; the count at the subtree's end is past it too, so the check
+    made at the credit, the one the walk makes at that frame end, returns
+    the same.  An improvement changes the thresholds, so it clears the
+    memo, and a frame open across one does not store.  The memo holds at
+    most MEMO_ENTRIES entries, whatever the budget, split evenly over the
+    best - 1 depths at entry; a depth whose share is full stores no more
+    and is still read.  Each entry is a bitmap of C(n,s) - C(n-r, s-r)
+    bits, a count and a dict slot; (9,7,5)'s memo peaks under 1 MB
+    (`tracemalloc`).
     """
     per_edge = binomial(n - r, s - r)
     num_s = binomial(n, s) - per_edge  # the s-sets left in the bitmaps
@@ -247,6 +274,11 @@ def _search(
     if node_budget < 1 or need > 0:
         return incumbent, 1, node_budget < 1
     full = (1 << num_s) - 1
+    # memos[d]: the covered sets of finished frames with d + 1 edges, each
+    # with the nodes below it, since best last fell; room is each depth's
+    # share of MEMO_ENTRIES.
+    memos = [{} for _ in range(best - 1)]
+    room = MEMO_ENTRIES // len(memos)
 
     subset_ranks = r_subset_ranks(n, s, r)
     left_out = cover_mask[0]
@@ -262,21 +294,24 @@ def _search(
     # Depth-first search with an explicit stack, so depth is not limited by
     # the interpreter's recursion limit.  The open node, with d edges, is
     # base (its covered set), rest (the iterator over the cover masks of
-    # its remaining children, which have d + 1 edges) and edges (those
-    # children's edge masks); stack holds the same three for each node
-    # below it, the root first, so stack[k] has k edges.  A child that needs
-    # no branching is finished inside the loop over its siblings.  The
-    # first open node is the root, with mask 0, whose one child, the root's
-    # edge, has mask 0 too.
+    # its remaining children, which have d + 1 edges), edges (those
+    # children's edge masks) and memo (memos[d], where those children are
+    # looked up); stack holds the same four for each node below it, the
+    # root first, so stack[k] has k edges, and then upper when the node
+    # above it was opened.  A child that needs no branching, or whose
+    # subtree is in memo, is finished inside the loop over its siblings.
+    # The first open node is the root, with mask 0, whose one child, the
+    # root's edge, has mask 0 too.
     #
     # A child at depth d survives only if it covers at least
     # need = num_s - (best - d - 1) * per_edge of the s-sets in the bitmaps,
     # the same test as d + ceil(uncovered / per_edge) < best.  need moves
     # by per_edge with each push and pop and is reset when best falls; a
     # child that covers everything then only passes it if d < best.
-    base, rest, edges = 0, iter((0,)), edge_mask[:1]
+    base, rest, edges, memo = 0, iter((0,)), edge_mask[:1], memos[0]
     stack = []
     upper = 2  # the root and its one child
+    improved = 0  # upper at the last improvement
     while True:
         for m in rest:
             if (base | m).bit_count() < need:
@@ -286,11 +321,22 @@ def _search(
             covered = base | m
             if covered == full:
                 best = len(stack) + 1
-                incumbent = [e[-1 - length_hint(it)] for _, it, e in stack]
+                incumbent = [e[-1 - length_hint(it)] for _, it, e, _, _ in stack]
                 incumbent.append(edges[-1 - length_hint(rest)])
                 if best <= bound:
                     return incumbent, upper - _unvisited(stack, rest), False
                 need = num_s + per_edge
+                for stored in memos:
+                    stored.clear()
+                improved = upper
+                continue
+            if covered in memo:
+                # Credited as if walked: the walk's own check at that
+                # subtree's frame end would read this upper and these
+                # unvisited children.
+                upper += memo[covered]
+                if upper > node_budget and upper - _unvisited(stack, rest) > node_budget:
+                    return incumbent, node_budget + 1, True
                 continue
             # colex-least uncovered s-set: the lowest zero bit of covered.
             i = (covered ^ (covered + 1)).bit_length() - 1
@@ -300,8 +346,9 @@ def _search(
                 inside = [vertex[v] for v in unrank_colex(rank, s, n)]
                 covers = _colex_blocks([full], r, s, operator.and_, inside.__getitem__, masks=False)
                 row = rows[i] = (covers, [edge_mask[j] for j in subset_ranks(rank)])
-            stack.append((base, rest, edges))
+            stack.append((base, rest, edges, memo, upper))
             base, rest, edges = covered, iter(row[0]), row[1]
+            memo = memos[len(stack)]
             upper += len(edges)
             need += per_edge
             break
@@ -311,7 +358,13 @@ def _search(
             # was read with the same count.
             if not stack:
                 return incumbent, upper, False
-            base, rest, edges = stack.pop()
+            covered = base
+            base, rest, edges, memo, opened = stack.pop()
+            # A frame opened before the last improvement saw two values of
+            # best, and its count is not one subtree's: it was opened below
+            # upper at the improvement, and every later one at or above it.
+            if opened >= improved and len(memo) < room:
+                memo[covered] = upper - opened
             need -= per_edge
             if upper > node_budget and upper - _unvisited(stack, rest) > node_budget:
                 return incumbent, node_budget + 1, True
@@ -330,7 +383,9 @@ def _delete_bits(mask: int, gone: int) -> int:
     return mask
 
 
-def _unvisited(stack: list[tuple[int, Iterator[int], list[int]]], rest: Iterator[int]) -> int:
+def _unvisited(
+    stack: list[tuple[int, Iterator[int], list[int], dict[int, int], int]], rest: Iterator[int]
+) -> int:
     """The children that `_search` has left to visit: those of its open
     frame, whose iterator is `rest`, and of the frames below it on `stack`."""
     return length_hint(rest) + sum(length_hint(frame[1]) for frame in stack)

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,33 @@ class TestSolveMinTuran:
         optimum, _, nodes, out = prefix_search(30, 4, 3, 2000)
         assert out and nodes == 2001
         assert optimum == binomial(29, 3)  # still the prefix incumbent
+
+    def test_search_memo_bounded_by_its_constant(self, monkeypatch):
+        # (10,4,3) searches about 40 depths at level 10 and would hold about
+        # 11 MB of finished subtrees with no cap.  Its tracemalloc peak
+        # above that of the same solve with no search stays within the
+        # entries allowed, each a bitmap of C(10,4) - C(7,1) = 203 bits, a
+        # count and at most a one-entry dict.  So does a search of 10^5
+        # nodes, level 7 only, with 1/32 of the entries, which would hold
+        # about twice its cap's bytes with no cap.
+        entries = solver.MEMO_ENTRIES
+        size = sys.getsizeof(1 << 203) + sys.getsizeof(10**6) + sys.getsizeof({0: 0})
+
+        def peak(budget):
+            tracemalloc.start()
+            try:
+                res = solve_min_turan(10, 4, 3, node_budget=budget)
+                return res, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, floor = peak(0)
+        res, used = peak(10**6)
+        assert [res.optimum, res.nodes_explored, res.proof] == [45, 1_000_001, None]
+        assert used - floor <= entries * size
+        monkeypatch.setattr(solver, "MEMO_ENTRIES", entries // 32)
+        _, used = peak(10**5)
+        assert used - floor <= entries // 32 * size
 
     def test_setup_heavy_budgeted_solve_pinned(self, monkeypatch):
         # Setup dominates the kernel at n = 40; with 10 nodes its incumbent
@@ -556,12 +585,23 @@ class TestSearchEquivalence:
             want, _ = reference_solve(n, s, r, REFERENCE_CAP)
             assert prefix_search(n, s, r, REFERENCE_CAP) == want
 
+    def test_every_small_instance_with_one_memo_entry_per_depth(self, monkeypatch):
+        # The prefix incumbent's best - 1 depths share MEMO_ENTRIES, so each
+        # holds one finished subtree and then refuses the rest, still read.
+        for n, s, r in SMALL_INSTANCES:
+            monkeypatch.setattr(solver, "MEMO_ENTRIES", binomial(n - s + r, r) - 1)
+            want, _ = reference_solve(n, s, r, REFERENCE_CAP)
+            assert prefix_search(n, s, r, REFERENCE_CAP) == want, (n, s, r)
+
     def test_every_budget_to_exhaustion(self):
         # Every budget from 0 to the whole tree and one past it, so the
         # budget is passed inside a run of pruned children, at a frame end,
-        # at a surviving child and at each incumbent.  (8,7,4) improves at
-        # its last node, 107.
-        for n, s, r, total in [(6, 4, 3, 166), (7, 5, 4, 322), (8, 7, 4, 107)]:
+        # at a surviving child, at each incumbent and inside subtrees that
+        # the memo credits: 10 of them in (7,3,2), 5 each in (6,4,3) and
+        # (7,5,4).  (8,7,4) improves at its last node, 107.
+        for n, s, r, total in [
+            (6, 4, 3, 166), (7, 5, 4, 322), (8, 7, 4, 107), (7, 3, 2, 338)
+        ]:
             assert reference_solve(n, s, r, total)[0][2:] == (total, False)
             for budget in range(total + 2):
                 want, _ = reference_solve(n, s, r, budget)

@@ -263,9 +263,9 @@ def colex_masks(n: int, k: int) -> list[int]:
 
 def r_subset_ranks(n: int, s: int, r: int) -> Callable[[int], list[int]]:
     """The map from the colex rank of an s-subset of [n] to the ascending
-    colex ranks of its r-subsets: the solver's branching rows and the
-    colourer's redraws.  The combinations of a decreasing s-set come in
-    descending colex order, so each list, reversed, needs no sort.
+    colex ranks of its r-subsets: the colourer's redraws.  The
+    combinations of a decreasing s-set come in descending colex order, so
+    each list, reversed, needs no sort.
     """
     descending = itertools.combinations(range(n - 1, -1, -1), r)
     rank = dict(zip(descending, range(binomial(n, r) - 1, -1, -1))).__getitem__

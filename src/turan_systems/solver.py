@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import heapq
 import itertools
 import json
@@ -44,7 +45,6 @@ from .combinatorics import (
     check_sizes,
     colex_masks,
     cover_masks,
-    r_subset_ranks,
     unrank_colex,
 )
 from .hypergraph import UniformHypergraph, is_turan_system
@@ -133,7 +133,7 @@ def _first_size(n: int, s: int, r: int) -> int:
     Turán's construction without building an edge."""
     size = binomial(n - s + r, r)  # the prefix system's
     if r == 2:
-        size = min(size, sum(binomial(len(p), 2) for p in _balanced_parts(n, s - 1)))
+        size = min(size, turan_r2_value(n, s))
     elif (s, r) == (4, 3):
         # Each part's triples, and its pairs with a vertex of the next part.
         a = list(map(len, _balanced_parts(n, 3)))
@@ -183,32 +183,25 @@ def _greedy_cover(cover_mask: list[int], num_s: int) -> list[int]:
 
 
 def _search(
-    n: int,
-    s: int,
-    r: int,
-    cover_mask: list[int],
-    incumbent: list[int],
-    bound: int,
-    node_budget: int,
-    edge_mask: list[int],
+    n: int, s: int, r: int, incumbent: list[int], bound: int, node_budget: int
 ) -> tuple[list[int], int, bool]:
     """Branch and bound for an (n,s,r) system smaller than `incumbent`.
 
-    `cover_mask` is cover_masks(n, s, r) and `edge_mask` colex_masks(n, r);
-    the search reads both and changes neither.
-    `incumbent` holds the edge masks of a Turán system, and only its
-    length is read.  The search stops when it exhausts its tree, when it
-    finds a system of `bound` edges or fewer, or when it has visited more
-    than `node_budget` nodes.  Returns the edge masks of the best system
+    The search reads only the vertex bitmaps of _vertex_masks(n, s) and
+    the vertices of the s-sets it branches on; it builds no table over
+    the C(n,r) r-sets.  `incumbent` holds the edge masks of a Turán
+    system, and only its length is read.  The search stops when it
+    exhausts its tree, when it finds a system of `bound` edges or fewer,
+    or when it has visited more than `node_budget` nodes.  Returns the edge masks of the best system
     found, the number of nodes visited and whether the budget ran out.
 
     Branches on the colex-least uncovered s-set with one child per
-    r-subset of it, from r_subset_ranks on the first branch there; prunes
+    r-subset of it, in colex order, built on the first branch there; prunes
     a node with d edges when d + ceil(uncovered / C(n-r, s-r)) reaches the
     incumbent.  That bound is kept as one threshold per depth: a child of
     a node with d - 1 edges survives only if it covers at least
     C(n,s) - (best - d - 1) * C(n-r, s-r) s-sets.  At the root, the branch
-    is fixed to the single edge {0,...,r-1}, colex rank 0, which is safe
+    is fixed to the single edge {0,...,r-1}, mask (1 << r) - 1, which is safe
     because the root subproblem is invariant under all vertex
     relabelings.  The search keeps its own stack, so a deep search ends at
     the node budget, not at the interpreter's recursion limit.
@@ -220,10 +213,12 @@ def _search(
     keeps the order of those left, so the lowest zero bit is still the
     colex-least uncovered s-set.  This is for speed: CPython stores an int
     in 30-bit digits, and OR, popcount and comparison take a fast path on
-    one digit, so (9,7,5)'s 36 s-sets become 30 bits, one digit.  A row's
-    cover masks are ANDs of the vertex bitmaps with those bits deleted,
-    built when the row is; `cover_mask` itself is read once, for the bits
-    to delete.
+    one digit, so (9,7,5)'s 36 s-sets become 30 bits, one digit.  The
+    bits to delete are the AND of the root edge's r vertex bitmaps.  A
+    row's cover masks are ANDs of the vertex bitmaps with those bits
+    deleted, and its edge masks ORs of the same vertices' bits, both by
+    one _colex_blocks call over the s-set's vertices, so both come in the
+    colex order of the row's r-sets.
 
     A frame iterates the cover masks of its children, so a pruned child
     costs one OR, one popcount and one comparison, and nothing is counted
@@ -239,7 +234,7 @@ def _search(
     were pruned and changed nothing, so stopping there with
     `node_budget + 1` nodes is stopping at the child that passed the
     budget.  An incumbent's edge masks are read off the same positions,
-    one per open frame: ranks index the two tables and go no further.
+    one per open frame, in the rows' lists of edge masks.
 
     The node count is that of the search tree, but a subtree equal to one
     already finished at the same depth and the same `best` is credited
@@ -280,9 +275,9 @@ def _search(
     memos = [{} for _ in range(best - 1)]
     room = MEMO_ENTRIES // len(memos)
 
-    subset_ranks = r_subset_ranks(n, s, r)
-    left_out = cover_mask[0]
-    vertex = [_delete_bits(v, left_out) for v in _vertex_masks(n, s)]
+    vertex = _vertex_masks(n, s)
+    left_out = functools.reduce(operator.and_, vertex[:r])
+    vertex = [_delete_bits(v, left_out) for v in vertex]
     # Bit i is s-set i + bisect_right(kept_below, i), where kept_below[j]
     # counts the s-sets kept below the j-th one left out.
     gone = [k for k, d in enumerate(reversed(bin(left_out))) if d == "1"]
@@ -301,14 +296,15 @@ def _search(
     # above it was opened.  A child that needs no branching, or whose
     # subtree is in memo, is finished inside the loop over its siblings.
     # The first open node is the root, with mask 0, whose one child, the
-    # root's edge, has mask 0 too.
+    # root's edge (edge mask (1 << r) - 1), has cover mask 0 too: it covers
+    # only the s-sets left out.
     #
     # A child at depth d survives only if it covers at least
     # need = num_s - (best - d - 1) * per_edge of the s-sets in the bitmaps,
     # the same test as d + ceil(uncovered / per_edge) < best.  need moves
     # by per_edge with each push and pop and is reset when best falls; a
     # child that covers everything then only passes it if d < best.
-    base, rest, edges, memo = 0, iter((0,)), edge_mask[:1], memos[0]
+    base, rest, edges, memo = 0, iter((0,)), [(1 << r) - 1], memos[0]
     stack = []
     upper = 2  # the root and its one child
     improved = 0  # upper at the last improvement
@@ -342,10 +338,13 @@ def _search(
             i = (covered ^ (covered + 1)).bit_length() - 1
             row = rows[i]
             if row is None:
-                rank = i + bisect.bisect_right(kept_below, i)
-                inside = [vertex[v] for v in unrank_colex(rank, s, n)]
-                covers = _colex_blocks([full], r, s, operator.and_, inside.__getitem__, masks=False)
-                row = rows[i] = (covers, [edge_mask[j] for j in subset_ranks(rank)])
+                sset = unrank_colex(i + bisect.bisect_right(kept_below, i), s, n)
+                inside = [vertex[v] for v in sset]
+                bits = [1 << v for v in sset]
+                row = rows[i] = (
+                    _colex_blocks([full], r, s, operator.and_, inside.__getitem__, masks=False),
+                    _colex_blocks([0], r, s, operator.or_, bits.__getitem__, masks=False),
+                )
             stack.append((base, rest, edges, memo, upper))
             base, rest, edges = covered, iter(row[0]), row[1]
             memo = memos[len(stack)]
@@ -406,11 +405,11 @@ def solve_min_turan(
     closed with no setup: the incumbent's size is counted (`_first_size`),
     and `_first_incumbent` builds its edge masks only where greedy or the
     search reads it, and for level n's witness.  On any other level, while
-    budget remains, `cover_masks` and `colex_masks` are built once: greedy
-    reads the first, its ranks mapped to edge masks through the second,
-    which is built after greedy's heap is freed, and replaces the
-    incumbent when strictly smaller; if greedy meets the bound the level
-    is closed with no node, else `_search` reads the same tables until
+    budget remains, greedy reads `cover_masks`, which is freed when it
+    returns; the ranks it chose are turned into edge masks by
+    `unrank_colex`, one call per edge, and replace the incumbent when
+    strictly smaller.  If greedy meets the bound the level is closed with
+    no node, else `_search`, which builds no C(m,r) table, runs until
     incumbent and bound meet or its tree is exhausted.  So a budget
     of 0 still proves the levels that greedy closes.  The levels share
     `node_budget`; once it has run out, the remaining levels take the bound
@@ -428,14 +427,12 @@ def solve_min_turan(
         optimum, incumbent = _first_size(m, s, r), None
         if optimum > bound and not out_of_budget:
             incumbent = _first_incumbent(m, s, r)
-            cover_mask = cover_masks(m, s, r)
-            greedy = _greedy_cover(cover_mask, binomial(m, s))
-            edge_mask = colex_masks(m, r)
+            greedy = _greedy_cover(cover_masks(m, s, r), binomial(m, s))
             if len(greedy) < len(incumbent):
-                incumbent = list(map(edge_mask.__getitem__, greedy))
+                incumbent = [sum(map((1).__lshift__, unrank_colex(j, r, m))) for j in greedy]
             if len(incumbent) > bound:
                 incumbent, used, out_of_budget = _search(
-                    m, s, r, cover_mask, incumbent, bound, node_budget - nodes, edge_mask
+                    m, s, r, incumbent, bound, node_budget - nodes
                 )
                 nodes += used
             optimum = len(incumbent)

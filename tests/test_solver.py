@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import operator
 import random
 import sys
 import tracemalloc
@@ -38,10 +39,7 @@ def prefix_search(n, s, r, budget, bound=0):
     """The search kernel from the prefix incumbent, with no bound unless
     one is given, as the reference loop runs it: (optimum, witness, nodes,
     budget ran out)."""
-    prefix = colex_masks(n - s + r, r)
-    masks, nodes, out = _search(
-        n, s, r, cover_masks(n, s, r), prefix, bound, budget, colex_masks(n, r)
-    )
+    masks, nodes, out = _search(n, s, r, colex_masks(n - s + r, r), bound, budget)
     witness = UniformHypergraph._from_masks(n, r, sorted(masks))
     return len(masks), witness, nodes, out
 
@@ -142,6 +140,22 @@ class TestSolveMinTuran:
         _, used = peak(10**5)
         assert used - floor <= entries // 32 * size
 
+    def test_budgeted_search_holds_no_edge_table(self):
+        # (18,14,9) searches level 16 for its 1,000 nodes.  Greedy's
+        # C(16,9) = 11,440 cover bitmaps are freed before the search, which
+        # reads the vertex bitmaps and the rows it builds: a tracemalloc
+        # peak of about 1.0 MB.  A table of the 11,440 edge masks and a
+        # rank map keyed by the 11,440 9-sets beside them peaked at 3.8 MB;
+        # 2 MB lies between the two.
+        tracemalloc.start()
+        try:
+            res = solve_min_turan(18, 14, 9, node_budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.optimum, res.nodes_explored, res.budget_exhausted) == (715, 1001, True)
+        assert peak < 2_000_000
+
     def test_setup_heavy_budgeted_solve_pinned(self, monkeypatch):
         # Setup dominates the kernel at n = 40; with 10 nodes its incumbent
         # is still the prefix system, the colex-first C(39,3) triples.
@@ -152,12 +166,12 @@ class TestSolveMinTuran:
         # The solver spends the 10 nodes at level 7, the first level its
         # bound leaves open, and sets up no other level: levels 8 to 40
         # take the bound only, and the witness is Turán's construction.
-        built, covered = [], []
-        real, real_cover = solver.r_subset_ranks, solver.cover_masks
-        monkeypatch.setattr(solver, "r_subset_ranks", lambda *a: built.append(a) or real(*a))
+        searched, covered = [], []
+        real, real_cover = solver._search, solver.cover_masks
+        monkeypatch.setattr(solver, "_search", lambda *a: searched.append(a[:3]) or real(*a))
         monkeypatch.setattr(solver, "cover_masks", lambda *a: covered.append(a) or real_cover(*a))
         res = solve_min_turan(40, 4, 3, node_budget=10)
-        assert built == covered == [(7, 4, 3)]
+        assert searched == covered == [(7, 4, 3)]
         assert res.budget_exhausted and not res.proven_optimal and res.proof is None
         assert res.nodes_explored == 11
         turan = sorted(_turan_construction(40, 4, 3))
@@ -166,49 +180,51 @@ class TestSolveMinTuran:
         assert res.lower_bound_source == "averaging"
 
     def test_level_closed_at_root_does_no_setup(self, monkeypatch):
-        monkeypatch.setattr(solver, "r_subset_ranks", None)
+        monkeypatch.setattr(solver, "_search", None)
         monkeypatch.setattr(solver, "cover_masks", None)
         for n, s, r in [(10, 5, 2), (11, 6, 2), (6, 4, 3), (9, 6, 1)]:
             res = solve_min_turan(n, s, r)
             assert res.nodes_explored == 0 and res.proof == "bound-met"
 
     def test_rows_built_on_demand(self, monkeypatch):
-        # Ten nodes below the root branch on at most ten s-sets; row 0, the
-        # root's, is seeded.  A full table would hold all C(16,8) = 12870.
+        # Ten nodes below the root branch on at most ten s-sets, each row
+        # from its s-set's vertices, unranked once; row 0, the root's, is
+        # seeded.  A full table would hold all C(16,8) = 12870.
         rows = []
-
-        def spy(*a):
-            ranks = real(*a)
-            return lambda i: rows.append(i) or ranks(i)
-
-        real = solver.r_subset_ranks
-        monkeypatch.setattr(solver, "r_subset_ranks", spy)
-        cover = cover_masks(16, 8, 4)
-        _, nodes, out = _search(16, 8, 4, cover, range(495), 0, 10, colex_masks(16, 4))
+        real = solver.unrank_colex
+        monkeypatch.setattr(solver, "unrank_colex", lambda *a: rows.append(a) or real(*a))
+        _, nodes, out = _search(16, 8, 4, range(495), 0, 10)
         assert out and nodes == 11
-        assert 0 < len(rows) <= 11 and len(set(rows)) == len(rows) and 0 not in rows
+        assert 0 < len(rows) <= 11 and len(set(rows)) == len(rows)
+        assert all(k == 8 and n == 16 and i != 0 for i, k, n in rows)
 
-    def test_edge_table_built_after_greedy(self, monkeypatch):
-        # Greedy's heap holds one int per r-set; it is freed before the
-        # level's table of C(m,r) edge masks is built, so the two never
-        # coexist.  (9,7,5) sets up level 8, which greedy closes, and level
-        # 9, and each level builds its prefix incumbent's masks first.
-        calls = []
+    def test_no_level_builds_an_edge_table(self, monkeypatch):
+        # Edges are masks built from their vertices: greedy's few chosen
+        # ones through unrank_colex, the search's rows from their s-sets.
+        # No level builds the C(m,r) table colex_masks(m, r) or the rank
+        # map of r_subset_ranks; the only colex_masks call is a prefix
+        # incumbent's, on the first m - s + r < m vertices.  Each instance
+        # sets up a level above n - s + r: (9,7,5) levels 8 and 9, the
+        # budgeted (8,4,3) level 7, (9,6,3) level 9, where greedy wins.
+        def refuse(*args):
+            raise AssertionError("r_subset_ranks called")
 
-        def spy(name):
-            real = getattr(solver, name)
-            return lambda *a: calls.append(name) or real(*a)
-
-        for name in ("cover_masks", "_greedy_cover", "colex_masks"):
-            monkeypatch.setattr(solver, name, spy(name))
-        solve_min_turan(9, 7, 5, node_budget=0)
-        assert calls == ["colex_masks", "cover_masks", "_greedy_cover", "colex_masks"] * 2
+        assert not hasattr(solver, "r_subset_ranks")
+        monkeypatch.setattr(combinatorics, "r_subset_ranks", refuse)
+        tables = []
+        real = solver.colex_masks
+        monkeypatch.setattr(solver, "colex_masks", lambda *a: tables.append(a) or real(*a))
+        for n, s, r, budget in [(9, 7, 5, 0), (8, 4, 3, 1000), (9, 6, 3, 1000)]:
+            tables.clear()
+            res = solve_min_turan(n, s, r, node_budget=budget)
+            assert is_turan_system(res.witness, s).is_turan
+            assert all(k == r and m <= n - s + r for m, k in tables), (n, s, r)
 
     def test_level_beyond_cover_bit_budget_refused(self, monkeypatch):
         # (8,4,3) searches level 7 only, whose bitmaps take
         # C(7,3) * C(7,4) = 1225 bits; the refusal comes before any node.
         monkeypatch.setattr(combinatorics, "COVER_BITS_BUDGET", 1224)
-        monkeypatch.setattr(solver, "r_subset_ranks", None)
+        monkeypatch.setattr(solver, "_search", None)
         with pytest.raises(BudgetExceededError, match="cover bitmaps"):
             solve_min_turan(8, 4, 3)
         monkeypatch.undo()
@@ -250,13 +266,15 @@ class TestSolveMinTuran:
         assert res.nodes_explored == 1269431
         assert solve_min_turan(9, 6, 1).witness.edges == ((0,), (1,), (2,), (3,))
 
-    def test_search_leaves_cover_masks_unchanged(self):
-        masks = cover_masks(7, 4, 3)
-        before = list(masks)
-        _, nodes, out = _search(7, 4, 3, masks, range(20), 0, 1000, colex_masks(7, 3))
-        assert out and nodes == 1001 and masks == before
-        _search(7, 4, 3, masks, range(20), 0, solver.DEFAULT_NODE_BUDGET, colex_masks(7, 3))
-        assert masks == before
+    def test_search_leaves_its_incumbent_unchanged(self):
+        # Only the incumbent's length is read: a search that improves on it
+        # returns new masks and leaves the caller's list as it was.
+        incumbent = colex_masks(6, 3)
+        before = list(incumbent)
+        masks, nodes, out = _search(7, 4, 3, incumbent, 0, 1000)
+        assert out and nodes == 1001 and len(masks) < 20 and incumbent == before
+        masks, _, out = _search(7, 4, 3, incumbent, 0, solver.DEFAULT_NODE_BUDGET)
+        assert not out and len(masks) == 12 and incumbent == before
 
     def test_benchmark_instances_pinned(self):
         # (optimum, nodes, proof) of the solve benchmark's six instances,
@@ -378,14 +396,15 @@ class TestSolveMinTuran:
 
     def test_greedy_closes_level_without_rows(self, monkeypatch):
         # Level 22's bound is C(22,11) / C(21,11) = 2 against a prefix of
-        # 12; greedy takes {0,...,10} and {11,...,21}, so no row is built.
-        built = []
-        real = solver.r_subset_ranks
-        monkeypatch.setattr(solver, "r_subset_ranks", lambda *a: built.append(a) or real(*a))
+        # 12; greedy takes {0,...,10} and {11,...,21}, so no row is built:
+        # the only ranks unranked are greedy's two, one 11-set each.
+        unranked = []
+        real = solver.unrank_colex
+        monkeypatch.setattr(solver, "unrank_colex", lambda *a: unranked.append(a) or real(*a))
         res = solve_min_turan(22, 21, 11)
         assert (res.optimum, res.nodes_explored, res.proof) == (2, 0, "bound-met")
         assert res.witness.edges == (tuple(range(11)), tuple(range(11, 22)))
-        assert built == []
+        assert len(unranked) == 2 and all(a[1:] == (11, 22) for a in unranked)
 
     def test_zero_budget_proves_greedy_levels(self):
         # Level 6 of (6,5,3) needs a search from the prefix (4 edges
@@ -664,7 +683,7 @@ class TestDeleteBits:
         for n, s, r, budget in [(8, 5, 3, solver.DEFAULT_NODE_BUDGET), (7, 4, 3, 1000)]:
             rows.clear()
             cover = cover_masks(n, s, r)
-            _search(n, s, r, cover, range(binomial(n, r)), 0, budget, colex_masks(n, r))
+            _search(n, s, r, range(binomial(n, r)), 0, budget)
             want = {
                 tuple(reference_delete_bits(cover[j], cover[0]) for j in reference_row(n, s, r, i))
                 for i in range(binomial(n, s))
@@ -675,13 +694,16 @@ class TestDeleteBits:
 
 def spy_rows(monkeypatch):
     """The list to which each row of cover masks that the search builds
-    is appended."""
+    is appended: the rows that AND vertex bitmaps, not those that OR the
+    same vertices' bits into edge masks."""
     rows = []
     real = solver._colex_blocks
 
-    def spy(*args, **kwargs):
-        rows.append(real(*args, **kwargs))
-        return rows[-1]
+    def spy(level, k, top, op, *args, **kwargs):
+        row = real(level, k, top, op, *args, **kwargs)
+        if op is operator.and_:
+            rows.append(row)
+        return row
 
     monkeypatch.setattr(solver, "_colex_blocks", spy)
     return rows
@@ -796,16 +818,17 @@ class TestBoundsAndConstructions:
             assert res.lower_bound_source == "averaging" and res.proven_optimal
             assert is_turan_system(res.witness, 4).is_turan
 
-    def test_r2_solves_without_turans_formula(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("solve_min_turan called turan_r2_value")
-
-        monkeypatch.setattr(solver, "turan_r2_value", refuse)
+    def test_r2_solves_by_matching_bounds(self):
+        # Turán's formula sizes the first incumbent, but the proof is the
+        # counting or averaging bound meeting it with no node, and the
+        # witness, Turán's construction or on a tie the prefix system, is
+        # built edge by edge.
         for n in range(3, 13):
             for s in range(3, min(n, 7) + 1):
                 res = solve_min_turan(n, s, 2)
                 assert res.nodes_explored == 0 and res.proof == "bound-met"
-                assert res.optimum == turan_r2_value(n, s)
+                assert res.optimum == res.lower_bound == len(res.witness) == turan_r2_value(n, s)
+                assert is_turan_system(res.witness, s).is_turan
 
     def test_repeated_calls_are_identical(self):
         for args in [(8, 4, 3), (9, 7, 5), (11, 6, 2)]:
